@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-exchange test-chaos lint bench bench-smoke bench-scaling bench-scaling-smoke bench-serve bench-serve-smoke bench-skew bench-skew-smoke bench-full
+.PHONY: test test-exchange test-chaos lint bench bench-e2e-smoke bench-smoke bench-scaling bench-scaling-smoke bench-serve bench-serve-smoke bench-skew bench-skew-smoke bench-full
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -39,6 +39,15 @@ lint:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Self-test of the repo benchmark (benchmarks/e2e/, the reference for
+# performance claims): every workload at 1/50 size, checking the metric
+# schema against BENCHMARK.json and every output against its
+# reference.  Its timings mean nothing; the full run is
+# `python3 benchmarks/e2e/run.py`.  The bench-* targets below are the
+# legacy per-PR gates around BENCH_joins.json.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 # Tiny-scale perf gate: writes BENCH_joins.json and fails if any fused
 # kernel regresses more than 2x against benchmarks/bench_baseline.json.

@@ -31,8 +31,11 @@ text|json|sarif``, ``--baseline FILE``, ``--write-baseline FILE``, and
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import sys
 
+from .errors import ValidationError
 from .experiments import EXPERIMENTS, render, render_bars, run_experiment
 
 #: Every non-experiment subcommand with its one-line description, in
@@ -53,6 +56,36 @@ SUBCOMMANDS: dict[str, str] = {
     "chaos": "seeded fault-injection matrix (seed=N, seeds=0,1, workers=1,4)",
     "help": "show this help",
 }
+
+
+#: Bench subcommands: module, entry point, and the function the entry
+#: point forwards its ``**kwargs`` to (``None``: it takes none).
+_BENCH_COMMANDS: dict[str, tuple[str, str, str | None]] = {
+    "bench-smoke": ("perf.bench", "bench_smoke", None),
+    "bench-scaling": ("perf.bench", "bench_scaling_report", "bench_scaling"),
+    "bench-skew": ("perf.bench", "bench_skew_report", "bench_skew"),
+    "serve-bench": ("serve.bench", "bench_serve_report", "bench_serve"),
+}
+
+
+def _run_bench(command: str, kwargs: dict) -> int:
+    """Run a bench subcommand, rejecting options it does not accept."""
+    module_name, entry_name, forwarded_name = _BENCH_COMMANDS[command]
+    module = importlib.import_module(f"{__package__}.{module_name}")
+    entry = getattr(module, entry_name)
+    functions = [entry] + ([getattr(module, forwarded_name)] if forwarded_name else [])
+    accepted = dict.fromkeys(
+        name
+        for function in functions
+        for name, parameter in inspect.signature(function).parameters.items()
+        if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+    )
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise ValidationError(
+            f"unknown {command} option(s) {unknown}; accepted: " + ", ".join(accepted)
+        )
+    return entry(**kwargs)
 
 
 def _render_subcommands() -> str:
@@ -262,31 +295,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     kwargs = dict(pair.split("=", 1) for pair in argv[1:])
     kwargs = {key: _parse_value(value) for key, value in kwargs.items()}
-    if "workers" in kwargs:
-        from .errors import ValidationError
-        from .parallel import set_default_workers
+    try:
+        if "workers" in kwargs:
+            from .parallel import set_default_workers
 
-        try:
             set_default_workers(kwargs.pop("workers"))
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if command == "bench-smoke":
-        from .perf import bench_smoke
-
-        return bench_smoke(**kwargs)
-    if command == "bench-scaling":
-        from .perf import bench_scaling_report
-
-        return bench_scaling_report(**kwargs)
-    if command == "bench-skew":
-        from .perf import bench_skew_report
-
-        return bench_skew_report(**kwargs)
-    if command == "serve-bench":
-        from .serve import bench_serve_report
-
-        return bench_serve_report(**kwargs)
+        if command in _BENCH_COMMANDS:
+            return _run_bench(command, kwargs)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if command == "list":
         for experiment_id in EXPERIMENTS:
             print(experiment_id)

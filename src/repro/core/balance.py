@@ -69,18 +69,17 @@ class BalanceAwareTrackJoin(TrackJoin4):
         tracking,
         spec: JoinSpec,
         location_width: float,
-        seg: np.ndarray,
     ) -> ScheduleSet:
         num_entries = tracking.num_entries
         if num_entries == 0:
             return empty_schedule_set(tracking)
-        starts = tracking.key_starts
+        starts, seg = tracking.key_starts, tracking.seg
         num_keys = tracking.num_keys
         nodes = tracking.nodes
         size_r, size_s = tracking.size_r, tracking.size_s
 
         (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr) = both_direction_plans(
-            tracking, location_width, allow_migration=True, seg=seg
+            tracking, location_width, allow_migration=True
         )
 
         # Per-direction load ingredients, all vectorized.  Once a

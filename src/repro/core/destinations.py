@@ -28,7 +28,7 @@ This module is the single implementation of those rules.  The three
 entry points share the decision logic across the three data layouts the
 schedulers use: one key at a time (:func:`scalar_consolidation`),
 segmented entry arrays (:func:`segmented_consolidation`), and the
-two-entries-per-key fast path (:func:`paired_consolidation`).  The
+two-holders-per-key fast path (:func:`paired_consolidation`).  The
 arithmetic is arranged so each form is bit-identical to the others on
 the shapes they share — the schedule golden suites pin that.
 """
@@ -130,31 +130,25 @@ def segmented_consolidation(
 def paired_consolidation(
     delta_a: np.ndarray,
     delta_b: np.ndarray,
-    has_t_a: np.ndarray,
-    has_t_b: np.ndarray,
     nodes_a: np.ndarray,
     nodes_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Consolidation choice when every key has at most two entries.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Consolidation choice for keys whose two entries both hold targets.
 
-    The inputs are per-key arrays for the (up to) two entries ``a`` and
-    ``b``; phantom second entries must arrive zero-masked
-    (``has_t_b`` False).  Returns ``(migrate_a, migrate_b, stay_is_a,
+    The inputs are per-key arrays for the two entries ``a`` and ``b``
+    (``a`` first in node order).  Returns ``(migrate_a, migrate_b,
     dest)`` — the same decisions :func:`segmented_consolidation` makes
-    on two-entry segments, without materializing segment ids.
+    on two-holder segments, without materializing segment ids.  Keys
+    with fewer target-side holders never reach this function: their
+    only holder is the forced stay, so nothing can migrate.
     """
-    stay_a = np.where(has_t_a, delta_a, -np.inf)
-    stay_b = np.where(has_t_b, delta_b, -np.inf)
-    maxima = np.maximum(stay_a, stay_b)
-    stay_is_a = stay_a == maxima
-    first_b = (stay_b == maxima) & ~stay_is_a
-    migrate_a = has_t_a & ~stay_is_a & (delta_a < 0)
-    migrate_b = has_t_b & ~first_b & (delta_b < 0)
-    any_migration = migrate_a | migrate_b
+    stay_is_a = delta_a >= delta_b
+    migrate_a = ~stay_is_a & (delta_a < 0)
+    migrate_b = stay_is_a & (delta_b < 0)
     dest = np.where(
-        any_migration, np.where(stay_is_a, nodes_a, nodes_b), np.int64(-1)
+        migrate_a | migrate_b, np.where(stay_is_a, nodes_a, nodes_b), np.int64(-1)
     )
-    return migrate_a, migrate_b, stay_is_a, dest
+    return migrate_a, migrate_b, dest
 
 
 def least_loaded(candidates: np.ndarray, load: np.ndarray) -> int:

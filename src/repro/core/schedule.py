@@ -25,12 +25,13 @@ of the two optimized directions is the global single-key optimum).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from ..errors import ScheduleError
 from ..fastpath import fused_enabled
-from ..util import segment_ids
+from ..parallel.chunks import chunk_bounds, kernel_chunk_rows, run_chunks
 from .destinations import (
     migration_delta,
     paired_consolidation,
@@ -280,24 +281,16 @@ def _direction_costs(
     return cost, migrate, dest
 
 
-#: Keys per block in the paired schedule path.  The per-key pipeline
-#: touches ~25 temporaries, so blocks of 2^15 keys keep the whole
-#: working set (~6 MB) cache-resident instead of streaming every
+#: Most keys per block in the paired schedule path.  The per-key
+#: pipeline touches ~25 temporaries, so blocks of 2^15 keys keep the
+#: whole working set (~6 MB) cache-resident instead of streaming every
 #: operand through memory 100 times.  Measured optimum on the bench
 #: box (smaller blocks pay python overhead, larger spill the cache).
 _PAIRED_BLOCK = 1 << 15
 
 
 def _both_direction_costs_paired(
-    starts: np.ndarray,
-    num_entries: int,
-    counts: np.ndarray,
-    nodes: np.ndarray,
-    t_nodes: np.ndarray,
-    size_r: np.ndarray,
-    size_s: np.ndarray,
-    location_width: float,
-    allow_migration: bool,
+    tracking: TrackingTable, location_width: float, allow_migration: bool
 ) -> tuple[tuple, tuple]:
     """Both directions when every key has at most two tracking entries.
 
@@ -310,19 +303,24 @@ def _both_direction_costs_paired(
     entry (``x + 0.0 == x`` away from ``-0.0``).
 
     Every operation is elementwise per key, so the keys are processed in
-    cache-sized blocks; block boundaries cannot change any result.
+    cache-sized blocks on the kernel pool: each block writes its own
+    slices of the outputs, and block boundaries (a function of the key
+    count and the kernel chunk rows) cannot change any result.
     """
+    starts, counts = tracking.key_starts, tracking.entries_per_key
+    nodes, t_nodes = tracking.nodes, tracking.t_nodes
+    size_r, size_s = tracking.size_r, tracking.size_s
     num_keys = len(starts)
     lw = location_width
     cost_rs = np.empty(num_keys, dtype=np.float64)
     cost_sr = np.empty(num_keys, dtype=np.float64)
-    mig_rs = np.zeros(num_entries, dtype=bool)
-    mig_sr = np.zeros(num_entries, dtype=bool)
+    mig_rs = np.zeros(tracking.num_entries, dtype=bool)
+    mig_sr = np.zeros(tracking.num_entries, dtype=bool)
     dest_rs = np.full(num_keys, -1, dtype=np.int64)
     dest_sr = np.full(num_keys, -1, dtype=np.int64)
 
-    for lo in range(0, num_keys, _PAIRED_BLOCK):
-        hi = min(lo + _PAIRED_BLOCK, num_keys)
+    def cost_block(bounds: tuple[int, int]) -> None:
+        lo, hi = bounds
         two = counts[lo:hi] == 2
         a = starts[lo:hi]
         b = a + two
@@ -347,81 +345,56 @@ def _both_direction_costs_paired(
         s_nodes = (has_s_a & ns_a).astype(np.int8) + (has_s_b & ns_b)
         r_local = np.where(has_s_a, size_r_a, 0.0) + np.where(has_s_b, size_r_b, 0.0)
         s_local = np.where(has_r_a, size_s_a, 0.0) + np.where(has_r_b, size_s_b, 0.0)
-        base_rs = r_all * s_holders - r_local + r_nodes * s_holders * lw
-        base_sr = s_all * r_holders - s_local + s_nodes * r_holders * lw
-
+        cost_rs[lo:hi] = r_all * s_holders - r_local + r_nodes * s_holders * lw
+        cost_sr[lo:hi] = s_all * r_holders - s_local + s_nodes * r_holders * lw
         if not allow_migration:
-            cost_rs[lo:hi] = base_rs
-            cost_sr[lo:hi] = base_sr
-            continue
+            return
 
-        size_sum_a = size_r_a + size_s_a
-        size_sum_b = size_r_b + size_s_b
-        disc_a = np.where(ns_a, lw, 0.0)
-        disc_b = np.where(ns_b, lw, 0.0)
-        second = b[two]
-
-        def one_direction(base, b_all, b_nodes, has_t_a, has_t_b, cost, mig, dest):
-            bn_lw = b_nodes * lw
-            delta_a = size_sum_a - b_all - bn_lw + disc_a
-            delta_b = size_sum_b - b_all - bn_lw + disc_b
-            mig_a, mig_b, _, dest_block = paired_consolidation(
-                delta_a, delta_b, has_t_a, has_t_b, nodes_a, nodes_b
+        def consolidate(b_all, b_nodes, t_holders, cost, mig, dest):
+            # Only keys with two target-side holders can migrate one;
+            # everywhere else the base cost above already stands.
+            sel = np.flatnonzero(t_holders == 2)
+            if len(sel) == 0:
+                return
+            b_all, bn_lw = b_all[sel], b_nodes[sel] * lw
+            delta_a = size_r_a[sel] + size_s_a[sel] - b_all - bn_lw + np.where(ns_a[sel], lw, 0.0)
+            delta_b = size_r_b[sel] + size_s_b[sel] - b_all - bn_lw + np.where(ns_b[sel], lw, 0.0)
+            mig_a, mig_b, dest_sel = paired_consolidation(
+                delta_a, delta_b, nodes_a[sel], nodes_b[sel]
             )
-            cost[lo:hi] = base + (
-                np.where(mig_a, delta_a, 0.0) + np.where(mig_b, delta_b, 0.0)
-            )
-            dest[lo:hi] = dest_block
-            mig[a] = mig_a
-            mig[second] = mig_b[two]
+            cost[lo + sel] += np.where(mig_a, delta_a, 0.0) + np.where(mig_b, delta_b, 0.0)
+            dest[lo + sel] = dest_sel
+            mig[a[sel]] = mig_a
+            mig[b[sel]] = mig_b
 
-        one_direction(base_rs, r_all, r_nodes, has_s_a, has_s_b, cost_rs, mig_rs, dest_rs)
-        one_direction(base_sr, s_all, s_nodes, has_r_a, has_r_b, cost_sr, mig_sr, dest_sr)
+        consolidate(r_all, r_nodes, s_holders, cost_rs, mig_rs, dest_rs)
+        consolidate(s_all, s_nodes, r_holders, cost_sr, mig_sr, dest_sr)
 
-    if not allow_migration:
-        no_migration = np.zeros(num_entries, dtype=bool)
-        no_dest = np.full(num_keys, -1, dtype=np.int64)
-        return (cost_rs, no_migration, no_dest), (cost_sr, no_migration, no_dest)
-
+    edges = chunk_bounds(num_keys, min(_PAIRED_BLOCK, kernel_chunk_rows()))
+    run_chunks(cost_block, pairwise(edges.tolist()))
     return (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr)
 
 
 def _both_direction_costs_fused(
-    seg: np.ndarray,
-    starts: np.ndarray,
-    nodes: np.ndarray,
-    t_nodes: np.ndarray,
-    size_r: np.ndarray,
-    size_s: np.ndarray,
-    location_width: float,
-    allow_migration: bool,
+    tracking: TrackingTable, location_width: float, allow_migration: bool
 ) -> tuple[tuple, tuple]:
     """Both directions' costs and migration plans, sharing precomputation.
 
     Bit-identical to calling :func:`_direction_costs` once per direction:
     every per-element expression evaluates in the same operand order, so
     near-tie direction choices cannot flip between the two forms.
-    ``t_nodes`` is per key; the per-entry expansion is only materialized
-    on the generic path — the paired path never needs it.
+    Consolidation is evaluated only over the keys with at least two
+    target-side holders in that direction: with fewer the only holder
+    is the forced stay, nothing migrates and the cost is the base cost.
     """
-    num_entries = len(seg)
-    counts = np.diff(np.append(starts, num_entries))
+    counts = tracking.entries_per_key
     if int(counts.max()) <= 2:
-        return _both_direction_costs_paired(
-            starts,
-            num_entries,
-            counts,
-            nodes,
-            t_nodes,
-            size_r,
-            size_s,
-            location_width,
-            allow_migration,
-        )
-    t_node_of_entry = t_nodes[seg]
+        return _both_direction_costs_paired(tracking, location_width, allow_migration)
+    seg, starts, nodes = tracking.seg, tracking.key_starts, tracking.nodes
+    size_r, size_s = tracking.size_r, tracking.size_s
     has_r = size_r > 0
     has_s = size_s > 0
-    not_scheduler = nodes != t_node_of_entry
+    not_scheduler = nodes != tracking.t_nodes[seg]
     r_all = np.add.reduceat(size_r, starts)
     s_all = np.add.reduceat(size_s, starts)
     r_holders = np.add.reduceat(has_r, starts, dtype=np.int64)
@@ -433,29 +406,40 @@ def _both_direction_costs_fused(
     base_rs = r_all * s_holders - r_local + r_nodes * s_holders * location_width
     base_sr = s_all * r_holders - s_local + s_nodes * r_holders * location_width
 
-    if not allow_migration:
-        no_migration = np.zeros(num_entries, dtype=bool)
-        no_dest = np.full(len(starts), -1, dtype=np.int64)
-        return (base_rs, no_migration, no_dest), (base_sr, no_migration, no_dest)
-
-    size_sum = size_r + size_s
-    scheduler_discount = np.where(not_scheduler, location_width, 0.0)
-
-    def one_direction(base, b_all, b_nodes, has_t):
+    def one_direction(cost, b_all, b_nodes, has_t, t_holders):
+        migrate = np.zeros(len(seg), dtype=bool)
+        dest = np.full(len(starts), -1, dtype=np.int64)
+        if not allow_migration:
+            return cost, migrate, dest
+        multi = t_holders >= 2
+        keys = np.flatnonzero(multi)
+        if len(keys) == 0:
+            return cost, migrate, dest
+        if len(keys) == len(starts):
+            entries, seg_c, starts_c = slice(None), seg, starts
+        else:
+            # Compress to the entries of the multi-holder keys, numbered
+            # densely so the segmented core runs unchanged.
+            entries = np.flatnonzero(multi[seg])
+            counts_c = counts[keys]
+            starts_c = np.cumsum(counts_c) - counts_c
+            seg_c = np.repeat(np.arange(len(keys)), counts_c)
+        seg_e = seg[entries]
         delta = (
-            size_sum
-            - b_all[seg]
-            - (b_nodes * location_width)[seg]
-            + scheduler_discount
+            (size_r[entries] + size_s[entries])
+            - b_all[seg_e]
+            - (b_nodes * location_width)[seg_e]
+            + np.where(not_scheduler[entries], location_width, 0.0)
         )
-        migrate, _, dest, savings = segmented_consolidation(
-            seg, starts, nodes, delta, has_t
+        migrate[entries], _, dest[keys], savings = segmented_consolidation(
+            seg_c, starts_c, nodes[entries], delta, has_t[entries]
         )
-        return base + savings, migrate, dest
+        cost[keys] += savings
+        return cost, migrate, dest
 
     return (
-        one_direction(base_rs, r_all, r_nodes, has_s),
-        one_direction(base_sr, s_all, s_nodes, has_r),
+        one_direction(base_rs, r_all, r_nodes, has_s, s_holders),
+        one_direction(base_sr, s_all, s_nodes, has_r, r_holders),
     )
 
 
@@ -463,7 +447,6 @@ def both_direction_plans(
     tracking: TrackingTable,
     location_width: float = 1.0,
     allow_migration: bool = True,
-    seg: np.ndarray | None = None,
 ) -> tuple[tuple, tuple]:
     """Both optimized directions' plans for every key at once.
 
@@ -474,43 +457,26 @@ def both_direction_plans(
     (:mod:`repro.core.balance`, :mod:`repro.core.skew`), which differ
     only in how they pick a direction and destination from these plans.
     """
-    starts = tracking.key_starts
-    num_entries = tracking.num_entries
-    if seg is None:
-        seg = segment_ids(starts, num_entries)
     if fused_enabled():
-        return _both_direction_costs_fused(
+        return _both_direction_costs_fused(tracking, location_width, allow_migration)
+    seg = tracking.seg
+    t_node_of_entry = tracking.t_nodes[seg]
+    return tuple(
+        _direction_costs(
             seg,
-            starts,
+            tracking.key_starts,
             tracking.nodes,
-            tracking.t_nodes,
-            tracking.size_r,
-            tracking.size_s,
+            t_node_of_entry,
+            size_b,
+            size_t,
             location_width,
             allow_migration,
         )
-    t_node_of_entry = tracking.t_nodes[seg]
-    plan_rs = _direction_costs(
-        seg,
-        starts,
-        tracking.nodes,
-        t_node_of_entry,
-        tracking.size_r,
-        tracking.size_s,
-        location_width,
-        allow_migration,
+        for size_b, size_t in (
+            (tracking.size_r, tracking.size_s),
+            (tracking.size_s, tracking.size_r),
+        )
     )
-    plan_sr = _direction_costs(
-        seg,
-        starts,
-        tracking.nodes,
-        t_node_of_entry,
-        tracking.size_s,
-        tracking.size_r,
-        location_width,
-        allow_migration,
-    )
-    return plan_rs, plan_sr
 
 
 def empty_schedule_set(tracking: TrackingTable) -> ScheduleSet:
@@ -526,7 +492,6 @@ def generate_schedules(
     location_width: float = 1.0,
     allow_migration: bool = True,
     forced_direction: str | None = None,
-    seg: np.ndarray | None = None,
 ) -> ScheduleSet:
     """Generate per-key schedules for the whole tracking table at once.
 
@@ -538,32 +503,27 @@ def generate_schedules(
     forced_direction:
         ``"RS"`` or ``"SR"`` pins every key to one direction (2-phase
         track join); ``None`` chooses per key.
-    seg:
-        Optional precomputed ``segment_ids(tracking.key_starts,
-        tracking.num_entries)``, so callers that already expanded the
-        segments don't pay for it again.
     """
     if forced_direction not in (None, "RS", "SR"):
         raise ScheduleError(f"invalid forced direction {forced_direction!r}")
-    starts = tracking.key_starts
-    num_entries = tracking.num_entries
-    if num_entries == 0:
+    if tracking.num_entries == 0:
         return empty_schedule_set(tracking)
-    if seg is None:
-        seg = segment_ids(starts, num_entries)
 
     (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr) = both_direction_plans(
-        tracking, location_width, allow_migration, seg
+        tracking, location_width, allow_migration
     )
 
     if forced_direction == "RS":
-        direction_rs = np.ones(len(starts), dtype=bool)
+        direction_rs = np.ones(tracking.num_keys, dtype=bool)
     elif forced_direction == "SR":
-        direction_rs = np.zeros(len(starts), dtype=bool)
+        direction_rs = np.zeros(tracking.num_keys, dtype=bool)
     else:
         direction_rs = cost_rs < cost_sr
 
-    migrate = np.where(direction_rs[seg], mig_rs, mig_sr)
+    if mig_rs.any() or mig_sr.any():
+        migrate = np.where(direction_rs[tracking.seg], mig_rs, mig_sr)
+    else:
+        migrate = mig_rs
     dest_node = np.where(direction_rs, dest_rs, dest_sr)
     cost = np.where(direction_rs, cost_rs, cost_sr)
     return ScheduleSet(

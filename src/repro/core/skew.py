@@ -37,7 +37,6 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..errors import ValidationError
 from ..joins.base import JoinSpec
-from ..util import segment_ids
 from .destinations import rank_by_load
 from .schedule import ScheduleSet, generate_schedules
 from .track_join import TrackJoin4
@@ -67,7 +66,6 @@ def plan_shards(
     num_nodes: int,
     hot_fraction: float = 0.05,
     max_shards: int | None = None,
-    seg: np.ndarray | None = None,
 ) -> ShardPlan | None:
     """Pick shard destinations for the heavy hitters of a schedule set.
 
@@ -87,9 +85,7 @@ def plan_shards(
     """
     if num_nodes < 2 or tracking.num_entries == 0:
         return None
-    starts = tracking.key_starts
-    if seg is None:
-        seg = segment_ids(starts, tracking.num_entries)
+    starts, seg = tracking.key_starts, tracking.seg
     size_r, size_s = tracking.size_r, tracking.size_s
     r_all = np.add.reduceat(size_r, starts)
     s_all = np.add.reduceat(size_s, starts)
@@ -142,11 +138,7 @@ def plan_shards(
     return ShardPlan(hot, offsets, dests, direction_rs)
 
 
-def attach_shards(
-    schedules: ScheduleSet,
-    plan: ShardPlan | None,
-    seg: np.ndarray | None = None,
-) -> ScheduleSet:
+def attach_shards(schedules: ScheduleSet, plan: ShardPlan | None) -> ScheduleSet:
     """Graft a shard plan onto a schedule set.
 
     Sharded keys leave the single-destination machinery entirely: their
@@ -157,13 +149,10 @@ def attach_shards(
     """
     if plan is None:
         return schedules
-    tracking = schedules.tracking
-    if seg is None:
-        seg = segment_ids(tracking.key_starts, tracking.num_entries)
     return replace(
         schedules,
         direction_rs=plan.direction_rs,
-        migrate=schedules.migrate & ~plan.sharded[seg],
+        migrate=schedules.migrate & ~plan.sharded[schedules.tracking.seg],
         dest_node=np.where(plan.sharded, -1, schedules.dest_node),
         sharded=plan.sharded,
         shard_offsets=plan.offsets,
@@ -201,10 +190,9 @@ class SkewShardTrackJoin(TrackJoin4):
         tracking: TrackingTable,
         spec: JoinSpec,
         location_width: float,
-        seg: np.ndarray,
     ) -> ScheduleSet:
         schedules = generate_schedules(
-            tracking, location_width=location_width, allow_migration=True, seg=seg
+            tracking, location_width=location_width, allow_migration=True
         )
         plan = plan_shards(
             tracking,
@@ -212,6 +200,5 @@ class SkewShardTrackJoin(TrackJoin4):
             cluster.num_nodes,
             hot_fraction=self.hot_fraction,
             max_shards=self.max_shards,
-            seg=seg,
         )
-        return attach_shards(schedules, plan, seg=seg)
+        return attach_shards(schedules, plan)

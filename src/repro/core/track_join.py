@@ -25,6 +25,8 @@ fall out of the same run.
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 import numpy as np
 
 from ..cluster.cluster import Cluster
@@ -37,9 +39,10 @@ from ..exchange.selective import SelectiveBroadcast
 from ..fastpath import fused_enabled
 from ..joins.base import DistributedJoin, JoinSpec
 from ..joins.local import local_join
+from ..parallel.chunks import chunk_bounds, run_chunks
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
-from ..util import segment_ids, segmented_cartesian
+from ..util import segmented_cartesian
 from .schedule import ScheduleSet, generate_schedules
 from .tracking import run_tracking_phase
 
@@ -68,9 +71,6 @@ class _TrackJoinBase(DistributedJoin):
             cluster, table_r, table_s, spec, profile, with_counts=self.with_counts
         )
         key_width = table_r.schema.key_width(spec.encoding)
-        # The per-entry segment ids are needed by schedule generation and
-        # execution alike; expand them once and thread them through.
-        seg = segment_ids(tracking.key_starts, tracking.num_entries)
         if tracking.num_entries:
             # Schedule generation happens at the T nodes; its work is
             # linear in the number of tracked (key, node) entries.
@@ -79,20 +79,17 @@ class _TrackJoinBase(DistributedJoin):
                 # count x width: exact for integer widths, and avoids
                 # both the per-entry t-node gather and the constant
                 # weights array.
-                entries_per_key = np.diff(
-                    np.append(tracking.key_starts, tracking.num_entries)
-                )
                 per_tnode = (
                     np.bincount(
                         tracking.t_nodes,
-                        weights=entries_per_key.astype(np.float64),
+                        weights=tracking.entries_per_key.astype(np.float64),
                         minlength=cluster.num_nodes,
                     )
                     * entry_footprint
                 )
             else:
                 per_tnode = np.bincount(
-                    tracking.t_nodes[seg],
+                    tracking.t_nodes[tracking.seg],
                     weights=np.full(tracking.num_entries, entry_footprint),
                     minlength=cluster.num_nodes,
                 )
@@ -105,11 +102,9 @@ class _TrackJoinBase(DistributedJoin):
         # full wire width of a (key, node) pair — keeping migration
         # decisions consistent with the bytes actually sent.
         schedules = self._make_schedules(
-            cluster, tracking, spec, key_width + spec.location_width, seg
+            cluster, tracking, spec, key_width + spec.location_width
         )
-        return _execute_schedules(
-            cluster, table_r, table_s, spec, profile, schedules, seg=seg
-        )
+        return _execute_schedules(cluster, table_r, table_s, spec, profile, schedules)
 
     def _make_schedules(
         self,
@@ -117,7 +112,6 @@ class _TrackJoinBase(DistributedJoin):
         tracking,
         spec: JoinSpec,
         location_width: float,
-        seg: np.ndarray,
     ) -> ScheduleSet:
         """Schedule-generation hook.
 
@@ -131,7 +125,6 @@ class _TrackJoinBase(DistributedJoin):
             location_width=location_width,
             allow_migration=self.allow_migration,
             forced_direction=self.forced_direction,
-            seg=seg,
         )
 
 
@@ -182,6 +175,64 @@ class TrackJoin4(_TrackJoinBase):
 # ---------------------------------------------------------------------------
 
 
+def _broadcast_pairs(sched: ScheduleSet) -> list[tuple[np.ndarray, ...]]:
+    """Location pairs of the plain selective broadcasts, both directions.
+
+    Per direction (R → S, then S → R) returns ``(pair_src, pair_dst,
+    pair_key, pair_t)``: every broadcast-side holder of a key paired
+    with every surviving (non-migrating) target-side holder, plus the
+    key and its scheduling node.  Sharded keys are left out; they
+    broadcast to their shard destinations instead.
+
+    Pairs are built per key-range block on the kernel pool and the
+    blocks concatenate in key order, which is the order one pass over
+    the whole table produces; block bounds depend on the key count and
+    the kernel chunk rows only.
+    """
+    tracking = sched.tracking
+    starts, counts = tracking.key_starts, tracking.entries_per_key
+    migrates = bool(sched.migrate.any())
+    key_rs = sched.direction_rs
+    key_sr = ~key_rs
+    if sched.has_shards:
+        key_rs = key_rs & ~sched.sharded
+        key_sr = key_sr & ~sched.sharded
+
+    def expand(bounds: tuple[int, int]):
+        klo, khi = bounds
+        elo = int(starts[klo])
+        entries = slice(elo, elo + int(counts[klo:khi].sum()))
+        seg = np.repeat(np.arange(khi - klo), counts[klo:khi])
+        nodes, keys = tracking.nodes[entries], tracking.keys[entries]
+        t_nodes = tracking.t_nodes[klo:khi]
+        has_r = tracking.size_r[entries] > 0
+        has_s = tracking.size_s[entries] > 0
+        pairs = []
+        for key_mask, has_b, has_t in ((key_rs, has_r, has_s), (key_sr, has_s, has_r)):
+            in_dir = key_mask[klo:khi][seg]
+            b_idx = np.flatnonzero(in_dir & has_b)
+            in_dir &= has_t
+            if migrates:
+                in_dir &= ~sched.migrate[entries]
+            d_idx = np.flatnonzero(in_dir)
+            seg_b = seg[b_idx]
+            ia, ib = segmented_cartesian(seg_b, seg[d_idx])
+            # Gather per holder first: a key with many holders makes far
+            # more pairs than holders.
+            pairs.append(
+                (nodes[b_idx][ia], nodes[d_idx][ib], keys[b_idx][ia], t_nodes[seg_b][ia])
+            )
+        return pairs
+
+    blocks = run_chunks(expand, pairwise(chunk_bounds(tracking.num_keys).tolist()))
+    if len(blocks) == 1:
+        return blocks[0]
+    return [
+        tuple(np.concatenate(column) for column in zip(*(block[d] for block in blocks)))
+        for d in range(2)
+    ]
+
+
 def _execute_schedules(
     cluster: Cluster,
     table_r: DistributedTable,
@@ -189,7 +240,6 @@ def _execute_schedules(
     spec: JoinSpec,
     profile: ExecutionProfile,
     sched: ScheduleSet,
-    seg: np.ndarray | None = None,
 ) -> list[LocalPartition]:
     """Run migrations, selective broadcasts, and final local joins."""
     num_nodes = cluster.num_nodes
@@ -212,17 +262,6 @@ def _execute_schedules(
     if tracking.num_entries == 0:
         return [LocalPartition.empty(out_names) for _ in range(num_nodes)]
 
-    if seg is None:
-        seg = segment_ids(tracking.key_starts, tracking.num_entries)
-    entry_dir_rs = sched.direction_rs[seg]
-    entry_dir_sr = ~entry_dir_rs
-    has_r = tracking.size_r > 0
-    has_s = tracking.size_s > 0
-    # Heavy-hitter sharding: per-entry marker of sharded keys, or None —
-    # with no shards every code path below is identical to the plain
-    # single-destination plan, byte for byte.
-    sh_entry = sched.sharded[seg] if sched.has_shards else None
-
     # ---- Phase A: migrations (4-phase only; sched.migrate is all-False
     # otherwise).  For RS keys the S side consolidates, for SR keys R.
     # The two directions touch disjoint holder lists (work["S"] vs
@@ -231,24 +270,27 @@ def _execute_schedules(
     # separately: every target-side holder deals its rows across the
     # key's shard destinations (their ``sched.migrate`` bits are clear,
     # so the plain migration pass never touches them).
-    with cluster.pipelined_phases():
-        for side, entry_mask in (
-            ("S", sched.migrate & entry_dir_rs),
-            ("R", sched.migrate & entry_dir_sr),
-        ):
-            _run_migrations(
-                cluster, spec, profile, tracking, seg, sched, side, entry_mask,
-                work, widths, key_width,
-            )
-        if sh_entry is not None:
-            for side, entry_mask in (
-                ("S", sh_entry & entry_dir_rs & has_s),
-                ("R", sh_entry & entry_dir_sr & has_r),
-            ):
-                _run_shard_migrations(
-                    cluster, spec, profile, tracking, seg, sched, side,
-                    entry_mask, work, widths, key_width,
+    mig_idx = np.flatnonzero(sched.migrate)
+    if len(mig_idx) or sched.has_shards:
+        seg = tracking.seg
+        mig_rs = sched.direction_rs[seg[mig_idx]]
+        with cluster.pipelined_phases():
+            for side, idx in (("S", mig_idx[mig_rs]), ("R", mig_idx[~mig_rs])):
+                _run_migrations(
+                    cluster, spec, profile, tracking, sched, side, idx,
+                    work, widths, key_width,
                 )
+            if sched.has_shards:
+                sh_entry = sched.sharded[seg]
+                entry_dir_rs = sched.direction_rs[seg]
+                for side, entry_mask in (
+                    ("S", sh_entry & entry_dir_rs & (tracking.size_s > 0)),
+                    ("R", sh_entry & ~entry_dir_rs & (tracking.size_r > 0)),
+                ):
+                    _run_shard_migrations(
+                        cluster, spec, profile, tracking, sched, side,
+                        np.flatnonzero(entry_mask), work, widths, key_width,
+                    )
     # Consolidation barrier: moved tuples join their destination's local
     # fragment before the selective broadcasts run against it.
     absorb_received(
@@ -262,42 +304,22 @@ def _execute_schedules(
     # so a pipelined window may overlap one direction's broadcast with
     # the other's translation work.  Location messages are coordinator
     # sends and keep immediate semantics either way.
-    not_migrating = ~sched.migrate
+    pairs = _broadcast_pairs(sched)
     with cluster.pipelined_phases():
-        for b_side, t_side, key_is_this_dir in (
-            ("R", "S", entry_dir_rs),
-            ("S", "R", entry_dir_sr),
+        for b_side, t_side, (pair_src, pair_dst, pair_key, pair_t) in (
+            ("R", "S", pairs[0]),
+            ("S", "R", pairs[1]),
         ):
-            has_b = has_r if b_side == "R" else has_s
-            has_t = has_s if b_side == "R" else has_r
-            b_mask = key_is_this_dir & has_b
-            d_mask = key_is_this_dir & has_t & not_migrating
-            if sh_entry is not None:
-                # Sharded keys broadcast to their shard destinations
-                # instead of the tracked target entries (whose tuples
-                # were dealt away in Phase A).
-                b_mask = b_mask & ~sh_entry
-                d_mask = d_mask & ~sh_entry
-            b_idx = np.flatnonzero(b_mask)
-            d_idx = np.flatnonzero(d_mask)
-            if len(b_idx) and len(d_idx):
-                seg_b = seg[b_idx]
-                ia, ib = segmented_cartesian(seg_b, seg[d_idx])
-                pair_src = tracking.nodes[b_idx][ia]
-                pair_dst = tracking.nodes[d_idx][ib]
-                pair_key = tracking.keys[b_idx][ia]
-                pair_t = tracking.t_nodes[seg_b][ia]
-            else:
-                empty = np.empty(0, dtype=np.int64)
-                pair_src = pair_dst = pair_key = pair_t = empty
-            if sh_entry is not None:
+            if sched.has_shards:
                 # Each broadcast-side holder of a sharded key replicates
                 # its tuples to *every* shard, so each of the dealt
                 # target rows meets each matching broadcast row exactly
                 # once.
-                sb_idx = np.flatnonzero(key_is_this_dir & has_b & sh_entry)
+                size_b = tracking.size_r if b_side == "R" else tracking.size_s
+                key_mask = sched.sharded & (sched.direction_rs == (b_side == "R"))
+                sb_idx = np.flatnonzero(key_mask[tracking.seg] & (size_b > 0))
                 if len(sb_idx):
-                    sb_seg = seg[sb_idx]
+                    sb_seg = tracking.seg[sb_idx]
                     off = sched.shard_offsets
                     counts = (off[sb_seg + 1] - off[sb_seg]).astype(np.int64)
                     rep = np.repeat(np.arange(len(sb_idx)), counts)
@@ -387,22 +409,21 @@ def _run_migrations(
     spec: JoinSpec,
     profile: ExecutionProfile,
     tracking,
-    seg: np.ndarray,
     sched: ScheduleSet,
     side: str,
-    entry_mask: np.ndarray,
+    idx: np.ndarray,
     work: dict[str, list[LocalPartition]],
     widths: dict[str, float],
     key_width: float,
 ) -> None:
-    """Send migration instructions and move the designated tuples."""
-    idx = np.flatnonzero(entry_mask)
+    """Send migration instructions and move the tuples of entries ``idx``."""
     if len(idx) == 0:
         return
     mig_keys = tracking.keys[idx]
     mig_nodes = tracking.nodes[idx]
-    mig_dest = sched.dest_node[seg[idx]]
-    mig_t = tracking.t_nodes[seg[idx]]
+    entry_key = tracking.seg[idx]
+    mig_dest = sched.dest_node[entry_key]
+    mig_t = tracking.t_nodes[entry_key]
 
     # Migration instructions: (key, destination) from the scheduler to
     # each migrating holder.  Accounted under the direction that uses
@@ -426,10 +447,9 @@ def _run_shard_migrations(
     spec: JoinSpec,
     profile: ExecutionProfile,
     tracking,
-    seg: np.ndarray,
     sched: ScheduleSet,
     side: str,
-    entry_mask: np.ndarray,
+    idx: np.ndarray,
     work: dict[str, list[LocalPartition]],
     widths: dict[str, float],
     key_width: float,
@@ -441,10 +461,9 @@ def _run_shard_migrations(
     per shard, then deals its matching tuples cyclically over that list
     (:class:`~repro.exchange.migrate.ShardedMigrate`).
     """
-    idx = np.flatnonzero(entry_mask)
     if len(idx) == 0:
         return
-    entry_key = seg[idx]
+    entry_key = tracking.seg[idx]
     off = sched.shard_offsets
     counts = (off[entry_key + 1] - off[entry_key]).astype(np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))

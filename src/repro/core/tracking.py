@@ -16,16 +16,22 @@ as the paper prescribes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..fastpath import fused_enabled
+from ..parallel.chunks import kernel_chunk_rows, run_chunks
 from ..storage.table import DistributedTable
 from ..timing.profile import ExecutionProfile
-from ..util import hash_partition, segment_boundaries
+from ..util import (
+    hash_partition,
+    segment_boundaries,
+    segment_ids,
+    sort_with_index_bits,
+)
 from .messages import tracking_message_bytes
 
 __all__ = ["TrackingTable", "run_tracking_phase"]
@@ -58,6 +64,13 @@ class TrackingTable:
     size_s: np.ndarray
     key_starts: np.ndarray
     t_nodes: np.ndarray
+    # Derived columns, filled on first use.  Not functools.cached_property:
+    # before Python 3.12 it serializes every instance on one class-wide
+    # lock, which concurrent queries would contend on.
+    _entries_per_key: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _seg: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_entries(self) -> int:
@@ -72,6 +85,20 @@ class TrackingTable:
     def distinct_keys(self) -> np.ndarray:
         """The distinct key values, in sorted order."""
         return self.keys[self.key_starts]
+
+    @property
+    def entries_per_key(self) -> np.ndarray:
+        """Number of union rows of each distinct key (cached)."""
+        if self._entries_per_key is None:
+            self._entries_per_key = np.diff(np.append(self.key_starts, self.num_entries))
+        return self._entries_per_key
+
+    @property
+    def seg(self) -> np.ndarray:
+        """Per entry: index of its key into the per-key arrays (cached)."""
+        if self._seg is None:
+            self._seg = segment_ids(self.key_starts, self.num_entries)
+        return self._seg
 
 
 def run_tracking_phase(
@@ -100,12 +127,6 @@ def run_tracking_phase(
         ("R", table_r, width_r, spec.count_width_r),
         ("S", table_s, width_s, spec.count_width_s),
     )
-    all_keys: list[np.ndarray] = []
-    all_nodes: list[np.ndarray] = []
-    all_sizes: dict[str, list[np.ndarray]] = {"R": [], "S": []}
-    stream_sizes: list[np.ndarray] = []
-    stream_nodes: list[int] = []
-    r_entries = 0
 
     def track_partition(task: int):
         """Dedup + scatter one (side, node) partition; returns its stream."""
@@ -176,155 +197,40 @@ def run_tracking_phase(
         profile=profile,
         task_nodes=[task % num_nodes for task in range(2 * num_nodes)],
     )
-    for stream in streams:
-        if stream is None:
-            continue
-        side, node, distinct, sizes = stream
-        all_keys.append(distinct)
-        if fused:
-            # The per-stream node id stays scalar until (and unless)
-            # the merge below actually needs it expanded.
-            stream_nodes.append(node)
-            stream_sizes.append(sizes)
-            if side == "R":
-                r_entries += len(distinct)
-        else:
-            all_nodes.append(np.full(len(distinct), node, dtype=np.int64))
-            all_sizes[side].append(sizes)
-            all_sizes["S" if side == "R" else "R"].append(
-                np.zeros(len(distinct), dtype=np.float64)
-            )
+    # R streams precede S streams, each in node order.
+    streams = [stream for stream in streams if stream is not None]
+    num_r_streams = sum(1 for side, *_ in streams if side == "R")
+    stream_keys = [distinct for _, _, distinct, _ in streams]
+    stream_nodes = [node for _, node, _, _ in streams]
+    stream_sizes = [sizes for _, _, _, sizes in streams]
 
     # Drain the tracking inboxes (payloads carry no data; the union table
     # below is the logically-equivalent global state).
     for _node, _messages in cluster.network.deliver_all():
         pass
 
-    if not all_keys:
+    if not streams:
         empty = np.empty(0, dtype=np.int64)
         return TrackingTable(empty, empty, empty.astype(float), empty.astype(float), empty, empty)
 
-    if fused:
-        # Merge without the zero-padded mirror columns: concatenate one
-        # size stream per (side, node), group by (key, node), and sum
-        # each side's stream slice into its group with bincount.  Every
-        # group receives at most one nonzero contribution per side, so
-        # the sums are bit-identical to the padded reduceat form.
-        sizes = np.concatenate(stream_sizes)
-        # (key, node) lex order via one stable argsort of the packed
-        # composite — identical permutation to lexsort((nodes, keys))
-        # since nodes < num_nodes, and much faster because the streams
-        # are concatenated sorted runs, which timsort's run detection
-        # merges without a full sort.  Fall back for keys that overflow
-        # the packing.  Each distinct stream is sorted, so its min/max
-        # are its endpoints — no full scan.
-        min_key = min(int(d[0]) for d in all_keys)
-        max_key = max(int(d[-1]) for d in all_keys)
-        if min_key >= 0 and max_key < (1 << 62) // num_nodes:
-            # Pack per stream: the full keys/nodes entry columns are
-            # never materialized, saving their concatenations.  A 32-bit
-            # composite halves the sort's value traffic when it fits;
-            # the argsort permutation is identical either way.
-            if (max_key + 1) * num_nodes <= (1 << 31):
-                composite = np.concatenate(
-                    [
-                        d.astype(np.int32) * num_nodes + n
-                        for d, n in zip(all_keys, stream_nodes)
-                    ]
-                )
-            else:
-                composite = np.concatenate(
-                    [d * num_nodes + n for d, n in zip(all_keys, stream_nodes)]
-                )
-            # The streams are concatenated sorted runs; timsort's run
-            # detection merges them faster than a radix sort here.
-            order = np.argsort(composite, kind="stable")
-            # The packed composite is injective, so grouping and the
-            # merged (key, node) columns all come from its sorted form —
-            # one gather instead of separately sorting keys and nodes.
-            comp_sorted = composite[order]
-            is_new = np.empty(len(comp_sorted), dtype=bool)
-            is_new[0] = True
-            np.not_equal(comp_sorted[1:], comp_sorted[:-1], out=is_new[1:])
-            starts = np.flatnonzero(is_new)
-            comp_starts = comp_sorted[starts]
-            if num_nodes & (num_nodes - 1) == 0:
-                # Power-of-two node counts unpack with shift/mask —
-                # exact for the non-negative packed values.
-                shift = num_nodes.bit_length() - 1
-                merged_keys = comp_starts >> shift
-                merged_nodes = comp_starts & (num_nodes - 1)
-            else:
-                merged_keys = comp_starts // num_nodes
-                merged_nodes = comp_starts - merged_keys * num_nodes
-            # Restore the table's int64 column contract (no-op copies
-            # unless the 32-bit packing was taken).
-            merged_keys = merged_keys.astype(np.int64, copy=False)
-            merged_nodes = merged_nodes.astype(np.int64, copy=False)
-        else:
-            keys = np.concatenate(all_keys)
-            nodes = np.concatenate(
-                [
-                    np.full(len(d), n, dtype=np.int64)
-                    for d, n in zip(all_keys, stream_nodes)
-                ]
-            )
-            order = np.lexsort((nodes, keys))
-            keys = keys[order]
-            nodes = nodes[order]
-            is_new = np.empty(len(keys), dtype=bool)
-            is_new[0] = True
-            np.logical_or(
-                keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:]
-            )
-            starts = np.flatnonzero(is_new)
-            merged_keys = keys[starts]
-            merged_nodes = nodes[starts]
-        # 1-based group ids skip the extra full-length subtraction; the
-        # unused bin 0 is sliced away after the sums.
-        group_of_entry = np.empty(len(order), dtype=np.int64)
-        group_of_entry[order] = np.cumsum(is_new)
-        merged_r = np.bincount(
-            group_of_entry[:r_entries],
-            weights=sizes[:r_entries],
-            minlength=len(starts) + 1,
-        )[1:]
-        merged_s = np.bincount(
-            group_of_entry[r_entries:],
-            weights=sizes[r_entries:],
-            minlength=len(starts) + 1,
-        )[1:]
-    else:
-        keys = np.concatenate(all_keys)
-        nodes = np.concatenate(all_nodes)
-        size_r = np.concatenate(all_sizes["R"])
-        size_s = np.concatenate(all_sizes["S"])
-
-        # Merge R and S entries of the same (key, node) into union rows.
-        order = np.lexsort((nodes, keys))
-        keys, nodes, size_r, size_s = keys[order], nodes[order], size_r[order], size_s[order]
-        is_new = np.empty(len(keys), dtype=bool)
-        is_new[0] = True
-        np.logical_or(keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:])
-        starts = np.flatnonzero(is_new)
-        merged_keys = keys[starts]
-        merged_nodes = nodes[starts]
-        merged_r = np.add.reduceat(size_r, starts)
-        merged_s = np.add.reduceat(size_s, starts)
-
-    key_starts = segment_boundaries(merged_keys)
-    t_nodes = hash_partition(merged_keys[key_starts], num_nodes, spec.hash_seed)
+    merge = merge_streams if fused else _merge_lexsort
+    tracking = TrackingTable(
+        *merge(
+            stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes,
+            spec.hash_seed,
+        )
+    )
 
     # Receiving T nodes merge the incoming sorted (key, count) streams.
     entry_bytes = key_width + spec.count_width_r  # footprint per union entry
-    entries_per_key = np.diff(np.append(key_starts, len(merged_keys)))
+    entries_per_key = tracking.entries_per_key
     if fused and float(entry_bytes).is_integer():
         # count x width instead of summing a constant per entry: exact
         # for integer widths (every partial sum is an exact integer far
         # below 2**53), and skips the 1:1 repeat expansion.
         per_tnode = (
             np.bincount(
-                t_nodes,
+                tracking.t_nodes,
                 weights=entries_per_key.astype(np.float64),
                 minlength=num_nodes,
             )
@@ -332,17 +238,154 @@ def run_tracking_phase(
         )
     else:
         per_tnode = np.bincount(
-            np.repeat(t_nodes, entries_per_key),
-            weights=np.full(len(merged_keys), entry_bytes),
+            tracking.t_nodes[tracking.seg],
+            weights=np.full(tracking.num_entries, entry_bytes),
             minlength=num_nodes,
         )
     profile.add_cpu("Merge recv. key, count", "merge", per_tnode)
+    return tracking
 
-    return TrackingTable(
-        keys=merged_keys,
-        nodes=merged_nodes,
-        size_r=merged_r,
-        size_s=merged_s,
-        key_starts=key_starts,
-        t_nodes=t_nodes,
+
+#: Merge blocks target this many kernel chunks' worth of entries: the
+#: per-block cut/concatenate overhead is per stream, so blocks much
+#: smaller than 2**17 entries lose more to it than cache residency and
+#: kernel threads win back.
+_MERGE_BLOCK_CHUNKS = 4
+
+
+def _group_columns(order, is_new, columns, sizes, r_entries):
+    """Union rows of one sorted run: ``columns`` + side sizes per group.
+
+    ``order`` is the stable sort permutation of the concatenated stream
+    entries (R entries before S entries), ``is_new`` marks the first
+    entry of each (key, node) group in sorted order and ``columns`` are
+    already sorted.  A stream holds each key once, so a group is one R
+    entry, one S entry, or R then S (stability keeps R first).
+    """
+    starts = np.flatnonzero(is_new)
+    if len(starts) < len(order):
+        columns = [column[starts] for column in columns]
+        first = order[starts]
+    else:
+        first = order
+    size_first = sizes[first]
+    size_r = np.where(first < r_entries, size_first, 0.0)
+    size_s = size_first - size_r  # exactly the size or 0.0
+    if len(starts) < len(order):
+        # Two-entry groups: the j-th second entry follows j earlier
+        # ones, so its group is its position less j + 1.
+        second = np.flatnonzero(~is_new)
+        size_s[second - np.arange(1, len(second) + 1)] = sizes[order[second]]
+    return [*columns, size_r, size_s]
+
+
+def _merge_lexsort(
+    stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes, hash_seed
+) -> tuple[np.ndarray, ...]:
+    """Reference merge: one global ``lexsort`` by (key, node)."""
+    keys = np.concatenate(stream_keys)
+    nodes = np.concatenate(
+        [np.full(len(k), n, dtype=np.int64) for k, n in zip(stream_keys, stream_nodes)]
+    )
+    order = np.lexsort((nodes, keys))
+    keys = keys[order]
+    nodes = nodes[order]
+    is_new = np.empty(len(keys), dtype=bool)
+    is_new[0] = True
+    np.logical_or(keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:])
+    r_entries = sum(len(k) for k in stream_keys[:num_r_streams])
+    keys, nodes, size_r, size_s = _group_columns(
+        order, is_new, (keys, nodes), np.concatenate(stream_sizes), r_entries
+    )
+    key_starts = segment_boundaries(keys)
+    t_nodes = hash_partition(keys[key_starts], num_nodes, hash_seed)
+    return keys, nodes, size_r, size_s, key_starts, t_nodes
+
+
+def merge_streams(
+    stream_keys: list[np.ndarray],
+    stream_nodes: list[int],
+    stream_sizes: list[np.ndarray],
+    num_r_streams: int,
+    num_nodes: int,
+    hash_seed: int = 0,
+) -> tuple[np.ndarray, ...]:
+    """Merge per-(side, node) distinct-key streams into the union table.
+
+    Every stream is one node's sorted distinct keys of one side (not
+    empty) with the matching tuple bytes per key; the first
+    ``num_r_streams`` are R's.  Returns ``(keys, nodes, size_r, size_s,
+    key_starts, t_nodes)`` of the :class:`TrackingTable`, sorted by
+    ``(key, node)``.
+
+    All streams are cut at shared key splitters into key-range blocks
+    and each block value-sorts one int64 per entry: key, node and the
+    entry's position in the block, packed in that order from the high
+    bits down (:func:`~repro.util.sort_with_index_bits`), so the high
+    bits group equal (key, node) pairs and the low bits are the stable
+    permutation, R before S.  No key spans two blocks, so the blocks'
+    rows concatenate in key order into exactly the table one global
+    sort gives, whatever the splitters — which depend on the streams
+    and the kernel chunk rows only, never on the worker count.  Keys
+    that are negative or, with node and position bits, wider than 62
+    bits take :func:`_merge_lexsort`.
+    """
+    total = sum(len(keys) for keys in stream_keys)
+    # Each distinct stream is sorted, so its min/max are its endpoints.
+    min_key = min(int(keys[0]) for keys in stream_keys)
+    max_key = max(int(keys[-1]) for keys in stream_keys)
+    node_bits = (num_nodes - 1).bit_length()
+    idx_bits = total.bit_length()
+    if min_key < 0 or max_key.bit_length() + node_bits + idx_bits > 62:
+        return _merge_lexsort(
+            stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes, hash_seed
+        )
+
+    num_blocks = -(-total // (_MERGE_BLOCK_CHUNKS * kernel_chunk_rows()))
+    cuts = np.zeros((len(stream_keys), num_blocks + 1), dtype=np.int64)
+    cuts[:, -1] = [len(keys) for keys in stream_keys]
+    if num_blocks > 1:
+        # Splitters are quantiles of an evenly strided sample of every
+        # stream, so blocks hold about equal entries whatever the
+        # streams' relative lengths; equal splitters leave empty blocks.
+        stride = max(1, total // (64 * num_blocks))
+        sample = np.sort(np.concatenate([keys[::stride] for keys in stream_keys]))
+        splitters = sample[(np.arange(1, num_blocks) * len(sample)) // num_blocks]
+        for row, keys in zip(cuts, stream_keys):
+            row[1:-1] = np.searchsorted(keys, splitters)
+
+    def merge_block(block: int):
+        lo, hi = cuts[:, block], cuts[:, block + 1]
+        composite = np.concatenate(
+            [
+                (keys[a:b] << node_bits) | node
+                for keys, node, a, b in zip(stream_keys, stream_nodes, lo, hi)
+            ]
+        )
+        sizes = np.concatenate([s[a:b] for s, a, b in zip(stream_sizes, lo, hi)])
+        order, composite = sort_with_index_bits(composite, idx_bits)
+        is_new = np.empty(len(composite), dtype=bool)
+        is_new[0] = True
+        np.not_equal(composite[1:], composite[:-1], out=is_new[1:])
+        r_entries = int((hi - lo)[:num_r_streams].sum())
+        composite, size_r, size_s = _group_columns(
+            order, is_new, (composite,), sizes, r_entries
+        )
+        keys = composite >> node_bits
+        nodes = composite & ((1 << node_bits) - 1)
+        key_starts = segment_boundaries(keys)
+        t_nodes = hash_partition(keys[key_starts], num_nodes, hash_seed)
+        return keys, nodes, size_r, size_s, key_starts, t_nodes
+
+    nonempty = np.flatnonzero((cuts[:, 1:] - cuts[:, :-1]).sum(axis=0))
+    blocks = run_chunks(merge_block, nonempty)
+    if len(blocks) == 1:
+        return blocks[0]
+    keys, nodes, size_r, size_s, key_starts, t_nodes = zip(*blocks)
+    # Block-local key_starts shift by the rows of the blocks before.
+    row_offsets = np.cumsum([0] + [len(block) for block in keys[:-1]])
+    key_starts = [starts + offset for starts, offset in zip(key_starts, row_offsets)]
+    return tuple(
+        np.concatenate(column)
+        for column in (keys, nodes, size_r, size_s, key_starts, t_nodes)
     )

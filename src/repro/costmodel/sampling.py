@@ -24,7 +24,7 @@ from ..core.schedule import generate_schedules
 from ..core.tracking import TrackingTable
 from ..errors import CostModelError
 from ..storage.table import DistributedTable
-from ..util import hash_partition, mix64, segment_boundaries, segment_ids
+from ..util import hash_partition, mix64, segment_boundaries
 from .formulas import CorrelationClasses
 
 __all__ = ["CorrelatedSample", "correlated_sample", "estimate_classes"]
@@ -126,7 +126,7 @@ def estimate_classes(
     if tracking.num_keys == 0:
         return CorrelationClasses(rs=0.5, sr=0.5, hashlike=0.0), 0.0
     schedules = generate_schedules(tracking, location_width=location_width)
-    seg = segment_ids(tracking.key_starts, tracking.num_entries)
+    seg = tracking.seg
 
     # Hash-like: after migration, the target side occupies one node.
     target_entries = np.where(

@@ -374,7 +374,7 @@ def chunked_sort_unique(values: np.ndarray) -> np.ndarray:
     until one remains.  With all values distinct there is exactly one
     ascending arrangement, so the result is bit-identical to
     ``values.sort()`` — this is what makes the pack-sort of
-    :func:`repro.util.stable_sort_with_order` (value in the high bits,
+    :func:`repro.util.sort_with_index_bits` (value in the high bits,
     unique row index in the low bits) chunkable without a stability
     argument about the merge order.
 

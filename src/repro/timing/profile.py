@@ -79,6 +79,8 @@ class ExecutionProfile:
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
         self.steps: list[Step] = []
+        #: ``steps`` by ``(name, kind)``, so recording is a dict lookup.
+        self._step_index: dict[tuple[str, str], Step] = {}
         #: Wall-clock phase breakdowns (one dict per executed phase
         #: group): dispatch/kernel/barrier-wait/commit seconds plus
         #: task/stage/worker counts.  Unlike ``steps``, these are real
@@ -163,13 +165,31 @@ class ExecutionProfile:
                 f"got shape {per_node.shape}"
             )
         # Merge with an existing step of the same name so loops over nodes
-        # can record incrementally.
-        for step in self.steps:
-            if step.name == name and step.kind == kind:
-                step.per_node_bytes = step.per_node_bytes + per_node
-                return step
+        # can record incrementally.  A new step owns a copy, so later
+        # in-place adds never write into a caller's array.
+        step = self._step_index.get((name, kind))
+        if step is None:
+            return self._new_step(name, kind, rate_class, per_node.copy())
+        step.per_node_bytes += per_node
+        return step
+
+    def _accumulate_at(
+        self, name: str, kind: str, rate_class: str, node: int, nbytes: float
+    ) -> Step:
+        """Add one node's work to a step without a per-call array."""
+        lane: "ExecutionProfile | None" = getattr(self._tls, "lane", None)
+        if lane is not None:
+            return lane._accumulate_at(name, kind, rate_class, node, nbytes)
+        step = self._step_index.get((name, kind))
+        if step is None:
+            step = self._new_step(name, kind, rate_class, np.zeros(self.num_nodes))
+        step.per_node_bytes[node] += nbytes
+        return step
+
+    def _new_step(self, name: str, kind: str, rate_class: str, per_node) -> Step:
         step = Step(name=name, kind=kind, rate_class=rate_class, per_node_bytes=per_node)
         self.steps.append(step)
+        self._step_index[(name, kind)] = step
         return step
 
     def add_cpu(self, name: str, rate_class: str, per_node_bytes) -> Step:
@@ -178,9 +198,7 @@ class ExecutionProfile:
 
     def add_cpu_at(self, name: str, rate_class: str, node: int, nbytes: float) -> Step:
         """Record CPU work for one node of a named step."""
-        per_node = np.zeros(self.num_nodes)
-        per_node[node] = nbytes
-        return self._accumulate(name, CPU, rate_class, per_node)
+        return self._accumulate_at(name, CPU, rate_class, node, nbytes)
 
     def add_net(self, name: str, per_node_sent_bytes) -> Step:
         """Record a network transfer step (bytes sent per node)."""
@@ -188,15 +206,11 @@ class ExecutionProfile:
 
     def add_net_at(self, name: str, node: int, nbytes: float) -> Step:
         """Record bytes one node sent during a named transfer step."""
-        per_node = np.zeros(self.num_nodes)
-        per_node[node] = nbytes
-        return self._accumulate(name, NET, "transfer", per_node)
+        return self._accumulate_at(name, NET, "transfer", node, nbytes)
 
     def add_local(self, name: str, node: int, nbytes: float) -> Step:
         """Record a node-local copy (not network traffic)."""
-        per_node = np.zeros(self.num_nodes)
-        per_node[node] = nbytes
-        return self._accumulate(name, LOCAL, "copy", per_node)
+        return self._accumulate_at(name, LOCAL, "copy", node, nbytes)
 
     def record_phase_timing(self, timing: dict) -> None:
         """Append one phase group's wall-clock breakdown.

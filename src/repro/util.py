@@ -18,6 +18,7 @@ __all__ = [
     "mix64",
     "stable_argsort_auto",
     "stable_argsort_bounded",
+    "sort_with_index_bits",
     "stable_sort_with_order",
     "segment_boundaries",
     "segment_sum",
@@ -123,16 +124,42 @@ def stable_argsort_auto(values: np.ndarray) -> np.ndarray:
     return np.argsort(values, kind="stable")
 
 
+def sort_with_index_bits(high: np.ndarray, idx_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of non-negative int64 ``high``: ``(order, high[order])``.
+
+    Each value is packed above its row index — ``high << idx_bits |
+    row`` — and the packed int64s are *value*-sorted: equal values then
+    order by row, which is exactly stability, and a direct sort skips
+    the indirect gather passes an argsort pays for — several times
+    faster.  The caller guarantees ``len(high) <= 2**idx_bits`` and
+    that ``high``'s bit length plus ``idx_bits`` is at most 63.
+
+    The packed values are pairwise distinct (unique row in the low
+    bits), so the chunked build and sort-merge give the unique
+    ascending order — bit-identical to one in-place sort for any chunk
+    size or worker count.
+    """
+    # Imported lazily: util is a leaf module for most of the library
+    # and the chunk engine is only needed here.
+    from .parallel import chunks
+
+    shift = np.int64(idx_bits)
+    packed = chunks.chunked_build(
+        lambda start, stop: (high[start:stop] << shift)
+        | np.arange(start, stop, dtype=np.int64),
+        len(high),
+        np.int64,
+    )
+    packed = chunks.chunked_sort_unique(packed)
+    return packed & np.int64((1 << idx_bits) - 1), packed >> shift
+
+
 def stable_sort_with_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(order, values[order])`` for a stable sort of ``values``.
 
-    When the value span fits in 31 bits and there are fewer than 2**32
-    rows, the shifted value and the row index are packed into one int64
-    (value in the high bits, index in the low bits) and *value*-sorted:
-    equal values then order by index, which is exactly stability, and a
-    direct sort skips the indirect gather passes an argsort pays for —
-    several times faster.  Unpacking recovers both the permutation and
-    the sorted values.  Wider inputs fall back to
+    When the value span and the row count together fit in 63 bits the
+    shifted values go through :func:`sort_with_index_bits` with an
+    index just wide enough for the rows.  Wider inputs fall back to
     :func:`stable_argsort_auto` plus a gather.  Either way the result
     is bit-identical to ``order = np.argsort(values, kind="stable")``
     and ``values[order]``.
@@ -143,33 +170,10 @@ def stable_sort_with_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return empty_order, np.empty(0, dtype=values.dtype if hasattr(values, "dtype") else np.int64)
     lo = int(values.min())
     span = int(values.max()) - lo
-    if span < (1 << 31) and n < (1 << 32):
-        # Imported lazily: util is a leaf module for most of the
-        # library and the chunk engine is only needed on this path.
-        from .parallel import chunks
-
-        slices = chunks.chunked_slices(n)
-        if slices is None:
-            packed = ((values - lo) << np.int64(32)) | np.arange(n, dtype=np.int64)
-            packed.sort()
-        else:
-            # Chunked index build: pack per chunk, sort chunk slices in
-            # parallel, merge.  The packed values are pairwise distinct
-            # (unique index in the low bits), so the merged sequence is
-            # the unique ascending order — bit-identical to the direct
-            # in-place sort above for any chunk size or worker count.
-            packed = chunks.chunked_build(
-                lambda start, stop: (
-                    (values[start:stop] - lo) << np.int64(32)
-                )
-                | np.arange(start, stop, dtype=np.int64),
-                n,
-                np.int64,
-            )
-            packed = chunks.chunked_sort_unique(packed)
-        order = packed & np.int64(0xFFFFFFFF)
-        sorted_values = ((packed >> np.int64(32)) + lo).astype(values.dtype, copy=False)
-        return order, sorted_values
+    idx_bits = max(1, (n - 1).bit_length())
+    if span.bit_length() + idx_bits <= 63:
+        order, shifted = sort_with_index_bits(values - lo, idx_bits)
+        return order, (shifted + lo).astype(values.dtype, copy=False)
     order = stable_argsort_auto(values)
     return order, values[order]
 
@@ -186,7 +190,7 @@ def segment_boundaries(sorted_group_keys: np.ndarray) -> np.ndarray:
     change = np.empty(n, dtype=bool)
     change[0] = True
     np.not_equal(sorted_group_keys[1:], sorted_group_keys[:-1], out=change[1:])
-    return np.flatnonzero(change).astype(np.int64)
+    return np.flatnonzero(change).astype(np.int64, copy=False)
 
 
 def segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -366,6 +366,21 @@ class TestCli:
     def test_unknown_experiment_still_exits_2(self, capsys):
         assert main(["no-such-experiment"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, accepted",
+        [
+            ("bench-smoke", "scaled_tuples"),
+            ("bench-scaling", "worker_counts"),
+            ("bench-skew", "hot_fraction"),
+            ("serve-bench", "queries"),
+        ],
+    )
+    def test_unknown_bench_option_exits_2(self, command, accepted, capsys):
+        """Unknown key=value options are rejected before the bench runs."""
+        assert main([command, "bogus=1"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and accepted in err and "out_path" in err
+
 
 class TestSanitizer:
     def _run_write_after_send(self):

@@ -13,6 +13,7 @@ identical execution profile.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
@@ -23,12 +24,14 @@ from repro import (
     TrackJoin3,
     TrackJoin4,
 )
+from repro.core import tracking as tracking_module
 from repro.core.schedule import generate_schedules
-from repro.core.tracking import TrackingTable
+from repro.core.tracking import TrackingTable, _merge_lexsort, merge_streams
 from repro.fastpath import FUSED, LOOP, use_scatter_mode
 from repro.joins.tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin
+from repro.parallel.chunks import kernel_config
 from repro.storage.table import LocalPartition
-from repro.util import segment_boundaries
+from repro.util import hash_partition, segment_boundaries
 
 from conftest import canonical_output, make_tables
 
@@ -99,6 +102,119 @@ class TestJoinEquivalence:
             assert np.array_equal(canonical_output(loop), canonical_output(fused))
             assert loop.traffic.by_class == fused.traffic.by_class
             assert loop.traffic.by_link == fused.traffic.by_link
+
+
+def _packing_limit_key(num_nodes: int, total: int) -> int:
+    """Largest key the packed tracking merge accepts for this shape."""
+    return (1 << (62 - (num_nodes - 1).bit_length() - total.bit_length())) - 1
+
+
+@st.composite
+def stream_instance(draw):
+    """Per-(side, node) distinct-key streams, as the tracking phase sees them.
+
+    ``anchor`` places the largest key at zero-based, negative, exactly
+    at the packing limit, or one past it.
+    """
+    num_nodes = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    domain = draw(st.integers(1, 12))  # 1: one key everywhere
+    anchor = draw(st.sampled_from(["zero", "negative", "limit", "past"]))
+    sides = draw(st.sampled_from(["RS", "R", "S"]))  # one side may be empty
+    drawn = []
+    for side in sides:
+        for node in range(num_nodes):
+            # R and S draw from one domain, so (key, node) pairs collide
+            # across sides and the index bits must keep R first.
+            keys = draw(st.lists(st.integers(0, domain - 1), unique=True, max_size=domain))
+            if keys:
+                sizes = draw(
+                    st.lists(st.integers(1, 99), min_size=len(keys), max_size=len(keys))
+                )
+                drawn.append((side, node, sorted(keys), sizes))
+    if not drawn:
+        drawn.append((sides[0], 0, [0], [7]))
+    total = sum(len(keys) for _, _, keys, _ in drawn)
+    top = max(keys[-1] for _, _, keys, _ in drawn)
+    limit = _packing_limit_key(num_nodes, total)
+    shift = {"zero": 0, "negative": -top - 3, "limit": limit - top, "past": limit + 1 - top}
+    return (
+        [np.array(keys, dtype=np.int64) + shift[anchor] for _, _, keys, _ in drawn],
+        [node for _, node, _, _ in drawn],
+        [np.array(sizes, dtype=np.float64) * 2.5 for _, _, _, sizes in drawn],
+        sum(1 for side, *_ in drawn if side == "R"),
+        num_nodes,
+    )
+
+
+def assert_same_table(merged, reference):
+    names = ("keys", "nodes", "size_r", "size_s", "key_starts", "t_nodes")
+    assert len(merged) == len(reference) == len(names)
+    for name, got, want in zip(names, merged, reference):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def dict_union_table(stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes, seed):
+    """The union table built row by row in a dict: shares no code with the merges."""
+    rows: dict[tuple[int, int], list[float]] = {}
+    for index, (keys, node, sizes) in enumerate(zip(stream_keys, stream_nodes, stream_sizes)):
+        for key, size in zip(keys.tolist(), sizes.tolist()):
+            rows.setdefault((key, node), [0.0, 0.0])[index >= num_r_streams] += size
+    ordered = sorted(rows)
+    keys = np.array([key for key, _ in ordered], dtype=np.int64)
+    key_starts = segment_boundaries(keys)
+    return (
+        keys,
+        np.array([node for _, node in ordered], dtype=np.int64),
+        np.array([rows[row][0] for row in ordered], dtype=np.float64),
+        np.array([rows[row][1] for row in ordered], dtype=np.float64),
+        key_starts,
+        hash_partition(keys[key_starts], num_nodes, seed),
+    )
+
+
+class TestTrackingMergeEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(stream_instance(), st.integers(0, 3), st.sampled_from([1, 2]), st.sampled_from([2, None]))
+    def test_packed_merge_equals_lexsort(self, instance, hash_seed, workers, chunk_rows):
+        """The blocked pack-sort merge is the lexsort merge, field for field."""
+        reference = _merge_lexsort(*instance, hash_seed)
+        assert_same_table(reference, dict_union_table(*instance, hash_seed))
+        with kernel_config(workers=workers, chunk_rows=chunk_rows):
+            merged = merge_streams(*instance, hash_seed)
+        assert_same_table(merged, reference)
+
+    @pytest.mark.parametrize("num_nodes", [1, 3, 16])
+    def test_packing_limit_boundary(self, num_nodes, monkeypatch):
+        """Keys pack up to the 62-bit limit and fall back one past it."""
+        packed_sorts = []
+        original = tracking_module.sort_with_index_bits
+        monkeypatch.setattr(
+            tracking_module,
+            "sort_with_index_bits",
+            lambda high, bits: packed_sorts.append(len(high)) or original(high, bits),
+        )
+        offsets = np.arange(40, dtype=np.int64)
+        sizes = np.full(40, 20.0)
+        # The S stream shares every (key, node) with the last R stream.
+        r_nodes = sorted({0, num_nodes - 1})
+        nodes = r_nodes + [num_nodes - 1]
+        limit = _packing_limit_key(num_nodes, len(nodes) * len(offsets))
+        for top, packs in ((limit, True), (limit + 1, False)):
+            packed_sorts.clear()
+            args = (
+                [offsets + (top - 39)] * len(nodes),
+                nodes,
+                [sizes] * len(r_nodes) + [sizes * 3],
+                len(r_nodes),
+                num_nodes,
+                1,
+            )
+            with kernel_config(workers=2, chunk_rows=4):
+                merged = merge_streams(*args)
+            assert bool(packed_sorts) is packs
+            assert_same_table(merged, dict_union_table(*args))
+            assert len(merged[0]) == len(r_nodes) * len(offsets)
 
 
 @st.composite

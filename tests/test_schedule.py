@@ -17,6 +17,8 @@ from repro.core.schedule import (
 )
 from repro.core.tracking import TrackingTable
 from repro.errors import ScheduleError
+from repro.fastpath import FUSED, LOOP, use_scatter_mode
+from repro.parallel.chunks import kernel_config
 from repro.util import segment_boundaries
 
 
@@ -292,6 +294,78 @@ class TestVectorizedAgainstScalar:
                 1.0,
             )
             assert schedules.cost[key] == pytest.approx(min(rs, sr))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from([2, 5]),
+        st.sampled_from([0.0, 1.0, 2.5]),
+        st.booleans(),
+        st.sampled_from([None, "RS", "SR"]),
+    )
+    def test_holder_gate_matches_oracle_and_ungated(
+        self, data, max_entries, location_width, allow_migration, forced
+    ):
+        """Gated consolidation is the scalar oracle's plan, key by key.
+
+        ``max_entries=2`` keeps every key on the paired path, 5 takes
+        the generic one; either way a block mixes keys with 0, 1 and 2+
+        target-side holders, and scheduler node 5 is outside every
+        holder set.  Two-key blocks make the gate's subsets cross block
+        bounds.
+        """
+        entry = st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(any)
+        per_key = data.draw(
+            st.lists(
+                st.dictionaries(st.integers(0, 4), entry, min_size=1, max_size=max_entries),
+                min_size=1,
+                max_size=9,
+            )
+        )
+        t_nodes = data.draw(
+            st.lists(st.integers(0, 5), min_size=len(per_key), max_size=len(per_key))
+        )
+        sides = [
+            tuple({n: float(e[side]) for n, e in key.items() if e[side]} for side in (0, 1))
+            for key in per_key
+        ]
+        tracking = tracking_from_dicts(sides, t_nodes)
+        with use_scatter_mode(LOOP):
+            ungated = generate_schedules(tracking, location_width, allow_migration, forced)
+        with use_scatter_mode(FUSED), kernel_config(workers=2, chunk_rows=2):
+            gated = generate_schedules(tracking, location_width, allow_migration, forced)
+        for name in ("cost_rs", "cost_sr", "direction_rs", "migrate", "dest_node"):
+            assert np.array_equal(getattr(gated, name), getattr(ungated, name)), name
+
+        ends = np.append(tracking.key_starts[1:], tracking.num_entries)
+        for key, (sizes_r, sizes_s) in enumerate(sides):
+            plans = {
+                "RS": migrate_and_broadcast(sizes_r, sizes_s, t_nodes[key], location_width),
+                "SR": migrate_and_broadcast(sizes_s, sizes_r, t_nodes[key], location_width),
+            }
+            entries = slice(tracking.key_starts[key], ends[key])
+            migrating = tuple(tracking.nodes[entries][gated.migrate[entries]])
+            direction = "RS" if gated.direction_rs[key] else "SR"
+            if not allow_migration:
+                plain = selective_broadcast_cost(
+                    *((sizes_r, sizes_s) if direction == "RS" else (sizes_s, sizes_r)),
+                    t_nodes[key],
+                    location_width,
+                )
+                assert gated.cost[key] == pytest.approx(plain)
+                assert migrating == () and gated.dest_node[key] == -1
+                continue
+            assert gated.cost_rs[key] == pytest.approx(plans["RS"].cost)
+            assert gated.cost_sr[key] == pytest.approx(plans["SR"].cost)
+            if forced is not None:
+                assert direction == forced
+            elif plans["RS"].cost != plans["SR"].cost:
+                assert direction == ("RS" if plans["RS"].cost < plans["SR"].cost else "SR")
+            plan = plans[direction]
+            assert migrating == plan.migrating_nodes
+            assert gated.dest_node[key] == (
+                -1 if plan.destination is None else plan.destination
+            )
 
     def test_forced_direction(self):
         tracking = tracking_from_dicts([({0: 5}, {1: 3})], [0])

@@ -44,6 +44,25 @@ class TestExecutionProfile:
         profile.add_cpu_at("C", "sort", 0, 99)
         assert profile.total_network_bytes() == 40
 
+    def test_in_place_adds_never_alias_the_callers_array(self):
+        """A step owns its array: later adds leave the first insert's input alone."""
+        profile = ExecutionProfile(3)
+        work = np.array([1.0, 2.0, 3.0])
+        profile.add_cpu("Sort", "sort", work)
+        profile.add_cpu_at("Sort", "sort", 0, 10)
+        profile.add_cpu("Sort", "sort", work)
+        assert work.tolist() == [1.0, 2.0, 3.0]
+        assert profile.step_named("Sort").per_node_bytes.tolist() == [12.0, 4.0, 6.0]
+        # Merging another profile copies too, and keeps first-seen order.
+        other = ExecutionProfile(3)
+        other.add_net_at("Transfer", 2, 7)
+        other.add_cpu_at("Sort", "sort", 1, 1)
+        profile.merge(other)
+        profile.add_net_at("Transfer", 2, 1)
+        assert [step.name for step in profile.steps] == ["Sort", "Transfer"]
+        assert other.step_named("Transfer").per_node_bytes.tolist() == [0.0, 0.0, 7.0]
+        assert profile.step_named("Transfer").per_node_bytes.tolist() == [0.0, 0.0, 8.0]
+
     def test_local_steps(self):
         profile = ExecutionProfile(2)
         step = profile.add_local("Copy", 1, 50)
