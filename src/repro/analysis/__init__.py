@@ -9,17 +9,15 @@ mechanically, in three complementary layers:
 :mod:`repro.analysis.engine`
     A two-kind rule engine: per-file AST rules plus whole-package
     dataflow rules, with path:line diagnostics, statement-span
-    ``# repro: noqa[CODE]`` suppression, a baseline mechanism for
-    grandfathered findings, an on-disk lint cache, and text/JSON/SARIF
-    reporters.
+    ``# repro: noqa[CODE]`` suppression, and text/JSON/SARIF reporters.
 
 :mod:`repro.analysis.rules`
     The catalogue.  Per-file rules:
 
     ========  ==========================================================
     REP001    no unseeded randomness under ``src/repro/``
-    REP002    no wall-clock reads outside ``repro/timing``/``repro/perf``
-              and no set-iteration feeding sends or ledgers
+    REP002    no wall-clock reads outside ``repro/timing`` and no
+              set-iteration feeding sends or ledgers
     REP003    no network sends that can bypass ``SendLane`` staging
     REP004    no bare builtin exceptions in library code (use the
               :class:`~repro.errors.ReproError` hierarchy)
@@ -60,7 +58,6 @@ from .engine import (
     DataflowRule,
     Diagnostic,
     FileContext,
-    LintCache,
     LintReport,
     Rule,
     all_dataflow_rules,
@@ -68,12 +65,10 @@ from .engine import (
     lint_file,
     lint_paths,
     lint_source,
-    load_baseline,
     register_dataflow_rule,
     register_rule,
-    write_baseline,
 )
-from .rules import DEFAULT_TARGET, RULES_VERSION
+from .rules import DEFAULT_TARGET
 from .sanitizer import (
     RaceTracker,
     race_tracker,
@@ -89,7 +84,6 @@ __all__ = [
     "DataflowRule",
     "Diagnostic",
     "FileContext",
-    "LintCache",
     "LintReport",
     "Rule",
     "all_dataflow_rules",
@@ -97,12 +91,9 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register_dataflow_rule",
     "register_rule",
-    "write_baseline",
     "DEFAULT_TARGET",
-    "RULES_VERSION",
     "RaceTracker",
     "race_tracker",
     "sanitized",

@@ -29,17 +29,13 @@ decorator line or the trailing line of a multi-line call)::
     # repro: noqa                  -- blanket (all codes); use sparingly
 
 Suppressions are counted in the report so a creeping pile of waivers
-stays visible.  Pre-existing findings can also be *baselined*
-(``lint_paths(..., baseline="lint-baseline.json")``): matched findings
-are counted separately and do not gate, so a new rule can land before
-every legacy violation is fixed while still failing on regressions.
+stays visible.
 """
 
 from __future__ import annotations
 
 import abc
 import ast
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -54,13 +50,10 @@ __all__ = [
     "Rule",
     "DataflowRule",
     "LintReport",
-    "LintCache",
     "register_rule",
     "register_dataflow_rule",
     "all_rules",
     "all_dataflow_rules",
-    "load_baseline",
-    "write_baseline",
     "lint_source",
     "lint_file",
     "lint_paths",
@@ -92,17 +85,6 @@ class Diagnostic:
             "code": self.code,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (used by the lint cache)."""
-        return cls(
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            code=payload["code"],
-            message=payload["message"],
-        )
 
 
 class FileContext:
@@ -292,14 +274,12 @@ class LintReport:
     diagnostics: list[Diagnostic]
     files_scanned: int
     suppressed: int
-    #: Findings matched (and absorbed) by a baseline file.
-    baselined: int = 0
     #: Analyzer statistics when the dataflow pass ran (else ``None``).
     dataflow: dict | None = None
 
     @property
     def clean(self) -> bool:
-        """True when no unsuppressed, unbaselined diagnostics were found."""
+        """True when no unsuppressed diagnostics were found."""
         return not self.diagnostics
 
     def by_code(self) -> dict[str, int]:
@@ -310,12 +290,11 @@ class LintReport:
         return dict(sorted(counts.items()))
 
     def summary(self) -> dict:
-        """Compact machine-readable summary (the BENCH ``analysis`` section)."""
+        """Compact machine-readable summary (head of the JSON report)."""
         payload = {
             "files_scanned": self.files_scanned,
             "diagnostics": len(self.diagnostics),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "by_code": self.by_code(),
             "rules": sorted(all_rules()),
             "clean": self.clean,
@@ -333,7 +312,6 @@ class LintReport:
             f"{len(self.diagnostics)} problem(s) in {self.files_scanned} file(s)"
             + (f" [{counts}]" if counts else "")
             + (f", {self.suppressed} suppressed" if self.suppressed else "")
-            + (f", {self.baselined} baselined" if self.baselined else "")
         )
         return "\n".join(lines)
 
@@ -397,49 +375,6 @@ class LintReport:
         return json.dumps(payload, indent=2)
 
 
-def load_baseline(path: str | Path) -> dict[tuple[str, str, str], int]:
-    """Load a baseline file into a finding multiset.
-
-    The format is the one :func:`write_baseline` emits:
-    ``{"version": 1, "findings": [{"path", "code", "message"}, ...]}``.
-    Matching is a multiset over ``(posix path, code, message)`` — line
-    numbers are deliberately excluded so unrelated edits above a
-    baselined finding do not un-baseline it.
-    """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AnalysisError(f"cannot read baseline {path}: {exc}") from exc
-    findings = payload.get("findings") if isinstance(payload, dict) else payload
-    if not isinstance(findings, list):
-        raise AnalysisError(f"baseline {path} has no findings list")
-    counts: dict[tuple[str, str, str], int] = {}
-    for item in findings:
-        key = (
-            Path(str(item.get("path", ""))).as_posix(),
-            str(item.get("code", "")),
-            str(item.get("message", "")),
-        )
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def write_baseline(report: LintReport, path: str | Path) -> None:
-    """Write the report's current findings as a baseline file."""
-    payload = {
-        "version": 1,
-        "findings": [
-            {
-                "path": Path(d.path).as_posix(),
-                "code": d.code,
-                "message": d.message,
-            }
-            for d in sorted(report.diagnostics)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def lint_source(
     source: str, path: str | Path = "<string>", rules: Sequence[Rule] | None = None
 ) -> tuple[list[Diagnostic], int]:
@@ -484,98 +419,17 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return sorted(found)
 
 
-class LintCache:
-    """On-disk cache of per-file (and package-level) rule results.
-
-    Entries are keyed on ``path | mtime_ns | size | rules-version`` so
-    any edit, or any change to the rule catalogue
-    (:data:`repro.analysis.rules.RULES_VERSION`), invalidates exactly
-    the affected results.  ``save()`` rewrites the index with only the
-    keys touched this run, so stale generations prune themselves.
-    Caching is best-effort: a read-only tree lints fine, it just pays
-    full price every time.
-    """
-
-    def __init__(self, root: str | Path = ".repro-lint-cache"):
-        self.root = Path(root)
-        self.index_path = self.root / "cache.json"
-        try:
-            entries = json.loads(self.index_path.read_text())
-        except (OSError, ValueError):
-            entries = {}
-        self._entries: dict[str, Any] = entries if isinstance(entries, dict) else {}
-        self._used: dict[str, Any] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def file_key(path: Path, version: str) -> str | None:
-        """Cache key for one file, or None when it cannot be stat'd."""
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        return f"{path.as_posix()}|{stat.st_mtime_ns}|{stat.st_size}|{version}"
-
-    def get(self, key: str) -> Any | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._used[key] = entry
-        return entry
-
-    def put(self, key: str, value: Any) -> None:
-        self._entries[key] = value
-        self._used[key] = value
-
-    def save(self) -> None:
-        """Persist the entries touched this run (self-pruning)."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self.index_path.write_text(json.dumps(self._used))
-        except OSError:
-            pass
-
-
-def _rules_version(active: Sequence[Rule]) -> str:
-    """Cache-key component covering the rule catalogue in force."""
-    from . import rules as catalogue
-
-    codes = ",".join(sorted(rule.code for rule in active))
-    flow_codes = ",".join(sorted(_DATAFLOW_REGISTRY))
-    return f"{getattr(catalogue, 'RULES_VERSION', '0')}|{codes}|{flow_codes}"
-
-
 def _run_dataflow(
-    files: list[Path],
-    roots: Iterable[str | Path],
-    cache: LintCache | None,
-    version: str,
+    files: list[Path], roots: Iterable[str | Path]
 ) -> tuple[dict, list[Diagnostic], int]:
     """The whole-package pass: build the index, run every dataflow rule.
 
-    Returns ``(stats, diagnostics, suppressed)``.  The result is cached
-    under a digest of every scanned file's (path, mtime, size), so an
-    unchanged tree skips both parsing and analysis.
+    Returns ``(stats, diagnostics, suppressed)``.
     """
     from ..timing.clock import wall_clock
     from .dataflow import build_package_index
 
     start = wall_clock()
-    key = None
-    if cache is not None:
-        digest = hashlib.sha256()
-        for file_path in files:
-            digest.update((LintCache.file_key(file_path, version) or "?").encode())
-        key = f"dataflow|{digest.hexdigest()}"
-        entry = cache.get(key)
-        if entry is not None:
-            stats = dict(entry["stats"])
-            stats["wall_seconds"] = round(wall_clock() - start, 6)
-            diagnostics = [Diagnostic.from_dict(d) for d in entry["diagnostics"]]
-            return stats, diagnostics, entry["suppressed"]
     index = build_package_index(files, roots)
     diagnostics = []
     suppressed = 0
@@ -586,7 +440,6 @@ def _run_dataflow(
                 suppressed += 1
             else:
                 diagnostics.append(diagnostic)
-    diagnostics.sort()
     contexts = index.task_contexts()
     stats = {
         "modules": len(index.modules),
@@ -598,15 +451,6 @@ def _run_dataflow(
         "driver_functions": len(contexts.driver),
         "wall_seconds": round(wall_clock() - start, 6),
     }
-    if cache is not None and key is not None:
-        cache.put(
-            key,
-            {
-                "stats": {k: v for k, v in stats.items() if k != "wall_seconds"},
-                "diagnostics": [d.to_dict() for d in diagnostics],
-                "suppressed": suppressed,
-            },
-        )
     return stats, diagnostics, suppressed
 
 
@@ -615,79 +459,31 @@ def lint_paths(
     rules: Sequence[Rule] | None = None,
     *,
     dataflow: bool = False,
-    baseline: str | Path | dict | None = None,
-    cache_dir: str | Path | None = None,
 ) -> LintReport:
     """Run the rule set over files and directory trees.
 
     ``dataflow=True`` additionally builds a
     :class:`~repro.analysis.dataflow.PackageIndex` over the scanned
-    files and runs the whole-package REP007–REP011 rules.  ``baseline``
-    names a JSON file (or a preloaded multiset from
-    :func:`load_baseline`) whose findings are absorbed into
-    ``report.baselined`` instead of gating.  ``cache_dir`` enables the
-    on-disk :class:`LintCache` rooted there.
+    files and runs the whole-package REP007–REP011 rules.
     """
     paths = list(paths)
     files = iter_python_files(paths)
     active = list(rules) if rules is not None else list(all_rules().values())
-    version = _rules_version(active)
-    cache = LintCache(cache_dir) if cache_dir is not None else None
     diagnostics: list[Diagnostic] = []
     suppressed = 0
     for file_path in files:
-        key = LintCache.file_key(file_path, version) if cache is not None else None
-        if cache is not None and key is not None:
-            entry = cache.get(key)
-            if entry is not None:
-                diagnostics.extend(
-                    Diagnostic.from_dict(d) for d in entry["diagnostics"]
-                )
-                suppressed += entry["suppressed"]
-                continue
         found, skipped = lint_file(file_path, active)
         diagnostics.extend(found)
         suppressed += skipped
-        if cache is not None and key is not None:
-            cache.put(
-                key,
-                {
-                    "diagnostics": [d.to_dict() for d in found],
-                    "suppressed": skipped,
-                },
-            )
     dataflow_stats = None
     if dataflow:
-        dataflow_stats, flow_diagnostics, flow_suppressed = _run_dataflow(
-            files, paths, cache, version
-        )
+        dataflow_stats, flow_diagnostics, flow_suppressed = _run_dataflow(files, paths)
         diagnostics.extend(flow_diagnostics)
         suppressed += flow_suppressed
-    if cache is not None:
-        cache.save()
-    baselined = 0
-    if baseline is not None:
-        allowance = (
-            dict(baseline) if isinstance(baseline, dict) else load_baseline(baseline)
-        )
-        kept: list[Diagnostic] = []
-        for diagnostic in sorted(diagnostics):
-            key3 = (
-                Path(diagnostic.path).as_posix(),
-                diagnostic.code,
-                diagnostic.message,
-            )
-            if allowance.get(key3, 0) > 0:
-                allowance[key3] -= 1
-                baselined += 1
-            else:
-                kept.append(diagnostic)
-        diagnostics = kept
     diagnostics.sort()
     return LintReport(
         diagnostics=diagnostics,
         files_scanned=len(files),
         suppressed=suppressed,
-        baselined=baselined,
         dataflow=dataflow_stats,
     )

@@ -24,14 +24,10 @@ from .engine import (
     register_rule,
 )
 
-__all__ = ["DEFAULT_TARGET", "RULES_VERSION"]
+__all__ = ["DEFAULT_TARGET"]
 
 #: The tree `python -m repro lint` scans when no paths are given.
 DEFAULT_TARGET = "src/repro"
-
-#: Bumped whenever rule logic changes; part of the lint-cache key so a
-#: stale `.repro-lint-cache/` can never mask a new finding.
-RULES_VERSION = "1"
 
 #: time-module attributes that read wall or monotonic clocks.
 _CLOCK_ATTRS = {
@@ -173,8 +169,8 @@ class UnseededRandomness(Rule):
 class WallClockAndSetOrder(Rule):
     """REP002: no wall-clock reads or set-iteration feeding network state.
 
-    Timing belongs to ``repro/timing`` (the calibrated model) and
-    ``repro/perf`` (the benchmark harness); a clock read anywhere else
+    Timing belongs to ``repro/timing`` (the calibrated model and
+    :func:`~repro.timing.clock.wall_clock`); a clock read anywhere else
     leaks nondeterminism into values the engine promises are
     bit-identical across runs.  Likewise, python ``set`` iteration order
     is seeded per process, so a ``for`` loop over a set that sends
@@ -185,7 +181,7 @@ class WallClockAndSetOrder(Rule):
     summary = "wall-clock read or set-iteration order feeding network state"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        exempt = ctx.in_subtree("repro/timing/", "repro/perf/")
+        exempt = ctx.in_subtree("repro/timing/")
         clock_names = _from_imports(ctx.tree, "time") & _CLOCK_ATTRS
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call) and not exempt:
@@ -198,9 +194,8 @@ class WallClockAndSetOrder(Rule):
                     yield ctx.diagnostic(
                         node,
                         self.code,
-                        f"clock read {'.'.join(chain)}() outside repro/timing "
-                        "and repro/perf; timing must flow through the "
-                        "calibrated model",
+                        f"clock read {'.'.join(chain)}() outside repro/timing; "
+                        "timing must flow through the calibrated model",
                     )
                 elif len(chain) >= 2 and chain[-1] in ("now", "utcnow", "today") and (
                     "datetime" in chain or "date" in chain

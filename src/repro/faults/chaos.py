@@ -9,10 +9,9 @@ goodput traffic ledger must be *byte-identical* — all recovery overhead
 lands in the separate retransmit counters.
 
 :func:`run_chaos` executes one such matrix and returns a JSON-friendly
-summary (also consumed by ``python -m repro chaos`` and the bench-smoke
-payload); any invariant violation or budget exhaustion is reported as a
-failure entry rather than an exception, so one bad cell never hides the
-rest of the matrix.
+summary (also consumed by ``python -m repro chaos``); any invariant
+violation or budget exhaustion is reported as a failure entry rather
+than an exception, so one bad cell never hides the rest of the matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from ..joins.registry import algorithm_names, create
 from ..testing import canonical_output, scatter_tables
 from .plan import CrashEvent, FaultPlan, StragglerEvent
 
-__all__ = ["default_plan", "run_chaos", "chaos_summary"]
+__all__ = ["default_plan", "run_chaos"]
 
 #: Default seed matrix of the ``make test-chaos`` / CI job.
 DEFAULT_SEEDS = (0, 1, 2)
@@ -166,20 +165,3 @@ def run_chaos(
         "ok": not failures,
     }
 
-
-def chaos_summary(
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    num_nodes: int = 4,
-    worker_counts: Sequence[int] = (1, 4),
-) -> dict:
-    """Compact chaos report for benchmark payloads and CI logs."""
-    report = run_chaos(seeds=seeds, num_nodes=num_nodes, worker_counts=worker_counts)
-    return {
-        "seeds_run": report["seeds"],
-        "worker_counts": report["worker_counts"],
-        "runs": report["runs"],
-        "faults_injected": report["faults"].get("faults_injected", 0),
-        "retransmit_bytes": report["retransmit_bytes"],
-        "failures": len(report["failures"]),
-        "ok": report["ok"],
-    }

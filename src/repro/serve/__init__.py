@@ -9,7 +9,6 @@ fair scheduler multiplexes bounded in-flight queries over them
 profile, and output stay byte-identical to a solo run.
 """
 
-from .bench import bench_serve, bench_serve_report, check_serve
 from .cache import CacheEntry, PlanCache
 from .pool import SharedExecutor, WarmExecutorPool
 from .service import QueryOutcome, QueryRequest, QueryService, QueryTicket
@@ -23,7 +22,4 @@ __all__ = [
     "QueryRequest",
     "QueryTicket",
     "QueryOutcome",
-    "bench_serve",
-    "bench_serve_report",
-    "check_serve",
 ]

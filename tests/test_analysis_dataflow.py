@@ -2,10 +2,9 @@
 
 Each REP007–REP011 rule gets a true-positive fixture package (must
 fire) and a near-miss counterpart (must stay silent); the runtime race
-tracker, statement-span noqa suppression, the SARIF reporter, the
-baseline workflow, and the lint result cache are covered alongside, and
-the repository source itself is scanned as the closing integration
-check.
+tracker, statement-span noqa suppression, and the SARIF reporter are
+covered alongside, and the repository source itself is scanned as the
+closing integration check.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.analysis import (
     lint_source,
     race_tracker,
     sanitized,
-    write_baseline,
 )
 from repro.analysis.sanitizer import shared_key, track_shared
 from repro.errors import RaceError
@@ -32,14 +30,14 @@ from repro.errors import RaceError
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def lint_package(tmp_path: Path, sources: dict[str, str], **kwargs):
+def lint_package(tmp_path: Path, sources: dict[str, str]):
     """Write ``sources`` as a package under tmp_path and lint it."""
     package = tmp_path / "pkg"
     package.mkdir(exist_ok=True)
     (package / "__init__.py").write_text("")
     for name, source in sources.items():
         (package / name).write_text(source)
-    return lint_paths([package], dataflow=True, **kwargs)
+    return lint_paths([package], dataflow=True)
 
 
 def codes_in(report, code: str) -> list[str]:
@@ -567,104 +565,6 @@ class TestSarifReporter:
         )
         sarif = json.loads(capsys.readouterr().out)
         assert sarif["runs"][0]["results"] == []
-
-
-class TestBaseline:
-    VIOLATION = {
-        "work.py": (
-            "COUNTS = {}\n"
-            "def work(node):\n"
-            "    COUNTS[node] = node\n"
-            "def launch(net):\n"
-            "    run_phase(net, tasks=[work])\n"
-        )
-    }
-
-    def test_baseline_round_trip_absorbs_findings(self, tmp_path):
-        report = lint_package(tmp_path, self.VIOLATION)
-        assert not report.clean
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(report, baseline_path)
-        absorbed = lint_package(tmp_path, self.VIOLATION, baseline=baseline_path)
-        assert absorbed.clean
-        assert absorbed.baselined == 1
-
-    def test_new_findings_still_fail_under_baseline(self, tmp_path):
-        report = lint_package(tmp_path, self.VIOLATION)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(report, baseline_path)
-        grown = dict(self.VIOLATION)
-        grown["op.py"] = (
-            "class Build:\n"
-            "    def run(self, ctx):\n"
-            "        ctx.scratch['build'] = 1\n"
-        )
-        after = lint_package(tmp_path, grown, baseline=baseline_path)
-        assert not after.clean
-        assert [d.code for d in after.diagnostics] == ["REP008"]
-        assert after.baselined == 1
-
-    def test_write_baseline_cli(self, tmp_path, capsys):
-        package = tmp_path / "pkg"
-        package.mkdir()
-        (package / "__init__.py").write_text("")
-        (package / "work.py").write_text(self.VIOLATION["work.py"])
-        baseline_path = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    str(package),
-                    "--dataflow",
-                    "--write-baseline",
-                    str(baseline_path),
-                ]
-            )
-            == 0
-        )
-        assert "1 finding(s)" in capsys.readouterr().out
-        assert (
-            main(
-                ["lint", str(package), "--dataflow", "--baseline", str(baseline_path)]
-            )
-            == 0
-        )
-
-
-class TestLintCache:
-    def test_cache_round_trip_and_invalidation(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        sources = {"mod.py": "import numpy as np\nrng = np.random.default_rng()\n"}
-        first = lint_package(tmp_path, sources, cache_dir=cache_dir)
-        assert [d.code for d in first.diagnostics] == ["REP001"]
-        assert (cache_dir / "cache.json").exists()
-        second = lint_package(tmp_path, sources, cache_dir=cache_dir)
-        assert [d.code for d in second.diagnostics] == ["REP001"]
-        assert second.summary()["dataflow"]["modules"] == first.summary()[
-            "dataflow"
-        ]["modules"]
-        # A content change must invalidate: the key includes size/mtime.
-        fixed = {"mod.py": "import numpy as np\nrng = np.random.default_rng(7)\n"}
-        third = lint_package(tmp_path, fixed, cache_dir=cache_dir)
-        assert third.diagnostics == []
-
-    def test_no_cache_flag(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        package = tmp_path / "pkg"
-        package.mkdir()
-        (package / "mod.py").write_text("x = 1\n")
-        assert main(["lint", str(package), "--dataflow", "--no-cache"]) == 0
-        capsys.readouterr()
-        assert not (tmp_path / ".repro-lint-cache").exists()
-
-    def test_cli_cache_default_writes_cache_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        package = tmp_path / "pkg"
-        package.mkdir()
-        (package / "mod.py").write_text("x = 1\n")
-        assert main(["lint", str(package), "--dataflow"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / ".repro-lint-cache" / "cache.json").exists()
 
 
 class TestRepoSelfScan:

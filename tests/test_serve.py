@@ -26,7 +26,7 @@ from repro.serve import (
     SharedExecutor,
     WarmExecutorPool,
 )
-from repro.serve.bench import serve_query_mix, serve_tables
+from repro.workloads.serving import serve_query_mix, serve_tables
 
 NUM_NODES = 4
 

@@ -17,7 +17,7 @@ import pytest
 from repro import Cluster, JoinSpec
 from repro.query import compile_plan
 from repro.serve import QueryRequest, QueryService
-from repro.serve.bench import serve_query_mix, serve_tables
+from repro.workloads.serving import serve_query_mix, serve_tables
 
 NUM_NODES = 4
 WORKER_COUNTS = (1, 4, 8)
