@@ -38,7 +38,7 @@ from ..exchange.migrate import Migrate, ShardedMigrate
 from ..exchange.selective import SelectiveBroadcast
 from ..fastpath import fused_enabled
 from ..joins.base import DistributedJoin, JoinSpec
-from ..joins.local import local_join
+from ..joins.local import JoinCount, local_join
 from ..parallel.chunks import chunk_bounds, run_chunks
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -66,7 +66,7 @@ class _TrackJoinBase(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> list[LocalPartition] | list[JoinCount]:
         tracking = run_tracking_phase(
             cluster, table_r, table_s, spec, profile, with_counts=self.with_counts
         )
@@ -240,7 +240,7 @@ def _execute_schedules(
     spec: JoinSpec,
     profile: ExecutionProfile,
     sched: ScheduleSet,
-) -> list[LocalPartition]:
+) -> list[LocalPartition] | list[JoinCount]:
     """Run migrations, selective broadcasts, and final local joins."""
     num_nodes = cluster.num_nodes
     tracking = sched.tracking
@@ -348,45 +348,48 @@ def _execute_schedules(
                 ),
             ).run(cluster, profile, work[b_side], pair_src, pair_dst, pair_key)
 
-    # ---- Phase C: final local joins at every destination.
-    def join_node(node: int) -> LocalPartition:
+    # ---- Phase C: final local joins at every destination.  Each
+    # direction joins the tuples received from the broadcast side with
+    # the node's resident (post-migration) fragment of the other side.
+    def join_node(node: int) -> LocalPartition | JoinCount:
         received: dict[str, list[LocalPartition]] = {"R": [], "S": []}
         for msg in cluster.network.deliver(node):
             if msg.category is MessageClass.R_TUPLES:
                 received["R"].append(msg.payload)
             elif msg.category is MessageClass.S_TUPLES:
                 received["S"].append(msg.payload)
-        parts: list[LocalPartition] = []
-        if received["R"]:
-            batch = LocalPartition.concat(received["R"])
+        parts: list[LocalPartition | JoinCount] = []
+        for b_side, t_side in (("R", "S"), ("S", "R")):
+            if not received[b_side]:
+                continue
+            if spec.materialize:
+                batch = LocalPartition.concat(received[b_side])
+            else:
+                # A count probes keys only; the payload columns stay
+                # where they arrived.
+                batch = LocalPartition(
+                    keys=np.concatenate([part.keys for part in received[b_side]])
+                )
+            resident = work[t_side][node]
             profile.add_cpu_at(
-                "Merge rec. R → S tuples", "sort", node, batch.num_rows * widths["R"]
+                f"Merge rec. {b_side} → {t_side} tuples",
+                "sort",
+                node,
+                batch.num_rows * widths[b_side],
             )
-            joined = local_join(batch, work["S"][node], "r.", "s.")
+            left, right = (batch, resident) if b_side == "R" else (resident, batch)
+            joined = local_join(left, right, "r.", "s.", materialize=spec.materialize)
             profile.add_cpu_at(
-                "Final merge-join R → S",
+                f"Final merge-join {b_side} → {t_side}",
                 "merge",
                 node,
-                batch.num_rows * widths["R"]
-                + work["S"][node].num_rows * widths["S"]
+                batch.num_rows * widths[b_side]
+                + resident.num_rows * widths[t_side]
                 + joined.num_rows * out_width,
             )
             parts.append(joined)
-        if received["S"]:
-            batch = LocalPartition.concat(received["S"])
-            profile.add_cpu_at(
-                "Merge rec. S → R tuples", "sort", node, batch.num_rows * widths["S"]
-            )
-            joined = local_join(work["R"][node], batch, "r.", "s.")
-            profile.add_cpu_at(
-                "Final merge-join S → R",
-                "merge",
-                node,
-                batch.num_rows * widths["S"]
-                + work["R"][node].num_rows * widths["R"]
-                + joined.num_rows * out_width,
-            )
-            parts.append(joined)
+        if not spec.materialize:
+            return JoinCount(sum(joined.num_rows for joined in parts))
         if parts:
             return LocalPartition.concat(parts)
         return LocalPartition.empty(out_names)

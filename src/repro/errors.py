@@ -36,7 +36,8 @@ class CostModelError(ReproError):
 
 
 class WorkloadError(ReproError):
-    """A workload generator was asked for an unsatisfiable configuration."""
+    """A workload generator was asked for an unsatisfiable configuration,
+    or a run's output contradicts the cardinality its workload states."""
 
 
 class ParallelError(ReproError):

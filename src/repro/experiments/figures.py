@@ -17,6 +17,7 @@ from __future__ import annotations
 from ..cluster.network import MessageClass
 from ..core.track_join import TrackJoin2, TrackJoin3, TrackJoin4
 from ..encoding import DictionaryEncoding, FixedByteEncoding, VarByteEncoding
+from ..errors import WorkloadError
 from ..joins.base import DistributedJoin, JoinSpec
 from ..joins.broadcast import BroadcastJoin
 from ..joins.grace_hash import GraceHashJoin
@@ -78,14 +79,23 @@ def run_algorithms(
     algorithms: list[DistributedJoin] | None = None,
     paper: dict[str, float] | None = None,
 ) -> Group:
-    """Run a set of algorithms on one workload; rows in paper-scale GiB."""
+    """Run a set of algorithms on one workload; rows in paper-scale GiB.
+
+    Figure runs build no output, so a run whose ``output_rows`` differs
+    from the cardinality the workload generator states raises
+    :class:`~repro.errors.WorkloadError` — the one check that a traffic
+    experiment joined the right rows.
+    """
     algorithms = algorithms if algorithms is not None else seven_algorithms()
     paper = paper or {}
     group = Group(label=workload.name)
     for algorithm in algorithms:
         result = algorithm.run(workload.cluster, workload.table_r, workload.table_s, spec)
-        if workload.expected_output_rows is not None:
-            assert result.output_rows == workload.expected_output_rows, (
+        if (
+            workload.expected_output_rows is not None
+            and result.output_rows != workload.expected_output_rows
+        ):
+            raise WorkloadError(
                 f"{algorithm.name} on {workload.name}: {result.output_rows} rows, "
                 f"expected {workload.expected_output_rows}"
             )

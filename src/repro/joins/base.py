@@ -19,6 +19,7 @@ from ..encoding.dictionary import DictionaryEncoding
 from ..errors import JoinConfigError
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
+from .local import JoinCount
 
 __all__ = ["JoinSpec", "JoinResult", "DistributedJoin"]
 
@@ -42,7 +43,11 @@ class JoinSpec:
         Seed of the key-hash that places scheduling/hash-join work.
     materialize:
         When False, joins compute output cardinality but skip building
-        output payload arrays (large-scale traffic runs).
+        output payload arrays (large-scale traffic runs): the final
+        local joins count their matches instead of pairing them, so
+        :attr:`JoinResult.output` is ``None``, ``output_rows`` is exact,
+        and memory stays proportional to the inputs however large the
+        output.  Traffic and profile accounting do not depend on it.
     group_locations:
         Section 2.4 optimization: batch location messages by node so
         the node id is amortized over many keys instead of repeated
@@ -162,12 +167,15 @@ class DistributedJoin(abc.ABC):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
-        """Algorithm body; returns per-node output partitions.
+    ) -> list[LocalPartition] | list[JoinCount]:
+        """Algorithm body; returns one output per node.
 
-        When ``spec.materialize`` is False implementations may return
-        key-only partitions (payload columns dropped) — the row counts
-        are still exact.
+        Each entry is the node's output partition, or — when
+        ``spec.materialize`` is False — anything exposing the exact
+        ``num_rows`` of that partition without its rows, normally the
+        :class:`~repro.joins.local.JoinCount` that
+        ``local_join(..., materialize=False)`` returns.  :meth:`run`
+        reads nothing but ``num_rows`` in that case.
 
         Communication happens through the exchange operators
         (:mod:`repro.exchange`), which carry the send-lane staging, byte

@@ -18,7 +18,7 @@ from ..fastpath import fused_enabled
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from .base import DistributedJoin, JoinSpec
-from .local import local_join
+from .local import JoinCount, local_join
 
 __all__ = ["BroadcastJoin"]
 
@@ -39,7 +39,7 @@ class BroadcastJoin(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> list[LocalPartition] | list[JoinCount]:
         if self.broadcast == "R":
             moving, staying = table_r, table_s
             category = MessageClass.R_TUPLES
@@ -61,11 +61,16 @@ class BroadcastJoin(DistributedJoin):
         shared_moving = (
             LocalPartition.concat(list(moving.partitions)) if fused_enabled() else None
         )
-        if shared_moving is not None and shared_moving.num_rows and self.broadcast == "S":
-            # Only BJ-S probes the shared table as the join's right side.
-            shared_moving.key_index()
+        if shared_moving is not None and shared_moving.num_rows:
+            if not spec.materialize:
+                # A count builds on whichever side is cached: make that
+                # the shared table, for either broadcast side.
+                shared_moving.distinct_with_counts()
+            elif self.broadcast == "S":
+                # Only BJ-S probes the shared table as the join's right side.
+                shared_moving.key_index()
 
-        def join_node(node: int) -> LocalPartition:
+        def join_node(node: int) -> LocalPartition | JoinCount:
             received = drain_category(cluster, node, category)
             if shared_moving is not None:
                 full_moving = shared_moving
@@ -73,17 +78,16 @@ class BroadcastJoin(DistributedJoin):
                 full_moving = LocalPartition.concat([moving.partitions[node]] + received)
             local = staying.partitions[node]
             if self.broadcast == "R":
-                joined = local_join(full_moving, local, "r.", "s.")
+                left, right = full_moving, local
             else:
-                joined = local_join(local, full_moving, "r.", "s.")
+                left, right = local, full_moving
+            joined = local_join(left, right, "r.", "s.", materialize=spec.materialize)
             in_bytes = full_moving.num_rows * width + local.num_rows * staying.schema.tuple_width(spec.encoding)
             out_bytes = joined.num_rows * (
                 table_r.schema.tuple_width(spec.encoding)
                 + table_s.schema.payload_width(spec.encoding)
             )
             profile.add_cpu_at("Final merge-join", "merge", node, in_bytes + out_bytes)
-            if not spec.materialize:
-                joined = LocalPartition(keys=joined.keys)
             return joined
 
         return cluster.run_phase(join_node, profile=profile)

@@ -23,7 +23,7 @@ from ..exchange.shuffle import Shuffle
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from .base import DistributedJoin, JoinSpec
-from .local import local_join
+from .local import JoinCount, local_join
 
 __all__ = ["GraceHashJoin"]
 
@@ -40,7 +40,7 @@ class GraceHashJoin(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> list[LocalPartition] | list[JoinCount]:
         if cluster.pipeline_active():
             # Pipelined mode fuses the two scatters under one barrier —
             # R's sends overlap S's hash-partitioning — then gathers
@@ -73,7 +73,7 @@ class GraceHashJoin(DistributedJoin):
         width_s = table_s.schema.tuple_width(spec.encoding)
         out_width = width_r + table_s.schema.payload_width(spec.encoding)
 
-        def join_node(node: int) -> LocalPartition:
+        def join_node(node: int) -> LocalPartition | JoinCount:
             part_r = received_r[node]
             part_s = received_s[node]
             profile.add_cpu_at(
@@ -82,7 +82,7 @@ class GraceHashJoin(DistributedJoin):
             profile.add_cpu_at(
                 "Sort received S tuples", "sort", node, part_s.num_rows * width_s
             )
-            joined = local_join(part_r, part_s, "r.", "s.")
+            joined = local_join(part_r, part_s, "r.", "s.", materialize=spec.materialize)
             profile.add_cpu_at(
                 "Final merge-join",
                 "merge",
@@ -91,8 +91,6 @@ class GraceHashJoin(DistributedJoin):
                 + part_s.num_rows * width_s
                 + joined.num_rows * out_width,
             )
-            if not spec.materialize:
-                joined = LocalPartition(keys=joined.keys)
             return joined
 
         return cluster.run_phase(join_node, profile=profile)

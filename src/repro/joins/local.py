@@ -18,11 +18,17 @@ on the calling thread, then left-key chunks probe it concurrently
 through :mod:`repro.parallel.chunks`.  Every probe path emits its pairs
 in ascending left order, so concatenating per-chunk results in chunk
 order reproduces the serial output bit for bit.
+
+A caller that only needs the output *size* (``materialize=False``)
+takes the counting kernel instead: ``sum_k count_left(k) *
+count_right(k)`` from one side's distinct-key counts and one probe of
+the other side's keys, allocating nothing proportional to the output.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from ..storage.table import KeyIndex, LocalPartition
 from ..util import segment_boundaries, segment_count
 
 __all__ = [
+    "JoinCount",
     "join_indices",
     "local_join",
     "join_cardinality",
@@ -79,6 +86,14 @@ def _scratch(name: str, span: int, fill, dtype) -> np.ndarray:
     return table[:span]
 
 
+def _probe_chunks(probe, n_probe: int) -> list:
+    """``probe(start, stop)`` per probe-key chunk, results in chunk order."""
+    slices = chunks.chunked_slices(n_probe)
+    if slices is None:
+        return [probe(0, n_probe)]
+    return chunks.run_chunks(lambda bounds: probe(bounds[0], bounds[1]), slices)
+
+
 def _probe_in_chunks(probe, n_left: int) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch ``probe(start, stop)`` over left-key chunks.
 
@@ -87,14 +102,42 @@ def _probe_in_chunks(probe, n_left: int) -> tuple[np.ndarray, np.ndarray]:
     ascending left order, so per-chunk results concatenated in chunk
     order equal the serial ``probe(0, n_left)`` bit for bit.
     """
-    slices = chunks.chunked_slices(n_left)
-    if slices is None:
-        return probe(0, n_left)
-    parts = chunks.run_chunks(lambda bounds: probe(bounds[0], bounds[1]), slices)
+    parts = _probe_chunks(probe, n_left)
+    if len(parts) == 1:
+        return parts[0]
     return (
         np.concatenate([left for left, _ in parts]),
         np.concatenate([right for _, right in parts]),
     )
+
+
+def _dense_lookup(
+    keys: np.ndarray, rows: int, distinct: bool = False
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Scatter dense, duplicate-free keys into the positional table.
+
+    Returns ``(lookup, slots, base)`` — ``lookup[k - base]`` is the
+    position of key ``k`` in ``keys``, ``-1`` for absent keys — or
+    ``None`` (table left clean) when the keys span too wide a range for
+    a side of ``rows`` rows or, unless the caller vouches they are
+    ``distinct``, contain duplicates.  The caller probes and then
+    restores ``lookup[slots] = -1``.
+    """
+    base = int(keys.min())
+    span = _dense_span(base, int(keys.max()), rows)
+    if span is None:
+        return None
+    lookup = _scratch("scratch", span, -1, np.int32)
+    slots = keys - base
+    positions = np.arange(len(keys), dtype=np.int32)
+    lookup[slots] = positions
+    # Duplicate keys overwrite each other's slot; detecting the
+    # mismatch on read-back is one small gather instead of a scan of
+    # the whole span.
+    if not distinct and not bool((lookup[slots] == positions).all()):
+        lookup[slots] = -1
+        return None
+    return lookup, slots, base
 
 
 def _dense_unique_join(
@@ -108,20 +151,11 @@ def _dense_unique_join(
     sorted unique-right path would produce, or ``None`` when the keys
     are too sparse or contain duplicates.
     """
-    base = int(keys_right.min())
-    span = _dense_span(base, int(keys_right.max()), len(keys_right))
-    if span is None:
+    built = _dense_lookup(keys_right, len(keys_right))
+    if built is None:
         return None
-    lookup = _scratch("scratch", span, -1, np.int32)
-    shifted_right = keys_right - base
-    right_ids = np.arange(len(keys_right), dtype=np.int32)
-    lookup[shifted_right] = right_ids
-    # Duplicate right keys overwrite each other's slot; detecting the
-    # mismatch on read-back is one small gather instead of a scan of
-    # the whole span.
-    if not bool((lookup[shifted_right] == right_ids).all()):
-        lookup[shifted_right] = -1
-        return None
+    lookup, shifted_right, base = built
+    span = len(lookup)
 
     def probe(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         shifted = keys_left[start:stop] - base
@@ -325,20 +359,38 @@ def _reference_join(
     return left_idx, right_idx
 
 
+@dataclass(frozen=True)
+class JoinCount:
+    """Size of a local join whose rows were never built.
+
+    What :func:`local_join` returns under ``materialize=False``: the one
+    attribute operators read off a joined partition, and nothing else.
+    """
+
+    num_rows: int
+
+
 def local_join(
     left: LocalPartition,
     right: LocalPartition,
     left_prefix: str = "r.",
     right_prefix: str = "s.",
-) -> LocalPartition:
-    """Materialized equi-join of two local partitions.
+    materialize: bool = True,
+) -> LocalPartition | JoinCount:
+    """Equi-join of two local partitions.
 
     Output columns are the join key plus both sides' payload columns,
     name-prefixed to avoid collisions.  On the fused path the right
     partition's cached key index is (built and) reused, so joining the
     same partition repeatedly never re-sorts it; payload gathers chunk
     over the output rows when kernel parallelism is on.
+
+    With ``materialize=False`` no row is built: the result is a
+    :class:`JoinCount` from the counting kernel, whose memory is bounded
+    by the inputs however large the output.
     """
+    if not materialize:
+        return JoinCount(_count_matches(left, right))
     right_partition = None
     if fused_enabled() and right.num_rows and left.num_rows:
         right_partition = right
@@ -356,15 +408,66 @@ def local_join(
 
 
 def join_cardinality(keys_left: np.ndarray, keys_right: np.ndarray) -> int:
-    """Output size of the equi-join without materializing index pairs."""
-    keys_left = np.asarray(keys_left, dtype=np.int64)
-    keys_right = np.asarray(keys_right, dtype=np.int64)
-    if len(keys_left) == 0 or len(keys_right) == 0:
+    """Output size of the equi-join of two key arrays; builds no pairs."""
+    return _count_matches(LocalPartition(keys=keys_left), LocalPartition(keys=keys_right))
+
+
+def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
+    """``sum_k count_left(k) * count_right(k)``: the counting kernel.
+
+    The sum is symmetric, so the *build* side is whichever partition
+    already caches its key index or distinct keys (the right one when
+    both or neither do) and the other side's keys probe it.  Path
+    choice mirrors :func:`join_indices`: an uncached build side first
+    tries the positional table over its raw keys, which costs a
+    duplicate-free input no distinct pass at all; otherwise the table
+    holds the build side's distinct keys and every hit weighs that
+    key's repeat count, with a binary search over the sorted distinct
+    keys when their span fails :func:`_dense_span`.  Pairs are never
+    enumerated, so pair order — and with it the fused/loop distinction
+    — does not apply.
+
+    The probe is chunk-parallel like the pair-building probes; partial
+    counts are Python ints summed in chunk order, so the result does
+    not depend on worker count or chunk size.
+    """
+    if left.num_rows == 0 or right.num_rows == 0:
         return 0
-    sorted_right = np.sort(keys_right)
-    lo = np.searchsorted(sorted_right, keys_left, side="left")
-    hi = np.searchsorted(sorted_right, keys_left, side="right")
-    return int((hi - lo).sum())
+    build, keys_probe, cached = right, left.keys, right.has_key_cache()
+    if not cached and left.has_key_cache():
+        build, keys_probe, cached = left, right.keys, True
+    counts = None
+    built = None if cached else _dense_lookup(build.keys, build.num_rows)
+    if built is None:
+        distinct, counts = build.distinct_with_counts()
+        built = _dense_lookup(distinct, build.num_rows, distinct=True)
+    if built is None:
+
+        def probe(start: int, stop: int) -> int:
+            chunk = keys_probe[start:stop]
+            nearest = np.minimum(
+                np.searchsorted(distinct, chunk, side="left"), len(distinct) - 1
+            )
+            return int(counts[nearest][distinct[nearest] == chunk].sum())
+
+        return sum(_probe_chunks(probe, len(keys_probe)))
+    lookup, slots, base = built
+    span = len(lookup)
+    # On a duplicate-free build side (the raw-key table, or as many
+    # distinct keys as rows) every hit is exactly one output row.
+    hit_is_row = counts is None or len(counts) == build.num_rows
+
+    def probe(start: int, stop: int) -> int:
+        shifted = keys_probe[start:stop] - base
+        in_range = (shifted >= 0) & (shifted < span)
+        found = lookup[shifted[in_range]]
+        found = found[found >= 0]
+        return len(found) if hit_is_row else int(counts[found].sum())
+
+    try:
+        return sum(_probe_chunks(probe, len(keys_probe)))
+    finally:
+        lookup[slots] = -1
 
 
 def distinct_with_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

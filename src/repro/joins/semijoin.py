@@ -25,6 +25,7 @@ from ..exchange.gather import flush
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from .base import DistributedJoin, JoinSpec
+from .local import JoinCount
 
 __all__ = ["SemiJoinFilteredJoin"]
 
@@ -52,7 +53,7 @@ class SemiJoinFilteredJoin(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> list[LocalPartition] | list[JoinCount]:
         filter_r = self._broadcast_filters(cluster, table_r, profile, "R")
         filter_s = self._broadcast_filters(cluster, table_s, profile, "S")
 

@@ -158,6 +158,16 @@ class LocalPartition:
             self.invalidate_caches()
             self._cache_keys = self.keys
 
+    def has_key_cache(self) -> bool:
+        """True when the key index or the distinct keys are already cached.
+
+        A kernel that may build on either of two partitions (a join
+        count is symmetric) uses this to pick the side whose
+        :meth:`distinct_with_counts` is at most a boundary scan.
+        """
+        self._fresh_caches()
+        return self._distinct is not None or self._key_index is not None
+
     def key_index(self) -> KeyIndex:
         """The partition's sorted-key index, built once and cached.
 

@@ -190,6 +190,16 @@ def both_sides_pattern_workload(
     )
 
 
+def _frequency_dot(keys_r: np.ndarray, keys_s: np.ndarray, distinct_keys: int) -> int:
+    """Exact equi-join size of keys drawn from ``[0, distinct_keys)``."""
+    return int(
+        np.dot(
+            np.bincount(keys_r, minlength=distinct_keys),
+            np.bincount(keys_s, minlength=distinct_keys),
+        )
+    )
+
+
 def zipf_workload(
     num_nodes: int = 16,
     tuples_per_table: int = 200_000,
@@ -239,6 +249,7 @@ def zipf_workload(
         table_r=table_r,
         table_s=table_s,
         scale=1.0,
+        expected_output_rows=_frequency_dot(keys_r, keys_s, distinct_keys),
         notes=(
             f"{tuples_per_table} tuples per table over {distinct_keys} keys, "
             f"zipf skew {skew}"
@@ -312,6 +323,7 @@ def hot_key_workload(
         table_r=table_r,
         table_s=table_s,
         scale=1.0,
+        expected_output_rows=_frequency_dot(keys_r, keys_s, distinct_keys),
         notes=(
             f"{tuples_per_table} build tuples over {distinct_keys} keys, "
             f"zipf skew {skew}, {len(hot)} hot keys amplified on the probe side"

@@ -115,10 +115,11 @@ class TestRunAlgorithmsHelper:
 
     def test_output_row_mismatch_raises(self):
         from repro import GraceHashJoin
+        from repro.errors import WorkloadError
         from repro.experiments.figures import run_algorithms, _figure_spec
         from repro.workloads import unique_keys_workload
 
         workload = unique_keys_workload(scaled_tuples=1_000)
         workload.expected_output_rows = 999  # wrong on purpose
-        with pytest.raises(AssertionError):
+        with pytest.raises(WorkloadError, match="HJ on .*: 1000 rows, expected 999"):
             run_algorithms(workload, _figure_spec(), algorithms=[GraceHashJoin()])

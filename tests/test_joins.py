@@ -8,6 +8,9 @@ multisets must be identical on every input.
 
 from __future__ import annotations
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,8 @@ from repro.joins import (
     SemiJoinFilteredJoin,
     TrackingAwareHashJoin,
 )
+from repro.joins.registry import algorithm_names, create
+from repro.workloads import hot_key_workload
 
 from conftest import assert_same_output, canonical_output, make_tables
 
@@ -220,14 +225,77 @@ class TestJoinConfig:
             GraceHashJoin().run(other, table_r, table_s)
 
     def test_materialize_false_keeps_counts(self, small_cluster, small_tables):
-        table_r, table_s = small_tables
+        """Counting runs equal materialized ones in everything but rows.
+
+        Every registry operator and the semi-join wrapper, without and
+        with hot keys: no output kept, the same row count (the
+        generator's, where it states one), and byte-identical traffic
+        and profile steps — the steps carry every modelled second, so
+        they pin ``tj4_modelled_s``.
+        """
+        hot = hot_key_workload(num_nodes=8, tuples_per_table=4_000, distinct_keys=400)
+        assert hot.expected_output_rows == 535_298
+        inputs = {
+            "small": (small_cluster, *small_tables, None),
+            "hot": (hot.cluster, hot.table_r, hot.table_s, hot.expected_output_rows),
+        }
+
+        def fingerprint(result):
+            return (
+                result.output_rows,
+                result.traffic.by_class,
+                result.traffic.by_link,
+                [
+                    (step.name, step.kind, step.rate_class, step.per_node_bytes.tobytes())
+                    for step in result.profile.steps
+                ],
+            )
+
+        operators = {name: partial(create, name) for name in algorithm_names()}
+        operators["BF+4TJ"] = lambda: SemiJoinFilteredJoin(create("4TJ"))
+        for label, (cluster, table_r, table_s, expected_rows) in inputs.items():
+            for name, make in operators.items():
+                for workers in (1, 4) if name in ("HJ", "4TJ") else (1,):
+                    cluster.set_workers(workers)
+                    try:
+                        full = make().run(cluster, table_r, table_s)
+                        lean = make().run(
+                            cluster, table_r, table_s, JoinSpec(materialize=False)
+                        )
+                    finally:
+                        cluster.set_workers(1)
+                    context = f"{name} on {label}, {workers} worker(s)"
+                    assert lean.output is None, context
+                    assert fingerprint(lean) == fingerprint(full), context
+                    if expected_rows is not None:
+                        assert lean.output_rows == expected_rows, context
+                    with pytest.raises(JoinConfigError):
+                        lean.gathered_output()
+
+    def test_materialize_false_memory_is_bounded_by_the_input(self):
+        """A counting run never allocates in proportion to its output.
+
+        1.3 MB of keys join to 18.7 M rows (0.6 GB materialized); a
+        warmed counting run of the hash join, the 4-phase track joins
+        and both broadcast joins — whose replicated table is the same
+        1.3 MB here — stays under 32 MB.
+        """
+        workload = hot_key_workload(16, 40_000, 4_000, skew=1.2)
+        assert workload.expected_output_rows == 18_693_055
         spec = JoinSpec(materialize=False)
-        lean = GraceHashJoin().run(small_cluster, table_r, table_s, spec)
-        full = GraceHashJoin().run(small_cluster, table_r, table_s)
-        assert lean.output is None
-        assert lean.output_rows == full.output_rows
-        with pytest.raises(JoinConfigError):
-            lean.gathered_output()
+        for name in ("HJ", "4TJ", "4TJ-bal", "4TJ-shard", "BJ-R", "BJ-S"):
+            operator = create(name)
+            operator.run(workload.cluster, workload.table_r, workload.table_s, spec)
+            tracemalloc.start()
+            try:
+                result = operator.run(
+                    workload.cluster, workload.table_r, workload.table_s, spec
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.output_rows == workload.expected_output_rows, name
+            assert peak < 32 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
 
     def test_invalid_broadcast_side(self):
         with pytest.raises(ValueError):

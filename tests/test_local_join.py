@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.joins.local import (
+    JoinCount,
+    _reference_join,
     distinct_with_counts,
     join_indices,
     join_cardinality,
     local_join,
     match_mask,
 )
+from repro.parallel.chunks import kernel_config
 from repro.storage import LocalPartition
 
 
@@ -60,6 +63,72 @@ class TestJoinIndices:
         right = np.array(right_raw, dtype=np.int64)
         li, _ = join_indices(left, right)
         assert join_cardinality(left, right) == len(li)
+
+
+#: (left domain, right domain) per input shape of the counting property.
+_KEY_SHAPES = {
+    "dense": (st.integers(0, 40),) * 2,
+    "negative": (st.integers(-30, 10),) * 2,
+    "sparse": (st.integers(0, 11).map(lambda k: k * 10**9),) * 2,
+    "62-bit": (
+        st.integers(0, 20).map(lambda k: (1 << 62) - k)
+        | st.sampled_from([-(1 << 62), 1 << 61]),
+    )
+    * 2,
+    "disjoint-range": (st.integers(0, 40), st.integers(1_000, 1_040)),
+    "one-key": (st.just(7),) * 2,
+}
+
+
+@st.composite
+def key_sides(draw):
+    """Two key arrays of one shape, each side unique or with duplicates."""
+    domain_left, domain_right = _KEY_SHAPES[draw(st.sampled_from(sorted(_KEY_SHAPES)))]
+    sides = [
+        draw(st.lists(domain, max_size=40, unique=draw(st.booleans())))
+        for domain in (domain_left, domain_right)
+    ]
+    return tuple(np.array(side, dtype=np.int64) for side in sides)
+
+
+def numpy_cardinality(keys_left, keys_right):
+    distinct_l, counts_l = np.unique(keys_left, return_counts=True)
+    distinct_r, counts_r = np.unique(keys_right, return_counts=True)
+    _, in_l, in_r = np.intersect1d(
+        distinct_l, distinct_r, assume_unique=True, return_indices=True
+    )
+    return int(np.dot(counts_l[in_l], counts_r[in_r]))
+
+
+class TestCountingKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key_sides(),
+        st.sampled_from([(), ("left",), ("right",), ("left", "right")]),
+        st.sampled_from(["key_index", "distinct_with_counts"]),
+    )
+    @example((np.empty(0, dtype=np.int64), np.array([1, 1, 2])), ("right",), "key_index")
+    @example((np.empty(0, dtype=np.int64),) * 2, (), "key_index")
+    def test_count_matches_every_reference(self, sides, cached, cache_kind):
+        keys = dict(zip(("left", "right"), sides))
+
+        def count(first, second):
+            parts = {side: LocalPartition(keys=keys[side]) for side in (first, second)}
+            for side in cached:
+                getattr(parts[side], cache_kind)()
+            joined = local_join(parts[first], parts[second], materialize=False)
+            assert isinstance(joined, JoinCount)
+            return joined.num_rows
+
+        expected = len(join_indices(keys["left"], keys["right"])[0])
+        assert len(_reference_join(keys["left"], keys["right"])[0]) == expected
+        assert numpy_cardinality(keys["left"], keys["right"]) == expected
+        assert join_cardinality(keys["left"], keys["right"]) == expected
+        assert count("left", "right") == expected
+        assert count("right", "left") == expected
+        with kernel_config(workers=2, chunk_rows=2):
+            assert count("left", "right") == expected
+            assert count("right", "left") == expected
 
 
 class TestLocalJoin:

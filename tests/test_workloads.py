@@ -197,6 +197,21 @@ class TestWorkloadY:
             workload_y(ordering="sorted")
 
 
+@pytest.mark.parametrize("generator", ["zipf_workload", "hot_key_workload"])
+def test_skew_generators_state_their_cardinality(generator):
+    """``expected_output_rows`` equals a brute-force pair count."""
+    import repro.workloads
+
+    wl = getattr(repro.workloads, generator)(
+        num_nodes=4, tuples_per_table=300, distinct_keys=20, skew=1.2, seed=5
+    )
+    keys_r = wl.table_r.all_keys().tolist()
+    keys_s = wl.table_s.all_keys().tolist()
+    brute = sum(1 for key_r in keys_r for key_s in keys_s if key_r == key_s)
+    assert brute > len(keys_r)  # duplicates on both sides
+    assert wl.expected_output_rows == brute
+
+
 class TestZipfWorkload:
     def test_skew_zero_is_uniform(self):
         from repro.workloads import zipf_workload
