@@ -7,11 +7,15 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Exchange-layer gate: lint the communication primitives, then run
-# their unit tests plus the golden-equivalence suite that pins every
-# operator's traffic ledger byte-for-byte.
+# their unit tests, the placement/scatter tests and the
+# golden-equivalence suite that pins every operator's traffic ledger
+# byte-for-byte — once as is, once with 2 workers over 64-row kernel
+# chunks, so the chunk-merged grouping runs on inputs this small.
+EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test_storage.py
 test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
-	$(PYTHON) -m pytest tests/test_exchange.py tests/test_exchange_golden.py -q
+	$(PYTHON) -m pytest $(EXCHANGE_TESTS) -q
+	REPRO_WORKERS=2 REPRO_KERNEL_CHUNK_ROWS=64 $(PYTHON) -m pytest $(EXCHANGE_TESTS) -q
 
 # Chaos gate: the fault-injection unit suite, then the full matrix —
 # every registry operator, a small seed set, serial and threaded —

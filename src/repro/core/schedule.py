@@ -327,8 +327,11 @@ def _both_direction_costs_paired(
         tn = t_nodes[lo:hi]
 
         size_r_a, size_s_a = size_r[a], size_s[a]
-        size_r_b = np.where(two, size_r[b], 0.0)
-        size_s_b = np.where(two, size_s[b], 0.0)
+        # Sizes are count x width — finite and >= 0 — so masking by
+        # multiplication equals np.where(mask, x, 0.0) bit for bit
+        # (x * 1.0 == x, x * 0.0 == +0.0) without its select pass.
+        size_r_b = size_r[b] * two
+        size_s_b = size_s[b] * two
         has_r_a, has_s_a = size_r_a > 0, size_s_a > 0
         has_r_b, has_s_b = size_r_b > 0, size_s_b > 0
         nodes_a, nodes_b = nodes[a], nodes[b]
@@ -343,8 +346,8 @@ def _both_direction_costs_paired(
         s_holders = has_s_a.astype(np.int8) + has_s_b
         r_nodes = (has_r_a & ns_a).astype(np.int8) + (has_r_b & ns_b)
         s_nodes = (has_s_a & ns_a).astype(np.int8) + (has_s_b & ns_b)
-        r_local = np.where(has_s_a, size_r_a, 0.0) + np.where(has_s_b, size_r_b, 0.0)
-        s_local = np.where(has_r_a, size_s_a, 0.0) + np.where(has_r_b, size_s_b, 0.0)
+        r_local = size_r_a * has_s_a + size_r_b * has_s_b
+        s_local = size_s_a * has_r_a + size_s_b * has_r_b
         cost_rs[lo:hi] = r_all * s_holders - r_local + r_nodes * s_holders * lw
         cost_sr[lo:hi] = s_all * r_holders - s_local + s_nodes * r_holders * lw
         if not allow_migration:

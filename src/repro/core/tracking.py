@@ -269,7 +269,8 @@ def _group_columns(order, is_new, columns, sizes, r_entries):
     else:
         first = order
     size_first = sizes[first]
-    size_r = np.where(first < r_entries, size_first, 0.0)
+    # Sizes are finite and >= 0, so the product is the size or +0.0.
+    size_r = size_first * (first < r_entries)
     size_s = size_first - size_r  # exactly the size or 0.0
     if len(starts) < len(order):
         # Two-entry groups: the j-th second entry follows j earlier

@@ -13,7 +13,10 @@ in :mod:`repro.exchange` package those patterns as first-class
   (``rows × width``) under a :class:`~repro.cluster.network.MessageClass`;
 - :func:`send_split` — the per-destination batch list produced by
   ``LocalPartition.split_by``/``hash_split`` sent as one message per
-  destination, with the accounting for each.
+  destination, with the accounting for each;
+- :func:`group_by_link` / :func:`matched_batches` — the directed
+  exchanges' translation of (holder, destination, key) instruction
+  pairs into per-destination batches of each holder's matching tuples.
 
 All sends go through :meth:`Network.send`, so inside an open cluster
 phase they are staged in the calling task's
@@ -25,12 +28,23 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
+from ..fastpath import fused_enabled
+from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
+from ..util import group_bounded
 
-__all__ = ["account_transfer", "send_rows", "send_split"]
+__all__ = [
+    "account_transfer",
+    "send_rows",
+    "send_split",
+    "group_by_link",
+    "matched_batches",
+]
 
 
 def account_transfer(
@@ -102,3 +116,43 @@ def send_split(
         account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
         sent.append((dst, nbytes))
     return sent
+
+
+def group_by_link(
+    holders: np.ndarray, dests: np.ndarray, keys: np.ndarray, num_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group instruction pairs by ``link = holder * num_nodes + destination``.
+
+    Returns the pair keys in link order (stable: a link's pairs keep
+    their input order) and a ``(num_nodes, num_nodes + 1)`` offsets
+    table: holder ``h``'s pairs are the contiguous run
+    ``edges[h, 0] : edges[h, -1]``, already in destination order, with
+    destination ``d``'s pairs at ``edges[h, d] : edges[h, d + 1]`` — the
+    row :func:`matched_batches` cuts at.  Links are in range because
+    both ids are nodes of the cluster.
+    """
+    links = np.asarray(holders, dtype=np.int64) * num_nodes + dests
+    order, bounds = group_bounded(links, num_nodes * num_nodes)
+    edges = bounds[np.add.outer(np.arange(num_nodes) * num_nodes, np.arange(num_nodes + 1))]
+    return keys[order], edges
+
+
+def matched_batches(
+    local: LocalPartition, link_keys: np.ndarray, edges: np.ndarray
+) -> tuple[np.ndarray, list[LocalPartition | None] | None]:
+    """One holder's matching rows and their per-destination batch list.
+
+    ``edges`` is the holder's row of :func:`group_by_link`'s offsets
+    table.  The holder's pairs are in destination order and
+    ``join_indices`` emits ascending pair positions, so the matched rows
+    leave the probe already grouped by destination: one gather, then one
+    view per destination, each batch in pair order.  The batch list is
+    ``None`` when nothing matches.
+    """
+    right_partition = local if fused_enabled() and local.num_rows else None
+    pair_pos, rows = join_indices(
+        link_keys[edges[0] : edges[-1]], local.keys, right_partition=right_partition
+    )
+    if len(rows) == 0:
+        return rows, None
+    return rows, local.take(rows).cut(np.searchsorted(pair_pos, edges - edges[0]))

@@ -20,8 +20,8 @@ from ..fastpath import fused_enabled
 from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from ..util import stable_argsort_bounded
-from .base import send_split
+from ..util import group_bounded
+from .base import group_by_link, matched_batches, send_split
 
 __all__ = ["Migrate", "ShardedMigrate"]
 
@@ -64,50 +64,27 @@ class Migrate:
         node's entry is replaced by its kept remainder; arrivals are
         absorbed later at the consolidation barrier.
         """
-        if fused_enabled():
-            # One radix sort splits the instructions by holder instead
-            # of one boolean scan per distinct holder; stability keeps
-            # each holder's instructions in the identical order.
-            order = stable_argsort_bounded(nodes, cluster.num_nodes)
-            bounds = np.searchsorted(nodes[order], np.arange(cluster.num_nodes + 1))
-            node_groups = [
-                (node, order[bounds[node] : bounds[node + 1]])
-                for node in range(cluster.num_nodes)
-                if bounds[node + 1] > bounds[node]
-            ]
-        else:
-            node_groups = [
-                (int(node), np.flatnonzero(nodes == node)) for node in np.unique(nodes)
-            ]
+        link_keys, edges = group_by_link(nodes, dests, keys, cluster.num_nodes)
+        migrating = np.flatnonzero(edges[:, -1] > edges[:, 0]).tolist()
 
-        def migrate_holder(group: int) -> None:
-            node, rows_sel = node_groups[group]
-            keys_here = keys[rows_sel]
-            dest_here = dests[rows_sel]
+        def migrate_holder(task: int) -> None:
+            node = migrating[task]
             local = holders[node]
-            right_partition = local if fused_enabled() and local.num_rows else None
-            pair_pos, rows = join_indices(
-                keys_here, local.keys, right_partition=right_partition
-            )
-            if len(rows) == 0:
+            rows, batches = matched_batches(local, link_keys, edges[node])
+            if batches is None:
                 return
-            destinations = dest_here[pair_pos]
             keep = np.ones(local.num_rows, dtype=bool)
             keep[rows] = False
-            batches = local.split_by(destinations, cluster.num_nodes, rows=rows)
             holders[node] = local.take(np.flatnonzero(keep))
             send_split(
-                cluster, profile, self.category, int(node), batches, self.width,
+                cluster, profile, self.category, node, batches, self.width,
                 self.transfer_step, self.copy_step,
             )
 
         # Crash recovery must know which node each task simulates: this
         # phase runs one task per *instructed holder*, not per node.
         cluster.run_phase(
-            migrate_holder,
-            tasks=len(node_groups),
-            profile=profile,
-            task_nodes=[node for node, _ in node_groups],
+            migrate_holder, tasks=len(migrating), profile=profile, task_nodes=migrating
         )
 
 
@@ -147,54 +124,40 @@ class ShardedMigrate:
         mutated in place like :meth:`Migrate.run`; a destination that is
         the holder itself keeps its deal as a local copy.
         """
-        order = np.argsort(nodes, kind="stable")
-        bounds = np.searchsorted(nodes[order], np.arange(cluster.num_nodes + 1))
-        node_groups = [
-            (node, order[bounds[node] : bounds[node + 1]])
-            for node in range(cluster.num_nodes)
-            if bounds[node + 1] > bounds[node]
-        ]
+        order, bounds = group_bounded(nodes, cluster.num_nodes)
+        sharding = np.flatnonzero(np.diff(bounds)).tolist()
 
-        def shard_holder(group: int) -> None:
-            node, instr_sel = node_groups[group]
-            keys_here = keys[instr_sel]
+        def shard_holder(task: int) -> None:
+            node = sharding[task]
+            instr_sel = order[bounds[node] : bounds[node + 1]]
             local = holders[node]
             right_partition = local if fused_enabled() and local.num_rows else None
             pair_pos, rows = join_indices(
-                keys_here, local.keys, right_partition=right_partition
+                keys[instr_sel], local.keys, right_partition=right_partition
             )
             if len(rows) == 0:
                 return
-            # Group the matched rows by instruction, keeping their
-            # relative order, then deal each group cyclically over its
-            # destination list.
-            grouping = np.argsort(pair_pos, kind="stable")
-            grouped_pos = pair_pos[grouping]
-            group_starts = np.flatnonzero(
-                np.r_[True, grouped_pos[1:] != grouped_pos[:-1]]
+            # join_indices emits ascending left positions, so the matched
+            # rows are already grouped by instruction in their relative
+            # order: deal each group cyclically over its destination list.
+            group_starts = np.flatnonzero(np.r_[True, pair_pos[1:] != pair_pos[:-1]])
+            within = np.arange(len(pair_pos)) - np.repeat(
+                group_starts, np.diff(np.append(group_starts, len(pair_pos)))
             )
-            within = np.arange(len(grouped_pos)) - np.repeat(
-                group_starts, np.diff(np.append(group_starts, len(grouped_pos)))
-            )
-            instr = instr_sel[grouped_pos]
+            instr = instr_sel[pair_pos]
             num_dests = (dest_offsets[instr + 1] - dest_offsets[instr]).astype(
                 np.int64
             )
             destinations = dest_nodes[dest_offsets[instr] + within % num_dests]
             keep = np.ones(local.num_rows, dtype=bool)
             keep[rows] = False
-            batches = local.split_by(
-                destinations, cluster.num_nodes, rows=rows[grouping]
-            )
+            batches = local.split_by(destinations, cluster.num_nodes, rows=rows)
             holders[node] = local.take(np.flatnonzero(keep))
             send_split(
-                cluster, profile, self.category, int(node), batches, self.width,
+                cluster, profile, self.category, node, batches, self.width,
                 self.transfer_step, self.copy_step,
             )
 
         cluster.run_phase(
-            shard_holder,
-            tasks=len(node_groups),
-            profile=profile,
-            task_nodes=[node for node, _ in node_groups],
+            shard_holder, tasks=len(sharding), profile=profile, task_nodes=sharding
         )

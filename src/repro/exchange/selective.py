@@ -17,12 +17,9 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
-from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from ..util import stable_argsort_bounded
-from .base import send_split
+from .base import group_by_link, matched_batches, send_split
 
 __all__ = ["SelectiveBroadcast"]
 
@@ -67,43 +64,26 @@ class SelectiveBroadcast:
 
         ``pair_src``/``pair_dst``/``pair_key`` are parallel arrays of
         location pairs: the holder node, the destination node, and the
-        key whose tuples move.  Pairs are grouped by holder with one
-        stable sort so every holder's pairs keep their global order.
+        key whose tuples move.  Pairs are grouped once by (holder,
+        destination) link, so every link's pairs keep their global order.
         """
-        num_nodes = cluster.num_nodes
-        if fused_enabled():
-            order = stable_argsort_bounded(pair_src, num_nodes)
-        else:
-            order = np.argsort(pair_src, kind="stable")
-        bounds = np.searchsorted(pair_src[order], np.arange(num_nodes + 1))
+        link_keys, edges = group_by_link(pair_src, pair_dst, pair_key, cluster.num_nodes)
 
         def broadcast_holder(src: int) -> None:
-            rows = order[bounds[src] : bounds[src + 1]]
-            if len(rows) == 0:
+            num_pairs = int(edges[src, -1] - edges[src, 0])
+            if num_pairs == 0:
                 return
-            keys_here = pair_key[rows]
-            dst_here = pair_dst[rows]
-            local = sources[src]
-            right_partition = local if fused_enabled() and local.num_rows else None
-            pair_pos, local_rows = join_indices(
-                keys_here, local.keys, right_partition=right_partition
-            )
+            local_rows, batches = matched_batches(sources[src], link_keys, edges[src])
             profile.add_cpu_at(
                 self.translate_step,
                 "merge",
                 src,
-                len(rows) * self.match_width + len(local_rows) * self.width,
+                num_pairs * self.match_width + len(local_rows) * self.width,
             )
-            if len(local_rows) == 0:
-                return
-            # One gather routes the matched tuples straight to their
-            # destination slices — no per-destination take() copies and
-            # no intermediate full materialization of the matched batch.
-            destinations = dst_here[pair_pos]
-            batches = local.split_by(destinations, num_nodes, rows=local_rows)
-            send_split(
-                cluster, profile, self.category, src, batches, self.width,
-                self.transfer_step, self.copy_step,
-            )
+            if batches is not None:
+                send_split(
+                    cluster, profile, self.category, src, batches, self.width,
+                    self.transfer_step, self.copy_step,
+                )
 
         cluster.run_phase(broadcast_holder, profile=profile)

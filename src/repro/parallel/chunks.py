@@ -341,12 +341,13 @@ def chunked_argsort_bounded(
     def scatter(chunk_id: int):
         start = slices[chunk_id][0]
         order_c, counts_c = parts[chunk_id]
-        local_start = np.concatenate(([0], np.cumsum(counts_c)[:-1]))
-        for value in np.flatnonzero(counts_c):
-            dst = int(run_start[chunk_id, value])
-            lo = int(local_start[value])
-            width = int(counts_c[value])
-            out[dst : dst + width] = order_c[lo : lo + width] + start
+        # Sorted position j of the chunk lies in its value's run, which
+        # moves from local_start[v] to run_start[chunk, v]: one shift per
+        # run, applied to all rows at once (cost independent of upper).
+        local_start = np.cumsum(counts_c) - counts_c
+        target = np.repeat(run_start[chunk_id] - local_start, counts_c)
+        target += np.arange(len(order_c))
+        out[target] = order_c + start
 
     run_chunks(scatter, range(len(slices)))
     return out, totals

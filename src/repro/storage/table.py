@@ -15,21 +15,18 @@ encoding, which is what the traffic ledger accounts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
 from ..errors import PlacementError, SchemaError
 from ..fastpath import fused_enabled
-from ..parallel.chunks import (
-    chunked_argsort_bounded,
-    chunked_build,
-    chunked_gather,
-)
+from ..parallel.chunks import chunked_build, chunked_gather
 from ..util import (
+    group_bounded,
     hash_partition,
     segment_boundaries,
     segment_count,
-    stable_argsort_bounded,
     stable_sort_with_order,
 )
 from .schema import Schema
@@ -232,11 +229,8 @@ class LocalPartition:
         plan = self._scatter_plans.get((num_buckets, seed))
         if plan is None:
             # Every stage is chunk-parallel when kernel workers are on
-            # (elementwise hash, gathers, counting-merged argsort) and
-            # bit-identical to the serial composition either way; the
-            # bucket bounds fall out of the destination counts, which
-            # equal the searchsorted offsets over the sorted
-            # destinations.
+            # (elementwise hash, gathers, counting-merged grouping) and
+            # bit-identical to the serial composition either way.
             destinations = chunked_build(
                 lambda start, stop: hash_partition(
                     self.keys[start:stop], num_buckets, seed
@@ -246,11 +240,8 @@ class LocalPartition:
             )
             key_order = self.key_index().order
             routed = chunked_gather(destinations, key_order)
-            inner, counts = chunked_argsort_bounded(
-                routed, num_buckets, stable_argsort_bounded
-            )
+            inner, bounds = group_bounded(routed, num_buckets)
             order = chunked_gather(key_order, inner)
-            bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
             plan = ScatterPlan(destinations=destinations, order=order, bounds=bounds)
             self._scatter_plans[(num_buckets, seed)] = plan
         return plan
@@ -267,8 +258,7 @@ class LocalPartition:
         if plan is None:
             distinct, _ = self.distinct_with_counts()
             destinations = hash_partition(distinct, num_buckets, seed)
-            order = stable_argsort_bounded(destinations, num_buckets)
-            bounds = np.searchsorted(destinations[order], np.arange(num_buckets + 1))
+            order, bounds = group_bounded(destinations, num_buckets)
             plan = ScatterPlan(destinations=destinations, order=order, bounds=bounds)
             self._scatter_plans[("distinct", num_buckets, seed)] = plan
         return plan
@@ -280,6 +270,18 @@ class LocalPartition:
             columns={name: values[start:stop] for name, values in self.columns.items()},
         )
 
+    def cut(self, bounds: np.ndarray) -> list["LocalPartition | None"]:
+        """Per-bucket views of rows already grouped by bucket.
+
+        Bucket ``b`` is rows ``bounds[b]:bounds[b + 1]`` (no copy);
+        ``None`` marks an empty bucket — the batch-list shape
+        :func:`repro.exchange.base.send_split` sends.
+        """
+        return [
+            self._slice(lo, hi) if hi > lo else None
+            for lo, hi in pairwise(bounds.tolist())
+        ]
+
     def split_by(
         self,
         destinations: np.ndarray,
@@ -289,9 +291,9 @@ class LocalPartition:
         """Scatter rows to ``num_buckets`` groups; ``None`` marks empty ones.
 
         ``destinations[i]`` routes row ``rows[i]`` (or row ``i`` when
-        ``rows`` is omitted).  The fused path performs one bounded-dtype
-        stable argsort (chunk-parallel when kernel workers are on) and a
-        single gather, then slices the result per bucket; the loop path
+        ``rows`` is omitted).  The fused path groups once
+        (:func:`~repro.util.group_bounded`), gathers once, and cuts the
+        result into per-bucket views; the loop path
         materializes one ``take()`` copy per bucket (the reference the
         equivalence suite compares against).  Each bucket holds the same
         rows in the same order either way.
@@ -306,17 +308,8 @@ class LocalPartition:
                 else None
                 for dst in range(num_buckets)
             ]
-        order, counts = chunked_argsort_bounded(
-            destinations, num_buckets, stable_argsort_bounded
-        )
-        bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        gathered = self.take(order if rows is None else chunked_gather(rows, order))
-        return [
-            gathered._slice(bounds[dst], bounds[dst + 1])
-            if bounds[dst + 1] > bounds[dst]
-            else None
-            for dst in range(num_buckets)
-        ]
+        order, bounds = group_bounded(destinations, num_buckets)
+        return self.take(order if rows is None else chunked_gather(rows, order)).cut(bounds)
 
     def hash_split(self, num_buckets: int, seed: int = 0) -> list["LocalPartition | None"]:
         """Scatter rows by key hash (the Grace repartitioning primitive).
@@ -329,13 +322,7 @@ class LocalPartition:
             destinations = hash_partition(self.keys, num_buckets, seed)
             return self.split_by(destinations, num_buckets)
         plan = self.hash_scatter_plan(num_buckets, seed)
-        gathered = self.take(plan.order)
-        return [
-            gathered._slice(plan.bounds[dst], plan.bounds[dst + 1])
-            if plan.bounds[dst + 1] > plan.bounds[dst]
-            else None
-            for dst in range(num_buckets)
-        ]
+        return self.take(plan.order).cut(plan.bounds)
 
     @staticmethod
     def empty(column_names: tuple[str, ...] = ()) -> "LocalPartition":
@@ -419,9 +406,15 @@ class DistributedTable:
         node_of_row:
             Destination node of every row; values in ``[0, num_nodes)``.
         columns:
-            Optional payload columns, same length as ``keys``.  When
-            omitted a single ``rid`` column is synthesized so the join
-            output remains verifiable row-by-row.
+            Optional payload columns, same length as ``keys`` (else
+            :class:`~repro.errors.SchemaError`).  When omitted a single
+            ``rid`` column is synthesized so the join output remains
+            verifiable row-by-row.
+
+        Placement is one :meth:`LocalPartition.split_by` of the whole
+        table: a node's partition is a view into one gathered array per
+        column, and a node that receives nothing gets zero-row views, so
+        every column keeps its dtype on every node.
         """
         keys = np.asarray(keys, dtype=np.int64)
         node_of_row = np.asarray(node_of_row, dtype=np.int64)
@@ -435,16 +428,12 @@ class DistributedTable:
             )
         if columns is None:
             columns = {"rid": np.arange(len(keys), dtype=np.int64)}
-        order = np.argsort(node_of_row, kind="stable")
-        sorted_nodes = node_of_row[order]
-        boundaries = np.searchsorted(sorted_nodes, np.arange(num_nodes + 1))
-        partitions = []
-        for node in range(num_nodes):
-            rows = order[boundaries[node] : boundaries[node + 1]]
-            partitions.append(
-                LocalPartition(
-                    keys=keys[rows],
-                    columns={cname: cvals[rows] for cname, cvals in columns.items()},
-                )
-            )
+        # The range check above must precede the scatter: grouping narrows
+        # the node ids.  dict(): __post_init__ rebinds the entries and
+        # must not write into the caller's dict.
+        whole = LocalPartition(keys=keys, columns=dict(columns))
+        partitions = [
+            part if part is not None else whole._slice(0, 0)
+            for part in whole.split_by(node_of_row, num_nodes)
+        ]
         return cls(name, schema, partitions)

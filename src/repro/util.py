@@ -16,6 +16,7 @@ from .errors import ValidationError
 __all__ = [
     "hash_partition",
     "mix64",
+    "group_bounded",
     "stable_argsort_auto",
     "stable_argsort_bounded",
     "sort_with_index_bits",
@@ -97,6 +98,34 @@ def stable_argsort_bounded(values: np.ndarray, upper: int) -> np.ndarray:
     if upper <= (1 << 32):
         return np.argsort(values.astype(np.uint32), kind="stable")
     return np.argsort(values, kind="stable")
+
+
+def group_bounded(values: np.ndarray, upper: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by a small integer id: ``(order, bounds)``.
+
+    ``order`` is ``np.argsort(values, kind="stable")`` and ``bounds`` has
+    ``upper + 1`` offsets, ``bounds[b]`` counting the values below ``b``:
+    bucket ``b``'s rows, in input order, are
+    ``order[bounds[b]:bounds[b + 1]]``.  The offsets come from the bucket
+    counts the chunk-parallel radix sort already takes, so neither the
+    sorted values nor a search over them is ever built; the result is
+    bit-identical for any kernel worker count or chunk size.
+
+    Precondition: every value is an integer in ``[0, upper)``.  The sort
+    narrows to uint8/uint16/uint32, so an out-of-range value would wrap
+    silently into a wrong bucket — validate outside input first.  The
+    offsets table is dense (``N**2 + 1`` entries for the link grouping
+    of an ``N``-node exchange), hence the cap on ``upper``.
+    """
+    # Imported lazily for the same reason as in sort_with_index_bits.
+    from .parallel import chunks
+
+    if upper > (1 << 24):
+        raise ValidationError(f"cannot group into {upper} buckets (limit 2**24)")
+    order, counts = chunks.chunked_argsort_bounded(values, upper, stable_argsort_bounded)
+    bounds = np.zeros(upper + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return order, bounds
 
 
 def stable_argsort_auto(values: np.ndarray) -> np.ndarray:

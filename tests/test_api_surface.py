@@ -123,3 +123,23 @@ class TestRunAlgorithmsHelper:
         workload.expected_output_rows = 999  # wrong on purpose
         with pytest.raises(WorkloadError, match="HJ on .*: 1000 rows, expected 999"):
             run_algorithms(workload, _figure_spec(), algorithms=[GraceHashJoin()])
+
+
+class TestGroupingIdiom:
+    """Rows are grouped by ``repro.util.group_bounded`` and nowhere else."""
+
+    #: The loop-mode reference bodies (``split_by``, ``run_tracking_phase``
+    #: and ``KeyShuffle.scatter``), which go when loop mode does.
+    ALLOWED = {"core/tracking.py": 1, "exchange/shuffle.py": 1, "storage/table.py": 1}
+
+    def test_argsort_searchsorted_grouping_is_not_hand_rolled(self):
+        import re
+        from pathlib import Path
+
+        idiom = re.compile(r"searchsorted\(\s*[\w.]+\[order\],\s*np\.arange\(")
+        root = Path(repro.__file__).parent
+        found = {
+            path.relative_to(root).as_posix(): len(idiom.findall(path.read_text()))
+            for path in root.rglob("*.py")
+        }
+        assert {name: hits for name, hits in found.items() if hits} == self.ALLOWED

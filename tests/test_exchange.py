@@ -10,17 +10,21 @@ intact when an operator drains only the class it consumes.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import Cluster
 from repro.cluster.network import MessageClass
 from repro.exchange import (
     Gather,
+    Migrate,
+    SelectiveBroadcast,
     drain_category,
     drain_payloads,
     flush,
     replicate_size,
     send_rows,
 )
+from repro.parallel import kernel_config
 from repro.storage import LocalPartition
 from repro.timing.profile import ExecutionProfile
 
@@ -189,3 +193,216 @@ class TestAccountingPrimitives:
         assert all(src == 1 and dst != 1 for (src, dst) in ledger.by_link)
         flush(cluster)
         assert cluster.network.pending_messages() == 0
+
+
+# -- SelectiveBroadcast / Migrate as operators ---------------------------
+
+_WIDTH = 12.0
+_MATCH_WIDTH = 5.0
+
+
+def _selective():
+    return SelectiveBroadcast(
+        MessageClass.R_TUPLES, _WIDTH, _MATCH_WIDTH, "Transfer", "Local copy", "Translate"
+    )
+
+
+def _migrate():
+    return Migrate(MessageClass.S_TUPLES, _WIDTH, "Transfer", "Local copy")
+
+
+def _holder(node, keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    return LocalPartition(
+        keys=keys,
+        columns={
+            "rid": 100 * node + np.arange(len(keys)),
+            "w": 0.5 * np.arange(len(keys)),
+        },
+    )
+
+
+def _random_case(seed, num_nodes):
+    """Holders with duplicate keys plus random (holder, dst, key) pairs.
+
+    Keys 12..15 are never held, one holder gets no pairs (when there is
+    more than one) and one holder is empty; self-sends and several
+    destinations per key occur by chance.
+    """
+    rng = np.random.default_rng(seed)
+    holders = [
+        _holder(node, rng.integers(0, 12, rng.integers(0, 30)))
+        for node in range(num_nodes)
+    ]
+    holders[-1] = _holder(num_nodes - 1, [])
+    num_pairs = int(rng.integers(1, 80))
+    src = rng.integers(0, num_nodes, num_pairs)
+    if num_nodes > 1:
+        src[src == 1] = 0
+    return holders, src, rng.integers(0, num_nodes, num_pairs), rng.integers(0, 16, num_pairs)
+
+
+def _expected_rows(holders, src, dst, key):
+    """Per-pair loop: holder row positions shipped over every (src, dst) link."""
+    shipped: dict[tuple[int, int], list[int]] = {}
+    for s, d, k in zip(src.tolist(), dst.tolist(), key.tolist()):
+        matches = np.flatnonzero(holders[s].keys == k).tolist()
+        if matches:
+            shipped.setdefault((s, d), []).extend(matches)
+    return shipped
+
+
+def _assert_delivered(cluster, sources, expected):
+    """One message per expected link, rows and columns in loop order."""
+    seen = set()
+    for node in range(cluster.num_nodes):
+        inbox = cluster.network.deliver(node)
+        assert [m.src for m in inbox] == sorted(m.src for m in inbox)
+        for message in inbox:
+            link = (message.src, message.dst)
+            assert link not in seen and message.dst == node
+            seen.add(link)
+            rows = expected[link]
+            assert message.nbytes == len(rows) * _WIDTH
+            source = sources[message.src]
+            assert np.array_equal(message.payload.keys, source.keys[rows])
+            assert list(message.payload.columns) == list(source.columns)
+            for name, values in source.columns.items():
+                shipped = message.payload.columns[name]
+                assert shipped.dtype == values.dtype
+                assert np.array_equal(shipped, values[rows])
+    assert seen == set(expected)
+
+
+@pytest.fixture(params=[None, (2, 2)], ids=["serial", "chunked"])
+def kernel_mode(request):
+    """Default kernels, then 2 kernel workers over 2-row chunks."""
+    if request.param is None:
+        yield
+    else:
+        with kernel_config(workers=request.param[0], chunk_rows=request.param[1]):
+            yield
+
+
+@pytest.mark.usefixtures("kernel_mode")
+class TestDirectedExchanges:
+    @pytest.mark.parametrize("num_nodes", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_selective_broadcast_matches_pair_loop(self, num_nodes, seed):
+        holders, src, dst, key = _random_case(seed, num_nodes)
+        cluster = Cluster(num_nodes)
+        profile = ExecutionProfile(num_nodes)
+        _selective().run(cluster, profile, holders, src, dst, key)
+        expected = _expected_rows(holders, src, dst, key)
+        _assert_delivered(cluster, holders, expected)
+        # Translate step: pairs * match width + matched rows * width,
+        # booked for every holder with pairs, matched or not.
+        translate = np.zeros(num_nodes)
+        np.add.at(translate, src, _MATCH_WIDTH)
+        for (s, _), rows in expected.items():
+            translate[s] += len(rows) * _WIDTH
+        assert profile.steps[0].name == "Translate"
+        assert np.array_equal(profile.steps[0].per_node_bytes, translate)
+
+    @pytest.mark.parametrize("num_nodes", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_migrate_matches_pair_loop(self, num_nodes, seed):
+        holders, src, dst, key = _random_case(seed, num_nodes)
+        # A real schedule issues one instruction per (holder, key).
+        _, first = np.unique(src * 16 + key, return_index=True)
+        src, dst, key = src[first], dst[first], key[first]
+        before = list(holders)
+        cluster = Cluster(num_nodes)
+        _migrate().run(cluster, ExecutionProfile(num_nodes), holders, key, src, dst)
+        expected = _expected_rows(before, src, dst, key)
+        _assert_delivered(cluster, before, expected)
+        moved = {node: [] for node in range(num_nodes)}
+        for (s, _), rows in expected.items():
+            moved[s].extend(rows)
+        for node, original in enumerate(before):
+            if not moved[node]:
+                assert holders[node] is original
+                continue
+            kept = np.setdiff1d(np.arange(original.num_rows), moved[node])
+            assert np.array_equal(holders[node].keys, original.keys[kept])
+            for name, values in original.columns.items():
+                assert np.array_equal(holders[node].columns[name], values[kept])
+
+    # The literal ledgers and profile steps below were recorded from the
+    # per-holder split_by implementation this grouping replaced.
+    _HOLDER_KEYS = ([5, 7, 5, 9, 2], [7, 7, 3, 8], [], [5, 1])
+    _PAIRS = np.array(
+        [  # (holder, destination, key); node 3 holds rows but gets no pair
+            (0, 1, 5), (1, 0, 7), (0, 2, 7), (0, 0, 9), (1, 2, 4),
+            (0, 2, 5), (2, 0, 5), (0, 1, 9), (1, 3, 3), (1, 0, 3),
+        ]
+    ).T
+
+    @staticmethod
+    def _observed(cluster, profile):
+        ledger = cluster.network.ledger
+        steps = [
+            (s.name, s.kind, s.rate_class, s.per_node_bytes.tolist())
+            for s in profile.steps
+        ]
+        messages = [
+            (m.src, m.dst, m.nbytes, m.payload.keys.tolist(), m.payload.columns["rid"].tolist())
+            for node in range(cluster.num_nodes)
+            for m in cluster.network.deliver(node)
+        ]
+        return (
+            dict(ledger.by_class), sorted(ledger.by_link.items()),
+            ledger.local_bytes, ledger.message_count, steps, messages,
+        )
+
+    def test_selective_broadcast_pinned(self):
+        holders = [_holder(n, k) for n, k in enumerate(self._HOLDER_KEYS)]
+        src, dst, key = self._PAIRS
+        cluster, profile = Cluster(4), ExecutionProfile(4)
+        _selective().run(cluster, profile, holders, src, dst, key)
+        assert self._observed(cluster, profile) == (
+            {MessageClass.R_TUPLES: 120.0},
+            [((0, 1), 36.0), ((0, 2), 36.0), ((1, 0), 36.0), ((1, 3), 12.0)],
+            12.0,
+            5,
+            [
+                ("Translate", "cpu", "merge", [109.0, 68.0, 5.0, 0.0]),
+                ("Local copy", "local", "copy", [12.0, 0.0, 0.0, 0.0]),
+                ("Transfer", "net", "transfer", [72.0, 48.0, 0.0, 0.0]),
+            ],
+            [
+                (0, 0, 12.0, [9], [3]),
+                (1, 0, 36.0, [7, 7, 3], [100, 101, 102]),
+                (0, 1, 36.0, [5, 5, 9], [0, 2, 3]),
+                (0, 2, 36.0, [7, 5, 5], [1, 0, 2]),
+                (1, 3, 12.0, [3], [102]),
+            ],
+        )
+
+    def test_migrate_pinned(self):
+        holders = [_holder(n, k) for n, k in enumerate(self._HOLDER_KEYS)]
+        # One instruction per (holder, key): drop the second destinations.
+        src, dst, key = self._PAIRS[:, [0, 1, 2, 3, 4, 6, 8]]
+        cluster, profile = Cluster(4), ExecutionProfile(4)
+        untouched = holders[2], holders[3]
+        _migrate().run(cluster, profile, holders, key, src, dst)
+        assert self._observed(cluster, profile) == (
+            {MessageClass.S_TUPLES: 72.0},
+            [((0, 1), 24.0), ((0, 2), 12.0), ((1, 0), 24.0), ((1, 3), 12.0)],
+            12.0,
+            5,
+            [
+                ("Local copy", "local", "copy", [12.0, 0.0, 0.0, 0.0]),
+                ("Transfer", "net", "transfer", [36.0, 36.0, 0.0, 0.0]),
+            ],
+            [
+                (0, 0, 12.0, [9], [3]),
+                (1, 0, 24.0, [7, 7], [100, 101]),
+                (0, 1, 24.0, [5, 5], [0, 2]),
+                (0, 2, 12.0, [7], [1]),
+                (1, 3, 12.0, [3], [102]),
+            ],
+        )
+        assert [p.columns["rid"].tolist() for p in holders[:2]] == [[4], [103]]
+        # No pairs, or pairs without a local match: the entry is not rebound.
+        assert holders[2] is untouched[0] and holders[3] is untouched[1]

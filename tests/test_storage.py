@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.encoding import DictionaryEncoding, FixedByteEncoding, VarByteEncoding
 from repro.errors import PlacementError, SchemaError
+from repro.fastpath import FUSED, LOOP, use_scatter_mode
 from repro.storage import (
     Column,
     DistributedTable,
@@ -130,6 +131,67 @@ class TestDistributedTable:
             DistributedTable.from_assignment(
                 "T", Schema.with_widths(32, 0), np.array([1, 2]), np.array([0]), 2
             )
+
+    @pytest.mark.parametrize("rows", [12, 8])
+    def test_column_length_mismatch_rejected(self, rows):
+        """Too long was silently truncated, too short a bare IndexError."""
+        with pytest.raises(SchemaError, match=f"column 'v' has {rows} rows, keys have 10"):
+            DistributedTable.from_assignment(
+                "T", Schema.with_widths(32, 32), np.arange(10), np.arange(10) % 4, 4,
+                columns={"v": np.arange(rows)},
+            )
+
+    @pytest.mark.parametrize("mode", [FUSED, LOOP])
+    @pytest.mark.parametrize(
+        "num_nodes,num_rows", [(1, 9), (4, 0), (5, 60), (300, 40)]
+    )
+    def test_from_assignment_matches_mask_reference(self, mode, num_nodes, num_rows):
+        """Node ``n`` holds exactly ``column[node_of_row == n]``, in row order."""
+        rng = np.random.default_rng(num_nodes + num_rows)
+        keys = rng.integers(0, 50, num_rows)
+        # Node 0 never receives a row when there is another node to take it.
+        node_of_row = rng.integers(min(1, num_nodes - 1), num_nodes, num_rows)
+        columns = {
+            "i": rng.integers(-5, 5, num_rows),
+            "f": rng.standard_normal(num_rows),
+            "b": rng.integers(0, 2, num_rows).astype(bool),
+        }
+        given_columns = dict(columns)
+        with use_scatter_mode(mode):
+            table = DistributedTable.from_assignment(
+                "T", Schema.with_widths(32, 32), keys, node_of_row, num_nodes,
+                columns=columns,
+            )
+        assert table.num_nodes == num_nodes
+        assert columns.keys() == given_columns.keys()
+        assert all(columns[name] is given_columns[name] for name in columns)
+        for node, part in enumerate(table.partitions):
+            here = node_of_row == node
+            assert part.keys.dtype == np.int64
+            assert np.array_equal(part.keys, keys[here])
+            assert list(part.columns) == ["i", "f", "b"]
+            for name, values in columns.items():
+                assert part.columns[name].dtype == values.dtype
+                assert np.array_equal(part.columns[name], values[here])
+
+    @pytest.mark.parametrize("mode", [FUSED, LOOP])
+    def test_synthesized_rid_follows_rows(self, mode):
+        node_of_row = np.array([2, 0, 2, 1, 0])
+        with use_scatter_mode(mode):
+            table = DistributedTable.from_assignment(
+                "T", Schema.with_widths(32, 32), np.arange(5) + 10, node_of_row, 4
+            )
+        rids = [part.columns["rid"].tolist() for part in table.partitions]
+        assert rids == [[1, 4], [3], [0, 2], []]
+
+    def test_empty_nodes_keep_column_dtypes(self):
+        """A table placed on one node reports its dtypes on every node."""
+        table = DistributedTable.from_assignment(
+            "T", Schema.with_widths(32, 64), np.arange(6), np.zeros(6, dtype=np.int64), 4,
+            columns={"v": np.linspace(0.0, 1.0, 6)},
+        )
+        assert [p.num_rows for p in table.partitions] == [6, 0, 0, 0]
+        assert {p.columns["v"].dtype for p in table.partitions} == {np.dtype(np.float64)}
 
     def test_node_sizes(self):
         table = DistributedTable.from_assignment(

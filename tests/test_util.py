@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import ValidationError
+from repro.parallel import kernel_config
 from repro.util import (
+    group_bounded,
     hash_partition,
     mix64,
     segment_boundaries,
@@ -57,6 +60,40 @@ class TestHashPartition:
     def test_invalid_node_count(self):
         with pytest.raises(ValueError):
             hash_partition(np.arange(3, dtype=np.int64), 0)
+
+
+class TestGroupBounded:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        upper=st.sampled_from([1, 2, 255, 256, 257, 65_536, 65_537]),
+        n=st.integers(0, 40),
+        one_bucket=st.booleans(),
+        chunked=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_argsort_and_searchsorted(self, upper, n, one_bucket, chunked, seed):
+        """``order`` is the stable argsort, ``bounds`` the bucket offsets."""
+        rng = np.random.default_rng(seed)
+        # Draw near the top of the range so every narrowed dtype's
+        # boundary values (255, 256, 65 535, 65 536) actually occur.
+        values = upper - 1 - rng.integers(0, min(upper, 4), n)
+        if one_bucket:
+            values[:] = upper - 1
+        if chunked:
+            with kernel_config(workers=2, chunk_rows=2):
+                order, bounds = group_bounded(values, upper)
+        else:
+            order, bounds = group_bounded(values, upper)
+        assert np.array_equal(order, np.argsort(values, kind="stable"))
+        assert np.array_equal(
+            bounds, np.searchsorted(values[order], np.arange(upper + 1))
+        )
+        assert len(bounds) == upper + 1
+
+    def test_bucket_count_is_capped(self):
+        """The dense offsets table is refused, not silently allocated."""
+        with pytest.raises(ValidationError):
+            group_bounded(np.zeros(3, dtype=np.int64), (1 << 24) + 1)
 
 
 class TestSegments:
