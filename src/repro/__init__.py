@@ -65,7 +65,6 @@ from .faults import (
 from .parallel import (
     ProcessExecutor,
     SerialExecutor,
-    SharedArray,
     ThreadExecutor,
     resolve_executor,
     set_default_workers,
@@ -83,7 +82,6 @@ from .storage import (
     LocalPartition,
     Schema,
     by_key_hash,
-    collocated_fraction,
     pattern_nodes,
     random_uniform,
     round_robin,
@@ -102,7 +100,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "SharedArray",
     "resolve_executor",
     "set_default_workers",
     "Schema",
@@ -137,7 +134,6 @@ __all__ = [
     "by_key_hash",
     "shuffled",
     "pattern_nodes",
-    "collocated_fraction",
     "FaultPlan",
     "FaultRates",
     "FaultStats",

@@ -896,20 +896,20 @@ class DriverBlockingCall(DataflowRule):
 
 @register_dataflow_rule
 class SharedViewWriteAfterHandoff(DataflowRule):
-    """REP011: a SharedArray view handed to a task is frozen.
+    """REP011: a shared view handed to a task is frozen.
 
-    ``SharedArray`` views alias one buffer across tasks zero-copy; once
-    a view is passed to ``run_phase``/``run_chunks``/``.map``/
+    A ``.view()`` aliases its base buffer, so the task sees every write
+    to it; once a view is passed to ``run_phase``/``run_chunks``/``.map``/
     ``.submit``, an in-place numpy mutation on the dispatching side
     races the task reading it.  Within one function body, a name bound
-    from ``SharedArray(...)`` or a ``.view()`` call must not be mutated
+    from a ``.view()`` call must not be mutated
     (subscript store, augmented assign, in-place ndarray method,
     ``out=`` target) on a line after a dispatch call that received it,
     unless rebound to a fresh object first.
     """
 
     code = "REP011"
-    summary = "SharedArray view mutated after handoff to a task"
+    summary = "shared view mutated after handoff to a task"
 
     def check_package(self, index) -> Iterator[Diagnostic]:
         for qual, info in _function_items(index):
@@ -973,7 +973,7 @@ class SharedViewWriteAfterHandoff(DataflowRule):
                 yield module.ctx.diagnostic(
                     node,
                     self.code,
-                    f"SharedArray view {name!r} is mutated after being "
+                    f"shared view {name!r} is mutated after being "
                     f"handed to a task on line {handed[name]}; the task "
                     "reads the same buffer — mutate before dispatch or "
                     "hand off a copy",
@@ -986,7 +986,7 @@ class SharedViewWriteAfterHandoff(DataflowRule):
         chain = _attr_chain(value.func)
         if not chain:
             return False
-        return chain[-1] in ("SharedArray", "view")
+        return chain[-1] == "view"
 
     @staticmethod
     def _argument_names(call: ast.Call) -> set[str]:

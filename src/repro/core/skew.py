@@ -23,9 +23,9 @@ therefore the byte ledger) is identical to plain
 
 The planner is exact, not sketched: tracking already delivers per-key,
 per-node byte counts to the scheduling nodes, so hot keys are read off
-the tracked sizes directly.  The sketch-based detector
-(:func:`repro.costmodel.histogram.heavy_hitters`) serves the cost model
-before execution, when only samples exist.
+the tracked sizes directly.  Nothing feeds skew to the cost model
+before execution: ``JoinStats.max_key_fraction`` is ``0`` unless a
+caller supplies it.
 """
 
 from __future__ import annotations

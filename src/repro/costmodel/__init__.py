@@ -15,12 +15,6 @@ from .formulas import (
     track_join_beats_hash_join_width_rule,
     tracking_aware_cost,
 )
-from .histogram import (
-    KeyHistogram,
-    estimate_distinct,
-    heavy_hitters,
-    stats_from_histograms,
-)
 from .optimizer import AlgorithmEstimate, choose_algorithm, rank_algorithms
 from .sampling import CorrelatedSample, correlated_sample, estimate_classes
 from .stats import (
@@ -35,10 +29,6 @@ __all__ = [
     "stats_epoch",
     "bump_stats_epoch",
     "register_epoch_listener",
-    "KeyHistogram",
-    "estimate_distinct",
-    "heavy_hitters",
-    "stats_from_histograms",
     "CorrelationClasses",
     "hash_join_cost",
     "broadcast_cost",

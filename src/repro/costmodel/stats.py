@@ -128,9 +128,9 @@ class JoinStats:
     selectivity_s: float = 1.0
     location_width: float = 1.0
     #: Fraction of all rows held by the most frequent join key (both
-    #: sides combined, symmetric under :meth:`swapped`); populated from
-    #: :func:`~repro.costmodel.histogram.heavy_hitters`.  ``0`` means
-    #: "no skew known" and keeps every formula at its uniform estimate.
+    #: sides combined, symmetric under :meth:`swapped`).  Nothing in the
+    #: library measures it: it is ``0`` ("no skew known", every formula
+    #: at its uniform estimate) unless the caller supplies it.
     max_key_fraction: float = 0.0
 
     def __post_init__(self) -> None:

@@ -12,9 +12,9 @@ MapReduce shuffles) can run in one of two modes:
 
 ``loop``
     The reference path: per-destination boolean ``take()`` copies, a
-    fresh ``np.argsort``/``np.unique`` per call, and no caching.  It is
-    kept verbatim so the equivalence suite can assert the fast path is
-    byte-identical, and so benchmarks can measure the speedup honestly.
+    fresh ``np.argsort``/``np.unique`` per call, and no caching.  No
+    runtime path selects it: it is a test-only reference, kept verbatim
+    so the equivalence suite can assert the fast path is byte-identical.
 
 Both modes produce the same output multiset, the same per-link byte
 ledger, and the same execution profile; only wall-clock differs.

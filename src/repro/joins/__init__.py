@@ -3,7 +3,7 @@
 from .base import DistributedJoin, JoinResult, JoinSpec
 from .broadcast import BroadcastJoin
 from .grace_hash import GraceHashJoin
-from .local import JoinCount, distinct_with_counts, join_indices, local_join, match_mask
+from .local import JoinCount, distinct_with_counts, join_indices, local_join
 from .registry import ALGORITHMS, AlgorithmInfo, algorithm, algorithm_names, create
 from .semijoin import SemiJoinFilteredJoin
 from .tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin, rid_width
@@ -27,5 +27,4 @@ __all__ = [
     "join_indices",
     "local_join",
     "distinct_with_counts",
-    "match_mask",
 ]

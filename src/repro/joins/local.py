@@ -43,7 +43,6 @@ __all__ = [
     "local_join",
     "join_cardinality",
     "distinct_with_counts",
-    "match_mask",
 ]
 
 
@@ -477,25 +476,3 @@ def distinct_with_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eliminated before keys are sent to the scheduling nodes.
     """
     return np.unique(np.asarray(keys, dtype=np.int64), return_counts=True)
-
-
-def match_mask(
-    keys: np.ndarray,
-    probe: np.ndarray,
-    probe_index: KeyIndex | None = None,
-) -> np.ndarray:
-    """Boolean mask of ``keys`` entries that appear in ``probe``.
-
-    ``probe_index`` optionally supplies ``probe``'s cached sorted keys so
-    repeated membership tests against one partition skip the sort.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    if len(probe) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    if fused_enabled() and probe_index is not None:
-        sorted_probe = probe_index.sorted_keys
-    else:
-        sorted_probe = np.sort(np.asarray(probe, dtype=np.int64))
-    positions = np.searchsorted(sorted_probe, keys, side="left")
-    positions = np.minimum(positions, len(sorted_probe) - 1)
-    return sorted_probe[positions] == keys

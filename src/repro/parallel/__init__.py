@@ -1,4 +1,4 @@
-"""Parallel execution engine: worker pools, phase barriers, shared memory."""
+"""Parallel execution engine: worker pools, phase barriers, kernel chunks."""
 
 from .chunks import (
     kernel_chunk_rows,
@@ -18,14 +18,12 @@ from .executor import (
     run_phase,
     set_default_workers,
 )
-from .shm import SharedArray
 
 __all__ = [
     "PhaseExecutor",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "SharedArray",
     "default_workers",
     "set_default_workers",
     "resolve_executor",

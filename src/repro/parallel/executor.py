@@ -15,14 +15,12 @@ scatters, merge-joins, tracking dedup) as one *task*; a
     so threads give real parallelism without pickling any state.
 
 :class:`ProcessExecutor`
-    Opt-in process pool for large payloads.  Task callables and
-    arguments must be picklable (module-level functions); numpy arrays
-    should cross the process boundary through
-    :mod:`repro.parallel.shm` shared-memory blocks instead of pickled
-    copies.  The join operators use closures over cluster state and
-    therefore always run on the serial or thread backend; the process
-    backend serves embarrassingly-parallel kernel work (workload
-    generation, batch scoring) where payload copies would dominate.
+    Opt-in process pool.  Task callables and arguments must be
+    picklable (module-level functions), and numpy arrays cross the
+    process boundary as pickled copies.  The join operators use
+    closures over cluster state and therefore always run on the serial
+    or thread backend; the process backend serves embarrassingly
+    parallel work over picklable inputs.
 
 Determinism does not depend on the executor: :func:`run_phase` gives
 every task its own network send lane and profile lane, and commits
@@ -192,11 +190,9 @@ def _run_batch(fn: Callable, items: list) -> list:
 
 
 class ProcessExecutor(PhaseExecutor):
-    """Process-pool execution for picklable, payload-heavy task functions.
+    """Process-pool execution for picklable task functions.
 
-    Arrays should be passed as :class:`repro.parallel.shm.SharedArray`
-    handles so workers attach to the same memory instead of receiving
-    pickled copies.
+    Arguments and results travel as pickled copies.
 
     Tasks are submitted in contiguous *batches* — one future per worker
     rather than one per item — so a phase pays one pickle/IPC round trip

@@ -13,14 +13,12 @@ from .executor import (
 )
 from .plan import Aggregate, Join, PlanNode, Rekey, Scan
 from .predicates import And, ColumnPredicate, Or, Predicate
-from .starplan import star_plan
 
 __all__ = [
     "Scan",
     "Join",
     "Aggregate",
     "Rekey",
-    "star_plan",
     "rekey_table",
     "PlanNode",
     "execute",

@@ -2,7 +2,6 @@
 
 from .placement import (
     by_key_hash,
-    collocated_fraction,
     pattern_nodes,
     random_uniform,
     round_robin,
@@ -23,5 +22,4 @@ __all__ = [
     "by_key_hash",
     "shuffled",
     "pattern_nodes",
-    "collocated_fraction",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "by_key_hash",
     "pattern_nodes",
     "shuffled",
-    "collocated_fraction",
 ]
 
 
@@ -102,38 +101,3 @@ def pattern_nodes(
     node = np.repeat(chosen.reshape(-1), np.tile(repeats, num_keys))
     key_index = np.repeat(np.arange(num_keys, dtype=np.int64), int(repeats.sum()))
     return key_index, node.astype(np.int64), node_pool
-
-
-def collocated_fraction(
-    keys: np.ndarray,
-    anchor_node_of_key: dict[int, int] | np.ndarray,
-    fraction: float,
-    num_nodes: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Mix locality into a placement: a ``fraction`` of rows join their key's
-    anchor node, the rest are uniform random.
-
-    This models the "original tuple ordering" of the real workloads,
-    where matching tuples exhibit partial pre-existing collocation.
-
-    Parameters
-    ----------
-    anchor_node_of_key:
-        Either a dense array indexed by key value, or a mapping from key
-        to its anchor node (where that key's matches live).
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise PlacementError(f"collocation fraction must be in [0, 1], got {fraction}")
-    keys = np.asarray(keys, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    assignment = rng.integers(0, num_nodes, size=len(keys), dtype=np.int64)
-    collocate = rng.random(len(keys)) < fraction
-    if isinstance(anchor_node_of_key, np.ndarray):
-        anchors = anchor_node_of_key[keys[collocate]]
-    else:
-        anchors = np.array(
-            [anchor_node_of_key[int(k)] for k in keys[collocate]], dtype=np.int64
-        )
-    assignment[collocate] = anchors
-    return assignment

@@ -3,7 +3,6 @@
 from .hardware import (
     HardwareModel,
     StepTiming,
-    bottleneck_seconds,
     paper_cluster_2014,
     scaled_network,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "StepTiming",
     "paper_cluster_2014",
     "scaled_network",
-    "bottleneck_seconds",
     "CPU",
     "NET",
     "LOCAL",

@@ -22,5 +22,5 @@ import time
 __all__ = ["wall_clock"]
 
 #: Monotonic wall-clock seconds (float); the only sanctioned clock read
-#: for engine instrumentation outside the perf harness.
+#: for engine instrumentation.
 wall_clock = time.perf_counter

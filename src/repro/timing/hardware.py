@@ -23,11 +23,11 @@ by roughly what factor — without the authors' testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ..errors import UnknownKeyError, ValidationError
+from ..errors import UnknownKeyError
 
 from .profile import CPU, LOCAL, NET, ExecutionProfile, Step
 
-__all__ = ["HardwareModel", "StepTiming", "paper_cluster_2014", "scaled_network", "bottleneck_seconds"]
+__all__ = ["HardwareModel", "StepTiming", "paper_cluster_2014", "scaled_network"]
 
 _GB = 1e9
 
@@ -146,21 +146,3 @@ def scaled_network(base: HardwareModel, factor: float) -> HardwareModel:
         net_aggregate_bandwidth=base.net_aggregate_bandwidth * factor,
         cpu_rates=dict(base.cpu_rates),
     )
-
-
-def bottleneck_seconds(ledger, per_link_bandwidth: float) -> float:
-    """Makespan lower bound from the busiest directed link.
-
-    Total volume (what track join minimizes) is not the only time
-    metric: with uniform full-duplex links, no schedule can finish
-    before its most loaded link drains (the completion-time view of
-    Roediger et al. [27], discussed in the paper's related work).
-    Computed from a :class:`~repro.cluster.network.TrafficLedger`'s
-    per-link byte counts.
-    """
-    if per_link_bandwidth <= 0:
-        raise ValidationError(f"link bandwidth must be positive, got {per_link_bandwidth}")
-    if not ledger.by_link:
-        return 0.0
-    busiest = max(ledger.by_link.values())
-    return busiest / per_link_bandwidth

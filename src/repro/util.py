@@ -22,13 +22,9 @@ __all__ = [
     "sort_with_index_bits",
     "stable_sort_with_order",
     "segment_boundaries",
-    "segment_sum",
     "segment_count",
-    "segment_max_position",
     "segment_ids",
     "segmented_cartesian",
-    "pack_composite_keys",
-    "unpack_composite_keys",
 ]
 
 # splitmix64 multiplication constants; the full finalizer is applied so that
@@ -222,13 +218,6 @@ def segment_boundaries(sorted_group_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change).astype(np.int64, copy=False)
 
 
-def segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum ``values`` within segments given by ``starts`` offsets."""
-    if len(starts) == 0:
-        return np.empty(0, dtype=values.dtype)
-    return np.add.reduceat(values, starts)
-
-
 def segment_count(starts: np.ndarray, total: int) -> np.ndarray:
     """Length of each segment, given segment start offsets and total size."""
     if len(starts) == 0:
@@ -289,64 +278,3 @@ def segmented_cartesian(a_seg: np.ndarray, b_seg: np.ndarray) -> tuple[np.ndarra
     within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(rep) - rep, rep)
     ib = start_of_pair + within
     return ia, ib
-
-
-def segment_max_position(values: np.ndarray, starts: np.ndarray, total: int) -> np.ndarray:
-    """Position (global index) of the maximum of each segment.
-
-    Ties resolve to the *first* position with the maximal value inside the
-    segment, which makes schedule generation deterministic.
-    """
-    if len(starts) == 0:
-        return np.empty(0, dtype=np.int64)
-    seg = segment_ids(starts, total)
-    maxima = np.maximum.reduceat(values, starts)
-    is_max = values == maxima[seg]
-    positions = np.flatnonzero(is_max)
-    first_of_segment = segment_boundaries(seg[positions])
-    return positions[first_of_segment]
-
-
-def pack_composite_keys(columns: list[np.ndarray], bits: list[int]) -> np.ndarray:
-    """Pack a multi-column join key into one int64 per row.
-
-    The paper's ``wk`` covers "the join key columns used in conjunctive
-    equality conditions" — multi-column keys.  The simulator routes by a
-    single int64, so composite keys are bit-packed: column ``i`` gets
-    ``bits[i]`` bits, most-significant first.  The packing is injective
-    (equal packed values iff all columns equal), so every join algorithm
-    works on composite keys unchanged; the schema still accounts the
-    width of all key columns.
-
-    Raises ``ValueError`` if the widths exceed 63 bits or any value
-    overflows its column's width.
-    """
-    if len(columns) != len(bits):
-        raise ValidationError(f"{len(columns)} columns but {len(bits)} widths")
-    if not columns:
-        raise ValidationError("composite key needs at least one column")
-    if sum(bits) > 63:
-        raise ValidationError(f"composite key of {sum(bits)} bits exceeds 63")
-    packed = np.zeros(len(columns[0]), dtype=np.int64)
-    for values, width in zip(columns, bits):
-        values = np.asarray(values, dtype=np.int64)
-        if len(values) != len(packed):
-            raise ValidationError("key columns must have equal length")
-        if width <= 0:
-            raise ValidationError(f"column width must be positive, got {width}")
-        if len(values) and (values.min() < 0 or values.max() >= (1 << width)):
-            raise ValidationError(f"value out of range for a {width}-bit key column")
-        packed = (packed << np.int64(width)) | values
-    return packed
-
-
-def unpack_composite_keys(packed: np.ndarray, bits: list[int]) -> list[np.ndarray]:
-    """Inverse of :func:`pack_composite_keys`."""
-    packed = np.asarray(packed, dtype=np.int64)
-    columns: list[np.ndarray] = []
-    remaining = packed.copy()
-    for width in reversed(bits):
-        mask = np.int64((1 << width) - 1)
-        columns.append(remaining & mask)
-        remaining >>= np.int64(width)
-    return list(reversed(columns))

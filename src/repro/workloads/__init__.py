@@ -11,7 +11,6 @@ from .real import (
     workload_y,
     x_query_schemas,
 )
-from .tpch import TPCH_BASE_ROWS, tpch_tables
 from .synthetic import (
     PATTERN_COLLOCATED,
     PATTERN_PARTIAL,
@@ -30,8 +29,6 @@ __all__ = [
     "both_sides_pattern_workload",
     "zipf_workload",
     "hot_key_workload",
-    "tpch_tables",
-    "TPCH_BASE_ROWS",
     "PATTERN_COLLOCATED",
     "PATTERN_PARTIAL",
     "PATTERN_SPREAD",

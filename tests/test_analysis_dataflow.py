@@ -376,8 +376,8 @@ class TestRep011SharedViewWriteAfterHandoff:
             tmp_path,
             {
                 "fan.py": (
-                    "def fanout(executor, fill, shape):\n"
-                    "    buffer = SharedArray(shape)\n"
+                    "def fanout(executor, fill, data):\n"
+                    "    buffer = data.view()\n"
                     "    executor.submit(fill, buffer)\n"
                     "    buffer.fill(0)\n"
                 )

@@ -125,6 +125,91 @@ class TestRunAlgorithmsHelper:
             run_algorithms(workload, _figure_spec(), algorithms=[GraceHashJoin()])
 
 
+class TestReachability:
+    """Every ``repro`` module is imported, transitively, from an entry
+    point, or is listed with the reason it stays."""
+
+    #: The CLI, the operator registry, the query service, the experiment
+    #: registry; every ``benchmarks/e2e`` module is a root as well.
+    ROOTS = (
+        "repro.__main__",
+        "repro.joins.registry",
+        "repro.serve.service",
+        "repro.experiments.runner",
+    )
+
+    #: Modules no root imports that stay: paper content, or code an open
+    #: ROADMAP item builds on.
+    UNREACHED = {
+        "repro.joins.tracking_aware": "Sec. 3.2 tracking-aware hash joins; "
+        "ROADMAP item 6(d) registers them",
+        "repro.mapreduce.engine": "Sec. 6 MapReduce discussion; ROADMAP item 7 "
+        "makes it an adapter after item 6(a)",
+        "repro.mapreduce.joins": "Sec. 6 MapReduce discussion; ROADMAP item 7 "
+        "makes it an adapter after item 6(a)",
+        "repro.encoding.prefix": "Sec. 2.4 radix-prefix grouping, the Figs. 7-8 "
+        "encodings",
+        "repro.experiments.markdown": "ROADMAP item 8 writes EXPERIMENTS.md with it",
+    }
+
+    @staticmethod
+    def _defining_module(index, base: str, name: str) -> str | None:
+        """The module ``from base import name`` reaches, following package
+        re-exports to the module that defines ``name``."""
+        while True:
+            if f"{base}.{name}" in index.modules:
+                return f"{base}.{name}"
+            module = index.modules.get(base)
+            if module is None:
+                return None
+            if not module.is_package or name not in module.from_imports:
+                return base
+            base, name = module.from_imports[name]
+
+    def _reached(self, index) -> set[str]:
+        frontier = [*self.ROOTS, *(n for n in index.modules if n.startswith("e2e."))]
+        seen: set[str] = set()
+        while frontier:
+            name = frontier.pop()
+            if name in seen or name not in index.modules:
+                continue
+            seen.add(name)
+            module = index.modules[name]
+            if module.is_package:
+                continue  # a package's re-exports are not uses
+            frontier.extend(module.imports.values())
+            for base, imported in module.from_imports.values():
+                target = self._defining_module(index, base, imported)
+                if target is not None:
+                    frontier.append(target)
+        return seen
+
+    def test_every_module_is_reached_or_listed(self):
+        from pathlib import Path
+
+        from repro.analysis.dataflow import build_package_index
+
+        roots = [
+            Path(repro.__file__).parent,
+            Path(__file__).resolve().parents[1] / "benchmarks" / "e2e",
+        ]
+        index = build_package_index(
+            [path for root in roots for path in root.rglob("*.py")], roots
+        )
+        assert set(self.ROOTS) <= set(index.modules)
+        reached = self._reached(index)
+        unreached = {
+            name
+            for name, module in index.modules.items()
+            if not module.is_package and name not in reached
+        }
+        # Equality also fails on a stale entry: one that is now reached.
+        assert unreached == set(self.UNREACHED), (
+            f"no root imports {sorted(unreached)}; "
+            f"allow-listed: {sorted(self.UNREACHED)}"
+        )
+
+
 class TestGroupingIdiom:
     """Rows are grouped by ``repro.util.group_bounded`` and nowhere else."""
 

@@ -12,7 +12,6 @@ from repro.joins.local import (
     join_indices,
     join_cardinality,
     local_join,
-    match_mask,
 )
 from repro.parallel.chunks import kernel_config
 from repro.storage import LocalPartition
@@ -152,10 +151,3 @@ class TestHelpers:
         keys, counts = distinct_with_counts(np.array([3, 1, 3, 3, 1]))
         assert np.array_equal(keys, [1, 3])
         assert np.array_equal(counts, [2, 3])
-
-    def test_match_mask(self):
-        mask = match_mask(np.array([1, 5, 9]), np.array([5, 6]))
-        assert mask.tolist() == [False, True, False]
-
-    def test_match_mask_empty_probe(self):
-        assert not match_mask(np.array([1, 2]), np.array([], dtype=np.int64)).any()

@@ -1,14 +1,11 @@
 """Tests for the parallel execution engine.
 
-Covers the executor hierarchy, shared-memory buffers, phase barrier
-semantics on the cluster, and the headline determinism guarantee: a
-join's traffic ledger, profile, and output are bit-identical for any
-worker count.
+Covers the executor hierarchy, phase barrier semantics on the cluster,
+and the headline determinism guarantee: a join's traffic ledger,
+profile, and output are bit-identical for any worker count.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from repro.joins import LateMaterializationHashJoin, TrackingAwareHashJoin
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
-    SharedArray,
     ThreadExecutor,
     default_workers,
     resolve_executor,
@@ -165,39 +161,6 @@ class TestProcessSupervisor:
     def test_negative_respawn_budget_rejected(self):
         with pytest.raises(ValidationError):
             ProcessExecutor(workers=2, max_respawns=-1)
-
-
-# -- shared memory -------------------------------------------------------
-
-
-class TestSharedArray:
-    def test_roundtrip_and_pickle(self):
-        data = np.arange(256, dtype=np.int64).reshape(16, 16)
-        shared = SharedArray.copy_from(data)
-        try:
-            assert np.array_equal(shared.array(), data)
-            # Pickling transfers only the addressing triple; the attached
-            # copy sees the same physical pages.
-            clone = pickle.loads(pickle.dumps(shared))
-            try:
-                view = clone.array()
-                assert np.array_equal(view, data)
-                view[0, 0] = -1
-                assert shared.array()[0, 0] == -1
-            finally:
-                del view
-                clone.close()
-        finally:
-            shared.unlink()
-            shared.close()
-
-    def test_unlink_destroys_block(self):
-        shared = SharedArray.copy_from(np.ones(8))
-        name = shared.name
-        shared.close()
-        shared.unlink()
-        with pytest.raises(FileNotFoundError):
-            SharedArray(name, (8,), "<f8").array()
 
 
 # -- cluster phases ------------------------------------------------------

@@ -295,54 +295,6 @@ class TestRekeyAndStarPlan:
         with pytest.raises(ReproError):
             execute(Rekey(Scan(table), "missing"), cluster)
 
-    def test_star_plan_matches_manual_chain(self):
-        from repro.query import star_plan
-
-        cluster = Cluster(4)
-        rng = np.random.default_rng(21)
-        fact = build_table(
-            cluster, "fact", rng.integers(0, 1000, 4000),
-            {"fk_a": rng.integers(0, 100, 4000), "fk_b": rng.integers(0, 40, 4000)},
-            seed=1,
-        )
-        dim_a = build_table(cluster, "dimA", np.arange(100), {"attr_a": np.arange(100) * 2}, seed=2)
-        dim_b = build_table(cluster, "dimB", np.arange(40), {"attr_b": np.arange(40) * 3}, seed=3)
-        plan = star_plan(
-            Scan(fact), {"fk_a": Scan(dim_a), "fk_b": Scan(dim_b)}, algorithm="HJ"
-        )
-        result = execute(plan, cluster)
-        # Every fact row joins exactly one row per dimension.
-        assert result.output_rows == fact.total_rows
-
-    def test_star_plan_orders_smallest_first(self):
-        from repro.query import star_plan
-        from repro.query.plan import Join
-
-        cluster = Cluster(2)
-        fact = build_table(
-            cluster, "fact", np.arange(100),
-            {"fk_big": np.zeros(100, dtype=np.int64), "fk_small": np.zeros(100, dtype=np.int64)},
-        )
-        big = build_table(cluster, "big", np.zeros(50, dtype=np.int64), {"x": np.zeros(50)}, seed=1)
-        small = build_table(cluster, "small", np.zeros(5, dtype=np.int64), {"y": np.zeros(5)}, seed=2)
-        plan = star_plan(Scan(fact), {"fk_big": Scan(big), "fk_small": Scan(small)})
-        # Outermost join should involve the bigger dimension (joined last).
-        assert isinstance(plan, Join)
-        assert plan.right.table.name == "big"
-
-    def test_star_plan_validation(self):
-        from repro.query import star_plan
-
-        cluster = Cluster(2)
-        fact = build_table(cluster, "fact", [1], {"fk": [0]})
-        dim = build_table(cluster, "dim", [0], {"x": [9]}, seed=1)
-        with pytest.raises(ReproError):
-            star_plan(Scan(fact), {})
-        with pytest.raises(ReproError):
-            star_plan(Scan(fact), {"missing_fk": Scan(dim)})
-        with pytest.raises(ReproError):
-            star_plan(Scan(fact), {"fk": Scan(dim)}, order="random")
-
 
 class TestSemijoinFilteredQueryJoin:
     def test_filtered_join_same_output(self):

@@ -26,7 +26,8 @@ from repro.serve import (
     SharedExecutor,
     WarmExecutorPool,
 )
-from repro.workloads.serving import serve_query_mix, serve_tables
+
+from serving import serve_query_mix, serve_tables
 
 NUM_NODES = 4
 

@@ -17,7 +17,8 @@ import pytest
 from repro import Cluster, JoinSpec
 from repro.query import compile_plan
 from repro.serve import QueryRequest, QueryService
-from repro.workloads.serving import serve_query_mix, serve_tables
+
+from serving import serve_query_mix, serve_tables
 
 NUM_NODES = 4
 WORKER_COUNTS = (1, 4, 8)

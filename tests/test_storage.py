@@ -15,7 +15,6 @@ from repro.storage import (
     LocalPartition,
     Schema,
     by_key_hash,
-    collocated_fraction,
     pattern_nodes,
     random_uniform,
     round_robin,
@@ -249,16 +248,6 @@ class TestPlacement:
     def test_pattern_too_many_groups(self):
         with pytest.raises(PlacementError):
             pattern_nodes(10, (1, 1, 1), 2)
-
-    def test_collocated_fraction_full(self):
-        keys = np.arange(100, dtype=np.int64)
-        anchors = np.full(200, 3, dtype=np.int64)
-        nodes = collocated_fraction(keys, anchors, 1.0, 8, seed=0)
-        assert np.all(nodes == 3)
-
-    def test_collocated_fraction_invalid(self):
-        with pytest.raises(PlacementError):
-            collocated_fraction(np.arange(5), np.zeros(10, dtype=np.int64), 1.5, 4)
 
     @given(st.integers(1, 64), st.integers(1, 8))
     def test_round_robin_balance(self, rows, nodes):

@@ -138,27 +138,7 @@ class TestHardwareModel:
 
 
 class TestBottleneckSeconds:
-    def test_busiest_link_drives_makespan(self):
-        from repro.cluster.network import Message, MessageClass, TrafficLedger
-        from repro.timing import bottleneck_seconds
-
-        ledger = TrafficLedger()
-        ledger.record(Message(0, 1, MessageClass.R_TUPLES, 100.0, None))
-        ledger.record(Message(0, 2, MessageClass.R_TUPLES, 40.0, None))
-        assert bottleneck_seconds(ledger, per_link_bandwidth=10.0) == pytest.approx(10.0)
-
-    def test_empty_ledger(self):
-        from repro.cluster.network import TrafficLedger
-        from repro.timing import bottleneck_seconds
-
-        assert bottleneck_seconds(TrafficLedger(), 1.0) == 0.0
-
-    def test_invalid_bandwidth(self):
-        from repro.cluster.network import TrafficLedger
-        from repro.timing import bottleneck_seconds
-
-        with pytest.raises(ValueError):
-            bottleneck_seconds(TrafficLedger(), 0.0)
+    """No schedule finishes before its most loaded directed link drains."""
 
     def test_balanced_schedule_lower_makespan(self):
         """The balance-aware scheduler can lower the link makespan even
@@ -167,7 +147,6 @@ class TestBottleneckSeconds:
 
         from repro import Cluster, JoinSpec, Schema, TrackJoin4
         from repro.core.balance import BalanceAwareTrackJoin
-        from repro.timing import bottleneck_seconds
         from repro.testing import scatter_tables
 
         cluster = Cluster(6)
@@ -180,6 +159,6 @@ class TestBottleneckSeconds:
         table_s = cluster.table_from_assignment("S", schema, keys, nodes_s)
         optimal = TrackJoin4().run(cluster, table_r, table_s)
         balanced = BalanceAwareTrackJoin().run(cluster, table_r, table_s)
-        assert bottleneck_seconds(balanced.traffic, 1.0) <= bottleneck_seconds(
-            optimal.traffic, 1.0
+        assert max(balanced.traffic.by_link.values()) <= max(
+            optimal.traffic.by_link.values()
         ) * 1.05

@@ -15,8 +15,6 @@ from repro.util import (
     segment_boundaries,
     segment_count,
     segment_ids,
-    segment_max_position,
-    segment_sum,
     segmented_cartesian,
 )
 
@@ -109,37 +107,13 @@ class TestSegments:
 
     def test_sum_and_count(self):
         keys = np.array([1, 1, 2, 5, 5, 5])
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         starts = segment_boundaries(keys)
-        assert np.array_equal(segment_sum(values, starts), [3.0, 3.0, 15.0])
         assert np.array_equal(segment_count(starts, len(keys)), [2, 1, 3])
 
     def test_ids(self):
         keys = np.array([3, 3, 7, 9, 9])
         starts = segment_boundaries(keys)
         assert np.array_equal(segment_ids(starts, len(keys)), [0, 0, 1, 2, 2])
-
-    def test_max_position_first_tie(self):
-        values = np.array([1.0, 5.0, 5.0, 2.0, 2.0])
-        starts = np.array([0, 3])
-        positions = segment_max_position(values, starts, len(values))
-        assert np.array_equal(positions, [1, 3])
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 5), st.floats(0, 100)), min_size=1, max_size=50
-        )
-    )
-    def test_segment_sum_matches_python(self, pairs):
-        pairs.sort(key=lambda p: p[0])
-        keys = np.array([p[0] for p in pairs], dtype=np.int64)
-        values = np.array([p[1] for p in pairs])
-        starts = segment_boundaries(keys)
-        sums = segment_sum(values, starts)
-        expected = {}
-        for k, v in pairs:
-            expected[k] = expected.get(k, 0.0) + v
-        assert np.allclose(sums, [expected[k] for k in sorted(expected)])
 
 
 class TestSegmentedCartesian:
@@ -174,64 +148,3 @@ class TestSegmentedCartesian:
             if a_seg[i] == b_seg[j]
         )
         assert got == expected
-
-
-class TestCompositeKeys:
-    def test_pack_unpack_roundtrip(self):
-        from repro.util import pack_composite_keys, unpack_composite_keys
-
-        a = np.array([1, 2, 3], dtype=np.int64)
-        b = np.array([100, 200, 300], dtype=np.int64)
-        packed = pack_composite_keys([a, b], [8, 16])
-        ua, ub = unpack_composite_keys(packed, [8, 16])
-        assert np.array_equal(ua, a)
-        assert np.array_equal(ub, b)
-
-    def test_injective(self):
-        from repro.util import pack_composite_keys
-
-        a = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        packed = pack_composite_keys([a[:, 0], a[:, 1]], [4, 4])
-        assert len(np.unique(packed)) == 4
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 255), st.integers(0, 2**20 - 1)),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    def test_property_roundtrip(self, pairs):
-        from repro.util import pack_composite_keys, unpack_composite_keys
-
-        a = np.array([p[0] for p in pairs], dtype=np.int64)
-        b = np.array([p[1] for p in pairs], dtype=np.int64)
-        packed = pack_composite_keys([a, b], [8, 20])
-        ua, ub = unpack_composite_keys(packed, [8, 20])
-        assert np.array_equal(ua, a) and np.array_equal(ub, b)
-
-    def test_overflow_rejected(self):
-        from repro.util import pack_composite_keys
-
-        with pytest.raises(ValueError):
-            pack_composite_keys([np.array([256])], [8])
-        with pytest.raises(ValueError):
-            pack_composite_keys([np.array([1])] * 8, [10] * 8)
-        with pytest.raises(ValueError):
-            pack_composite_keys([], [])
-
-    def test_join_on_composite_keys(self):
-        """A two-column equi-join via packed keys."""
-        from repro import Cluster, GraceHashJoin, TrackJoin4
-        from repro.util import pack_composite_keys
-        from conftest import make_tables, assert_same_output
-
-        rng = np.random.default_rng(5)
-        col_a = rng.integers(0, 16, 3000)
-        col_b = rng.integers(0, 64, 3000)
-        keys = pack_composite_keys([col_a, col_b], [4, 6])
-        cluster = Cluster(4)
-        table_r, table_s = make_tables(cluster, keys, keys[::-1].copy(), seed=1)
-        hashed = GraceHashJoin().run(cluster, table_r, table_s)
-        tracked = TrackJoin4().run(cluster, table_r, table_s)
-        assert_same_output(hashed, tracked)

@@ -309,69 +309,3 @@ class TestHotKeyWorkload:
             hot_key_workload(distinct_keys=0)
         with pytest.raises(WorkloadError):
             hot_key_workload(hot_threshold=0.0)
-
-
-class TestTpch:
-    def test_cardinalities_follow_scale_factor(self):
-        from repro import Cluster
-        from repro.workloads import TPCH_BASE_ROWS, tpch_tables
-
-        cluster = Cluster(4)
-        tables = tpch_tables(cluster, scale_factor=0.01, seed=1)
-        assert tables["customer"].total_rows == TPCH_BASE_ROWS["customer"] // 100
-        assert tables["orders"].total_rows == TPCH_BASE_ROWS["orders"] // 100
-        # Lineitems per order are uniform 1..7 -> mean 4.
-        ratio = tables["lineitem"].total_rows / tables["orders"].total_rows
-        assert 3.5 < ratio < 4.5
-
-    def test_foreign_keys_resolve(self):
-        from repro import Cluster
-        from repro.workloads import tpch_tables
-
-        cluster = Cluster(4)
-        tables = tpch_tables(cluster, scale_factor=0.005, seed=2)
-        custkeys = tables["orders"].gathered().columns["o_custkey"]
-        assert custkeys.max() < tables["customer"].total_rows
-        orderkeys = tables["lineitem"].all_keys()
-        assert orderkeys.max() < tables["orders"].total_rows
-
-    def test_query_plan_over_tpch(self):
-        """A TPC-H Q3-style query runs end to end on the substrate."""
-        from repro import Cluster
-        from repro.query import (
-            Aggregate,
-            AggregateSpec,
-            ColumnPredicate,
-            Join,
-            Scan,
-            execute,
-        )
-        from repro.workloads import tpch_tables
-
-        cluster = Cluster(4)
-        tables = tpch_tables(cluster, scale_factor=0.002, seed=3)
-        plan = Aggregate(
-            Join(
-                Join(
-                    Scan(tables["lineitem"], ColumnPredicate("l_shipdate", ">", 1200)),
-                    Scan(tables["orders"], ColumnPredicate("o_orderdate", "<", 1200)),
-                    algorithm="auto",
-                    rekey_on="s.o_custkey",
-                ),
-                Scan(tables["customer"], ColumnPredicate("c_mktsegment", "==", 1)),
-                algorithm="auto",
-            ),
-            aggregates=(AggregateSpec("revenue", "sum", "r.r.l_extendedprice"),),
-        )
-        result = execute(plan, cluster)
-        assert result.output_rows > 0
-        assert result.network_bytes > 0
-        # Final groups are customers in the chosen segment.
-        assert result.output_rows <= tables["customer"].total_rows
-
-    def test_invalid_scale_factor(self):
-        from repro import Cluster
-        from repro.workloads import tpch_tables
-
-        with pytest.raises(WorkloadError):
-            tpch_tables(Cluster(2), scale_factor=0)
