@@ -7,11 +7,13 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Exchange-layer gate: lint the communication primitives, then run
-# their unit tests, the placement/scatter tests and the
+# their unit tests, the placement/scatter tests, the
 # golden-equivalence suite that pins every operator's traffic ledger
-# byte-for-byte — once as is, once with 2 workers over 64-row kernel
-# chunks, so the chunk-merged grouping runs on inputs this small.
-EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test_storage.py
+# byte-for-byte and the sort-merge oracle every operator's rows must
+# match — once as is, once with 2 workers over 64-row kernel chunks, so
+# the chunk-merged grouping runs on inputs this small.
+EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test_storage.py \
+	tests/test_oracle.py
 test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
 	$(PYTHON) -m pytest $(EXCHANGE_TESTS) -q

@@ -30,7 +30,6 @@ from itertools import pairwise
 import numpy as np
 
 from ..errors import ScheduleError
-from ..fastpath import fused_enabled
 from ..parallel.chunks import chunk_bounds, kernel_chunk_rows, run_chunks
 from .destinations import (
     migration_delta,
@@ -231,56 +230,6 @@ class ScheduleSet:
         return self.shard_dests[self.shard_offsets[key] : self.shard_offsets[key + 1]]
 
 
-def _direction_costs(
-    seg: np.ndarray,
-    starts: np.ndarray,
-    nodes: np.ndarray,
-    t_node_of_entry: np.ndarray,
-    size_b: np.ndarray,
-    size_t: np.ndarray,
-    location_width: float,
-    allow_migration: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost and migration plan of one broadcast direction for all keys.
-
-    ``size_b`` is the broadcast side, ``size_t`` the target (potentially
-    migrating) side.  Returns ``(cost_per_key, migrate_per_entry,
-    dest_per_key)``.
-    """
-    num_entries = len(seg)
-    has_b = size_b > 0
-    has_t = size_t > 0
-    not_scheduler = nodes != t_node_of_entry
-
-    b_all = np.add.reduceat(size_b, starts)
-    t_holders = np.add.reduceat(has_t.astype(np.int64), starts)
-    b_local = np.add.reduceat(np.where(has_t, size_b, 0.0), starts)
-    b_nodes = np.add.reduceat((has_b & not_scheduler).astype(np.int64), starts)
-    base = b_all * t_holders - b_local + b_nodes * t_holders * location_width
-
-    migrate = np.zeros(num_entries, dtype=bool)
-    dest = np.full(len(starts), -1, dtype=np.int64)
-    if not allow_migration:
-        return base, migrate, dest
-
-    delta = (
-        size_b
-        + size_t
-        - b_all[seg]
-        - b_nodes[seg] * location_width
-        + np.where(not_scheduler, location_width, 0.0)
-    )
-
-    # The shared destination-choice core: forced stay at the
-    # maximal-delta holder, migrate every other holder with a negative
-    # delta, consolidate at the forced-stay node (Theorem 1).
-    migrate, _, dest, savings = segmented_consolidation(
-        seg, starts, nodes, delta, has_t
-    )
-    cost = base + savings
-    return cost, migrate, dest
-
-
 #: Most keys per block in the paired schedule path.  The per-key
 #: pipeline touches ~25 temporaries, so blocks of 2^15 keys keep the
 #: whole working set (~6 MB) cache-resident instead of streaming every
@@ -378,21 +327,17 @@ def _both_direction_costs_paired(
     return (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr)
 
 
-def _both_direction_costs_fused(
+def _both_direction_costs_generic(
     tracking: TrackingTable, location_width: float, allow_migration: bool
 ) -> tuple[tuple, tuple]:
-    """Both directions' costs and migration plans, sharing precomputation.
+    """Both directions' costs and migration plans, any holders per key.
 
-    Bit-identical to calling :func:`_direction_costs` once per direction:
-    every per-element expression evaluates in the same operand order, so
-    near-tie direction choices cannot flip between the two forms.
+    Segmented ``reduceat`` sums shared by the two directions.
     Consolidation is evaluated only over the keys with at least two
     target-side holders in that direction: with fewer the only holder
     is the forced stay, nothing migrates and the cost is the base cost.
     """
     counts = tracking.entries_per_key
-    if int(counts.max()) <= 2:
-        return _both_direction_costs_paired(tracking, location_width, allow_migration)
     seg, starts, nodes = tracking.seg, tracking.key_starts, tracking.nodes
     size_r, size_s = tracking.size_r, tracking.size_s
     has_r = size_r > 0
@@ -459,27 +404,13 @@ def both_direction_plans(
     shared by :func:`generate_schedules` and the load-aware policies
     (:mod:`repro.core.balance`, :mod:`repro.core.skew`), which differ
     only in how they pick a direction and destination from these plans.
+
+    Tables with at most two entries per key take the paired path, which
+    is bit-identical to the generic one on such tables.
     """
-    if fused_enabled():
-        return _both_direction_costs_fused(tracking, location_width, allow_migration)
-    seg = tracking.seg
-    t_node_of_entry = tracking.t_nodes[seg]
-    return tuple(
-        _direction_costs(
-            seg,
-            tracking.key_starts,
-            tracking.nodes,
-            t_node_of_entry,
-            size_b,
-            size_t,
-            location_width,
-            allow_migration,
-        )
-        for size_b, size_t in (
-            (tracking.size_r, tracking.size_s),
-            (tracking.size_s, tracking.size_r),
-        )
-    )
+    if int(tracking.entries_per_key.max()) <= 2:
+        return _both_direction_costs_paired(tracking, location_width, allow_migration)
+    return _both_direction_costs_generic(tracking, location_width, allow_migration)
 
 
 def empty_schedule_set(tracking: TrackingTable) -> ScheduleSet:

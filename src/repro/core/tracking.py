@@ -22,7 +22,6 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
 from ..parallel.chunks import kernel_chunk_rows, run_chunks
 from ..storage.table import DistributedTable
 from ..timing.profile import ExecutionProfile
@@ -122,7 +121,6 @@ def run_tracking_phase(
     width_s = table_s.schema.tuple_width(spec.encoding)
     key_width = table_r.schema.key_width(spec.encoding)
 
-    fused = fused_enabled()
     sides = (
         ("R", table_r, width_r, spec.count_width_r),
         ("S", table_s, width_s, spec.count_width_s),
@@ -137,10 +135,7 @@ def run_tracking_phase(
         profile.add_cpu_at(
             f"Sort local {side} tuples", "sort", node, partition.num_rows * width
         )
-        if fused:
-            distinct, counts = partition.distinct_with_counts()
-        else:
-            distinct, counts = np.unique(partition.keys, return_counts=True)
+        distinct, counts = partition.distinct_with_counts()
         profile.add_cpu_at(
             "Aggregate keys", "aggregate", node, partition.num_rows * key_width
         )
@@ -154,18 +149,13 @@ def run_tracking_phase(
             node,
             len(distinct) * (key_width + (count_width if with_counts else 0)),
         )
-        if fused:
-            plan = partition.distinct_scatter_plan(num_nodes, spec.hash_seed)
-            order, boundaries = plan.order, plan.bounds
-        else:
-            t_of_key = hash_partition(distinct, num_nodes, spec.hash_seed)
-            order = np.argsort(t_of_key, kind="stable")
-            boundaries = np.searchsorted(t_of_key[order], np.arange(num_nodes + 1))
+        plan = partition.distinct_scatter_plan(num_nodes, spec.hash_seed)
+        order, boundaries = plan.order, plan.bounds
         for dst in range(num_nodes):
             rows = order[boundaries[dst] : boundaries[dst + 1]]
             if len(rows) == 0:
                 continue
-            if fused and not spec.delta_keys:
+            if not spec.delta_keys:
                 # Plain-coded tracking messages are sized purely by
                 # entry count; skip materializing the key groups.
                 nbytes = len(rows) * key_width + len(rows) * (
@@ -213,9 +203,8 @@ def run_tracking_phase(
         empty = np.empty(0, dtype=np.int64)
         return TrackingTable(empty, empty, empty.astype(float), empty.astype(float), empty, empty)
 
-    merge = merge_streams if fused else _merge_lexsort
     tracking = TrackingTable(
-        *merge(
+        *merge_streams(
             stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes,
             spec.hash_seed,
         )
@@ -224,7 +213,7 @@ def run_tracking_phase(
     # Receiving T nodes merge the incoming sorted (key, count) streams.
     entry_bytes = key_width + spec.count_width_r  # footprint per union entry
     entries_per_key = tracking.entries_per_key
-    if fused and float(entry_bytes).is_integer():
+    if float(entry_bytes).is_integer():
         # count x width instead of summing a constant per entry: exact
         # for integer widths (every partial sum is an exact integer far
         # below 2**53), and skips the 1:1 repeat expansion.
@@ -283,7 +272,7 @@ def _group_columns(order, is_new, columns, sizes, r_entries):
 def _merge_lexsort(
     stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes, hash_seed
 ) -> tuple[np.ndarray, ...]:
-    """Reference merge: one global ``lexsort`` by (key, node)."""
+    """Merge of keys too wide to pack: one global ``lexsort`` by (key, node)."""
     keys = np.concatenate(stream_keys)
     nodes = np.concatenate(
         [np.full(len(k), n, dtype=np.int64) for k, n in zip(stream_keys, stream_nodes)]

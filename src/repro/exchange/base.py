@@ -32,7 +32,6 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
 from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -149,9 +148,8 @@ def matched_batches(
     view per destination, each batch in pair order.  The batch list is
     ``None`` when nothing matches.
     """
-    right_partition = local if fused_enabled() and local.num_rows else None
     pair_pos, rows = join_indices(
-        link_keys[edges[0] : edges[-1]], local.keys, right_partition=right_partition
+        link_keys[edges[0] : edges[-1]], local.keys, right_partition=local
     )
     if len(rows) == 0:
         return rows, None

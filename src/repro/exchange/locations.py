@@ -17,7 +17,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
+from ..errors import ValidationError
 from ..timing.profile import ExecutionProfile
 
 __all__ = ["LocationExchange"]
@@ -67,15 +67,21 @@ class LocationExchange:
         # would close that cycle during interpreter start-up.
         from ..core.messages import location_message_bytes
 
+        n = cluster.num_nodes
+        if n * n * n > (1 << 62):
+            raise ValidationError(
+                "location messages pack (sender, receiver, node) triples into "
+                f"int64, which needs num_nodes**3 <= 2**62 (at most 1664510 "
+                f"nodes); got {n} nodes"
+            )
         if len(senders) == 0:
             return
-        n = cluster.num_nodes
-        if fused_enabled() and n * n * n <= (1 << 20):
+        composite = (senders * n + receivers) * n + node_values
+        if n * n * n <= (1 << 20):
             # The (sender, receiver, value) triple domain is tiny: count
             # every triple with one bincount pass and read link totals
             # and per-link distinct values straight off the table — no
             # sort.
-            composite = (senders * n + receivers) * n + node_values
             triple_counts = np.bincount(composite, minlength=n * n * n).reshape(n * n, n)
             link_counts = triple_counts.sum(axis=1)
             link_distinct = np.count_nonzero(triple_counts, axis=1)
@@ -84,16 +90,12 @@ class LocationExchange:
             distinct_counts = link_distinct[links]
             group_src = links // n
             group_dst = links % n
-        elif fused_enabled() and n * n * n <= (1 << 62):
+        else:
             # Grouped distinct counting in one pass: sort the packed
             # (sender, receiver, value) triple, find link-group
             # boundaries, and count value changes per group — no
             # per-group np.unique.
-            composite = (senders * n + receivers) * n + node_values
-            if n * n * n <= (1 << 16):
-                order = np.argsort(composite.astype(np.uint16), kind="stable")
-            else:
-                order = np.argsort(composite, kind="stable")
+            order = np.argsort(composite, kind="stable")
             c_sorted = composite[order]
             link = c_sorted // n
             change = np.empty(len(order), dtype=bool)
@@ -111,29 +113,6 @@ class LocationExchange:
             distinct_counts = cumulative[ends - 1] - cumulative[starts] + 1
             group_src = link[starts] // n
             group_dst = link[starts] % n
-        else:
-            order = np.lexsort((node_values, receivers, senders))
-            s_sorted = senders[order]
-            r_sorted = receivers[order]
-            v_sorted = node_values[order]
-            change = np.empty(len(order), dtype=bool)
-            change[0] = True
-            np.logical_or(
-                s_sorted[1:] != s_sorted[:-1],
-                r_sorted[1:] != r_sorted[:-1],
-                out=change[1:],
-            )
-            starts = np.flatnonzero(change)
-            counts = np.diff(np.append(starts, len(order)))
-            distinct_counts = np.array(
-                [
-                    len(np.unique(v_sorted[start : start + count]))
-                    for start, count in zip(starts, counts)
-                ],
-                dtype=np.int64,
-            )
-            group_src = s_sorted[starts]
-            group_dst = r_sorted[starts]
         for src, dst, group_count, distinct in zip(
             group_src, group_dst, counts, distinct_counts
         ):

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
 from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -131,10 +130,7 @@ class ShardedMigrate:
             node = sharding[task]
             instr_sel = order[bounds[node] : bounds[node + 1]]
             local = holders[node]
-            right_partition = local if fused_enabled() and local.num_rows else None
-            pair_pos, rows = join_indices(
-                keys[instr_sel], local.keys, right_partition=right_partition
-            )
+            pair_pos, rows = join_indices(keys[instr_sel], local.keys, right_partition=local)
             if len(rows) == 0:
                 return
             # join_indices emits ascending left positions, so the matched

@@ -22,10 +22,8 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from ..util import hash_partition
 from .base import send_split
 from .gather import Gather
 
@@ -126,30 +124,16 @@ class KeyShuffle:
             )
             if partition.num_rows == 0:
                 return
-            if fused_enabled():
-                plan = partition.hash_scatter_plan(cluster.num_nodes, self.hash_seed)
-                order, bounds = plan.order, plan.bounds
-                gathered_keys = partition.keys[order]
-            else:
-                destinations = hash_partition(
-                    partition.keys, cluster.num_nodes, self.hash_seed
-                )
-                order = np.argsort(destinations, kind="stable")
-                bounds = np.searchsorted(
-                    destinations[order], np.arange(cluster.num_nodes + 1)
-                )
-                gathered_keys = None
+            plan = partition.hash_scatter_plan(cluster.num_nodes, self.hash_seed)
+            order, bounds = plan.order, plan.bounds
+            gathered_keys = partition.keys[order]
             for dst in range(cluster.num_nodes):
                 lo, hi = bounds[dst], bounds[dst + 1]
                 rows = order[lo:hi]
                 if len(rows) == 0:
                     continue
                 payload = LocalPartition(
-                    keys=(
-                        gathered_keys[lo:hi]
-                        if gathered_keys is not None
-                        else partition.keys[rows]
-                    ),
+                    keys=gathered_keys[lo:hi],
                     columns={
                         "node": np.full(len(rows), src, dtype=np.int64),
                         "pos": rows.astype(np.int64),

@@ -14,7 +14,6 @@ from ..cluster.network import MessageClass
 from ..errors import ValidationError
 from ..exchange.broadcast import Broadcast
 from ..exchange.gather import drain_category
-from ..fastpath import fused_enabled
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from .base import DistributedJoin, JoinSpec
@@ -51,31 +50,24 @@ class BroadcastJoin(DistributedJoin):
         width = moving.schema.tuple_width(spec.encoding)
         Broadcast(category, width, step).scatter(cluster, profile, moving.partitions)
 
-        # On the fused path every node joins the same broadcast multiset,
-        # so the full table (and, via local_join, its key index) is
-        # assembled once and shared instead of re-concatenated and
-        # re-sorted per node.  The index is built here, before the join
-        # phase fans out, so concurrent node tasks only ever read it.
-        # Inboxes are still drained per node so the network sees
-        # identical deliveries.
-        shared_moving = (
-            LocalPartition.concat(list(moving.partitions)) if fused_enabled() else None
-        )
-        if shared_moving is not None and shared_moving.num_rows:
+        # Every node joins the same broadcast multiset, so the full table
+        # (and, via local_join, its key index) is assembled once and
+        # shared instead of re-concatenated and re-sorted per node.  The
+        # index is built here, before the join phase fans out, so
+        # concurrent node tasks only ever read it.  Inboxes are still
+        # drained per node so the network sees every delivery.
+        full_moving = LocalPartition.concat(list(moving.partitions))
+        if full_moving.num_rows:
             if not spec.materialize:
                 # A count builds on whichever side is cached: make that
                 # the shared table, for either broadcast side.
-                shared_moving.distinct_with_counts()
+                full_moving.distinct_with_counts()
             elif self.broadcast == "S":
                 # Only BJ-S probes the shared table as the join's right side.
-                shared_moving.key_index()
+                full_moving.key_index()
 
         def join_node(node: int) -> LocalPartition | JoinCount:
-            received = drain_category(cluster, node, category)
-            if shared_moving is not None:
-                full_moving = shared_moving
-            else:
-                full_moving = LocalPartition.concat([moving.partitions[node]] + received)
+            drain_category(cluster, node, category)
             local = staying.partitions[node]
             if self.broadcast == "R":
                 left, right = full_moving, local

@@ -20,7 +20,6 @@ from itertools import pairwise
 import numpy as np
 
 from ..errors import PlacementError, SchemaError
-from ..fastpath import fused_enabled
 from ..parallel.chunks import chunked_build, chunked_gather
 from ..util import (
     group_bounded,
@@ -291,36 +290,20 @@ class LocalPartition:
         """Scatter rows to ``num_buckets`` groups; ``None`` marks empty ones.
 
         ``destinations[i]`` routes row ``rows[i]`` (or row ``i`` when
-        ``rows`` is omitted).  The fused path groups once
-        (:func:`~repro.util.group_bounded`), gathers once, and cuts the
-        result into per-bucket views; the loop path
-        materializes one ``take()`` copy per bucket (the reference the
-        equivalence suite compares against).  Each bucket holds the same
-        rows in the same order either way.
+        ``rows`` is omitted).  Groups once (:func:`~repro.util.group_bounded`),
+        gathers once, and cuts the result into per-bucket views; each
+        bucket keeps its rows in input order.
         """
-        if not fused_enabled():
-            base = self if rows is None else self.take(rows)
-            order = np.argsort(destinations, kind="stable")
-            bounds = np.searchsorted(destinations[order], np.arange(num_buckets + 1))
-            return [
-                base.take(order[bounds[dst] : bounds[dst + 1]])
-                if bounds[dst + 1] > bounds[dst]
-                else None
-                for dst in range(num_buckets)
-            ]
         order, bounds = group_bounded(destinations, num_buckets)
         return self.take(order if rows is None else chunked_gather(rows, order)).cut(bounds)
 
     def hash_split(self, num_buckets: int, seed: int = 0) -> list["LocalPartition | None"]:
         """Scatter rows by key hash (the Grace repartitioning primitive).
 
-        The fused path reuses the cached :meth:`hash_scatter_plan`, so
-        repeated runs over the same partition skip both the hash and the
-        sort and pay only the gather.
+        Reuses the cached :meth:`hash_scatter_plan`, so repeated runs
+        over the same partition skip both the hash and the sort and pay
+        only the gather.
         """
-        if not fused_enabled():
-            destinations = hash_partition(self.keys, num_buckets, seed)
-            return self.split_by(destinations, num_buckets)
         plan = self.hash_scatter_plan(num_buckets, seed)
         return self.take(plan.order).cut(plan.bounds)
 

@@ -315,8 +315,8 @@ def workload_y(
     The published cardinalities admit that behaviour only with *partial
     input selectivity*: a core of matched keys repeating heavily on both
     sides, plus unmatched single-occurrence keys in each table.  We use
-    ``repeats_r x repeats_s`` matched multiplicities (defaults 12 x 30,
-    preserving the tables' 1:2.47 size ratio); the matched key count
+    ``repeats_r x repeats_s`` matched multiplicities (defaults 11 x 27,
+    close to the tables' 1:2.47 size ratio); the matched key count
     follows from the published output, and the unmatched remainders fill
     each table to its published cardinality.
     """

@@ -213,9 +213,7 @@ class TestReachability:
 class TestGroupingIdiom:
     """Rows are grouped by ``repro.util.group_bounded`` and nowhere else."""
 
-    #: The loop-mode reference bodies (``split_by``, ``run_tracking_phase``
-    #: and ``KeyShuffle.scatter``), which go when loop mode does.
-    ALLOWED = {"core/tracking.py": 1, "exchange/shuffle.py": 1, "storage/table.py": 1}
+    ALLOWED: dict[str, int] = {}
 
     def test_argsort_searchsorted_grouping_is_not_hand_rolled(self):
         import re

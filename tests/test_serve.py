@@ -26,6 +26,7 @@ from repro.serve import (
     SharedExecutor,
     WarmExecutorPool,
 )
+from repro.timing.clock import wall_clock
 
 from serving import serve_query_mix, serve_tables
 
@@ -284,9 +285,15 @@ class TestQueryService:
         )
         service = QueryService(tables, workers=1, max_inflight=1)
         try:
-            ticket = service.submit(QueryRequest(plan=plan, timeout=0.05))
+            # Long enough not to lapse while the query waits in the queue
+            # of a loaded host; the deadline counts from admission, which
+            # happens before submit returns.
+            timeout = 1.0
+            ticket = service.submit(QueryRequest(plan=plan, timeout=timeout))
+            deadline = wall_clock() + timeout
             assert gate.entered.wait(timeout=30)
-            time.sleep(0.1)  # let the deadline lapse while the scan is held
+            while wall_clock() <= deadline:  # let it lapse while the scan is held
+                time.sleep(0.01)
             gate.event.set()
             outcome = ticket.outcome()
             assert not outcome.ok
