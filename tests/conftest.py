@@ -13,9 +13,11 @@ import pytest
 
 from repro import Cluster
 from repro.analysis import sanitizer_disable, sanitizer_enable
+from repro.core.tracking import TrackingTable
 from repro.testing import assert_same_output, canonical_output, scatter_tables
+from repro.util import segment_boundaries
 
-__all__ = ["assert_same_output", "canonical_output", "make_tables"]
+__all__ = ["assert_same_output", "canonical_output", "make_tables", "tracking_from_dicts"]
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -54,6 +56,26 @@ def make_tables(
         payload_bits_r=payload_bits_r,
         payload_bits_s=payload_bits_s,
         seed=seed,
+    )
+
+
+def tracking_from_dicts(per_key, t_nodes):
+    """Build a TrackingTable from per-key (sizes_r, sizes_s) dicts."""
+    keys, nodes, size_r, size_s = [], [], [], []
+    for key, (sizes_r, sizes_s) in enumerate(per_key):
+        for node in sorted(set(sizes_r) | set(sizes_s)):
+            keys.append(key)
+            nodes.append(node)
+            size_r.append(float(sizes_r.get(node, 0.0)))
+            size_s.append(float(sizes_s.get(node, 0.0)))
+    keys = np.array(keys, dtype=np.int64)
+    return TrackingTable(
+        keys=keys,
+        nodes=np.array(nodes, dtype=np.int64),
+        size_r=np.array(size_r),
+        size_s=np.array(size_s),
+        key_starts=segment_boundaries(keys),
+        t_nodes=np.array(t_nodes, dtype=np.int64),
     )
 
 

@@ -28,30 +28,10 @@ from repro.exchange import absorb_received
 from repro.exchange.migrate import ShardedMigrate
 from repro.storage import LocalPartition
 from repro.timing.profile import ExecutionProfile
-from repro.util import segment_boundaries, segment_ids
+from repro.util import segment_ids
 from repro.workloads import hot_key_workload
 
-from conftest import assert_same_output, make_tables
-
-
-def tracking_from_dicts(per_key, t_nodes):
-    """Build a TrackingTable from per-key (sizes_r, sizes_s) dicts."""
-    keys, nodes, size_r, size_s = [], [], [], []
-    for key, (sizes_r, sizes_s) in enumerate(per_key):
-        for node in sorted(set(sizes_r) | set(sizes_s)):
-            keys.append(key)
-            nodes.append(node)
-            size_r.append(float(sizes_r.get(node, 0.0)))
-            size_s.append(float(sizes_s.get(node, 0.0)))
-    keys = np.array(keys, dtype=np.int64)
-    return TrackingTable(
-        keys=keys,
-        nodes=np.array(nodes, dtype=np.int64),
-        size_r=np.array(size_r),
-        size_s=np.array(size_s),
-        key_starts=segment_boundaries(keys),
-        t_nodes=np.array(t_nodes, dtype=np.int64),
-    )
+from conftest import assert_same_output, make_tables, tracking_from_dicts
 
 
 def hot_tables(cluster, hot_repeats=600, num_cold=200, seed=11):
