@@ -76,7 +76,7 @@ class BalanceAwareTrackJoin(TrackJoin4):
         starts, seg = tracking.key_starts, tracking.seg
         num_keys = tracking.num_keys
         nodes = tracking.nodes
-        size_r, size_s = tracking.size_r, tracking.size_s
+        size_r, size_s = tracking.size_r(), tracking.size_s()
 
         (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr) = both_direction_plans(
             tracking, location_width, allow_migration=True
@@ -89,8 +89,7 @@ class BalanceAwareTrackJoin(TrackJoin4):
         # bytes, and one survivor (the policy's choice) additionally
         # receives the migrated target bytes.
         has_r, has_s = size_r > 0, size_s > 0
-        r_all = np.add.reduceat(size_r, starts)
-        s_all = np.add.reduceat(size_s, starts)
+        r_all, s_all = tracking.key_sizes()
         surv_rs = has_s & ~mig_rs  # RS: S is the (migrating) target side
         surv_sr = has_r & ~mig_sr
         recv_rs = np.where(surv_rs, r_all[seg] - size_r, 0.0)
@@ -111,7 +110,7 @@ class BalanceAwareTrackJoin(TrackJoin4):
 
         direction_rs = rs_cheaper.copy()
         migrate = np.zeros(num_entries, dtype=bool)
-        dest_node = np.full(num_keys, -1, dtype=np.int64)
+        dest_node = np.full(num_keys, -1, dtype=nodes.dtype)
         received_load = np.zeros(cluster.num_nodes)
 
         # Bulk keys (cost-determined, no migration): fold their fixed
@@ -160,8 +159,6 @@ class BalanceAwareTrackJoin(TrackJoin4):
             tracking=tracking,
             direction_rs=direction_rs,
             cost=cost,
-            cost_rs=cost_rs,
-            cost_sr=cost_sr,
             migrate=migrate,
             dest_node=dest_node,
         )

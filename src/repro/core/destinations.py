@@ -123,7 +123,7 @@ def segmented_consolidation(
     migrate = has_target & ~stay & (delta < 0)
     savings = np.add.reduceat(np.where(migrate, delta, 0.0), starts)
     any_migration = np.logical_or.reduceat(migrate, starts)
-    dest = np.where(any_migration, nodes[first_pos], np.int64(-1))
+    dest = np.where(any_migration, nodes[first_pos], -1)
     return migrate, stay, dest, savings
 
 
@@ -145,9 +145,7 @@ def paired_consolidation(
     stay_is_a = delta_a >= delta_b
     migrate_a = ~stay_is_a & (delta_a < 0)
     migrate_b = stay_is_a & (delta_b < 0)
-    dest = np.where(
-        migrate_a | migrate_b, np.where(stay_is_a, nodes_a, nodes_b), np.int64(-1)
-    )
+    dest = np.where(migrate_a | migrate_b, np.where(stay_is_a, nodes_a, nodes_b), -1)
     return migrate_a, migrate_b, dest
 
 

@@ -193,12 +193,10 @@ class ScheduleSet:
     direction_rs: np.ndarray
     #: Per key: cost of the chosen direction (diagnostics only).
     cost: np.ndarray
-    #: Per key: cost of each direction before choosing.
-    cost_rs: np.ndarray
-    cost_sr: np.ndarray
     #: Per entry: this entry's migrating-side tuples move to ``dest_node``.
     migrate: np.ndarray
-    #: Per key: migration destination node (-1 when nothing migrates).
+    #: Per key: migration destination node (-1 when nothing migrates), in
+    #: the tracking table's node dtype.
     dest_node: np.ndarray
     #: Optional heavy-hitter sharding (``None`` ⇒ every key consolidates
     #: at a single destination and execution is byte-identical to the
@@ -258,15 +256,14 @@ def _both_direction_costs_paired(
     """
     starts, counts = tracking.key_starts, tracking.entries_per_key
     nodes, t_nodes = tracking.nodes, tracking.t_nodes
-    size_r, size_s = tracking.size_r, tracking.size_s
     num_keys = len(starts)
     lw = location_width
     cost_rs = np.empty(num_keys, dtype=np.float64)
     cost_sr = np.empty(num_keys, dtype=np.float64)
     mig_rs = np.zeros(tracking.num_entries, dtype=bool)
     mig_sr = np.zeros(tracking.num_entries, dtype=bool)
-    dest_rs = np.full(num_keys, -1, dtype=np.int64)
-    dest_sr = np.full(num_keys, -1, dtype=np.int64)
+    dest_rs = np.full(num_keys, -1, dtype=nodes.dtype)
+    dest_sr = np.full(num_keys, -1, dtype=nodes.dtype)
 
     def cost_block(bounds: tuple[int, int]) -> None:
         lo, hi = bounds
@@ -275,12 +272,12 @@ def _both_direction_costs_paired(
         b = a + two
         tn = t_nodes[lo:hi]
 
-        size_r_a, size_s_a = size_r[a], size_s[a]
+        size_r_a, size_s_a = tracking.size_r(a), tracking.size_s(a)
         # Sizes are count x width — finite and >= 0 — so masking by
         # multiplication equals np.where(mask, x, 0.0) bit for bit
         # (x * 1.0 == x, x * 0.0 == +0.0) without its select pass.
-        size_r_b = size_r[b] * two
-        size_s_b = size_s[b] * two
+        size_r_b = tracking.size_r(b) * two
+        size_s_b = tracking.size_s(b) * two
         has_r_a, has_s_a = size_r_a > 0, size_s_a > 0
         has_r_b, has_s_b = size_r_b > 0, size_s_b > 0
         nodes_a, nodes_b = nodes[a], nodes[b]
@@ -339,7 +336,7 @@ def _both_direction_costs_generic(
     """
     counts = tracking.entries_per_key
     seg, starts, nodes = tracking.seg, tracking.key_starts, tracking.nodes
-    size_r, size_s = tracking.size_r, tracking.size_s
+    size_r, size_s = tracking.size_r(), tracking.size_s()
     has_r = size_r > 0
     has_s = size_s > 0
     not_scheduler = nodes != tracking.t_nodes[seg]
@@ -356,7 +353,7 @@ def _both_direction_costs_generic(
 
     def one_direction(cost, b_all, b_nodes, has_t, t_holders):
         migrate = np.zeros(len(seg), dtype=bool)
-        dest = np.full(len(starts), -1, dtype=np.int64)
+        dest = np.full(len(starts), -1, dtype=nodes.dtype)
         if not allow_migration:
             return cost, migrate, dest
         multi = t_holders >= 2
@@ -415,10 +412,10 @@ def both_direction_plans(
 
 def empty_schedule_set(tracking: TrackingTable) -> ScheduleSet:
     """A schedule set over zero tracked keys."""
-    empty_f = np.empty(0, dtype=np.float64)
     empty_b = np.empty(0, dtype=bool)
-    empty_i = np.empty(0, dtype=np.int64)
-    return ScheduleSet(tracking, empty_b, empty_f, empty_f, empty_f, empty_b, empty_i)
+    return ScheduleSet(
+        tracking, empty_b, np.empty(0), empty_b, np.empty(0, dtype=tracking.nodes.dtype)
+    )
 
 
 def generate_schedules(
@@ -454,18 +451,16 @@ def generate_schedules(
     else:
         direction_rs = cost_rs < cost_sr
 
+    # The chosen direction's plan overwrites the R -> S arrays in place.
+    sr = ~direction_rs
+    np.copyto(cost_rs, cost_sr, where=sr)
+    np.copyto(dest_rs, dest_sr, where=sr)
     if mig_rs.any() or mig_sr.any():
-        migrate = np.where(direction_rs[tracking.seg], mig_rs, mig_sr)
-    else:
-        migrate = mig_rs
-    dest_node = np.where(direction_rs, dest_rs, dest_sr)
-    cost = np.where(direction_rs, cost_rs, cost_sr)
+        np.copyto(mig_rs, mig_sr, where=sr[tracking.seg])
     return ScheduleSet(
         tracking=tracking,
         direction_rs=direction_rs,
-        cost=cost,
-        cost_rs=cost_rs,
-        cost_sr=cost_sr,
-        migrate=migrate,
-        dest_node=dest_node,
+        cost=cost_rs,
+        migrate=mig_rs,
+        dest_node=dest_rs,
     )

@@ -31,12 +31,14 @@ caller supplies it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..errors import ValidationError
 from ..joins.base import JoinSpec
+from ..parallel.chunks import chunk_bounds, run_chunks
 from .destinations import rank_by_load
 from .schedule import ScheduleSet, generate_schedules
 from .track_join import TrackJoin4
@@ -85,17 +87,32 @@ def plan_shards(
     """
     if num_nodes < 2 or tracking.num_entries == 0:
         return None
-    starts, seg = tracking.key_starts, tracking.seg
-    size_r, size_s = tracking.size_r, tracking.size_s
-    r_all = np.add.reduceat(size_r, starts)
-    s_all = np.add.reduceat(size_s, starts)
-    total = float(size_r.sum() + size_s.sum())
+    # Tuple widths are whole eighths of a byte (bits / 8), so the byte
+    # total is exact whatever the summation order.
+    total = (
+        float(tracking.count_r.sum(dtype=np.int64)) * tracking.width_r
+        + float(tracking.count_s.sum(dtype=np.int64)) * tracking.width_s
+    )
     if total <= 0.0:
         return None
 
-    hot = (schedules.dest_node >= 0) & (r_all + s_all > hot_fraction * total)
+    # Hot keys are read off block by block, so a schedule set with none
+    # costs no per-entry array.
+    threshold = hot_fraction * total
+    hot = np.empty(tracking.num_keys, dtype=bool)
+
+    def mark_hot(bounds: tuple[int, int]) -> None:
+        lo, hi = bounds
+        r_all, s_all = tracking.key_sizes(lo, hi)
+        hot[lo:hi] = (schedules.dest_node[lo:hi] >= 0) & (r_all + s_all > threshold)
+
+    run_chunks(mark_hot, pairwise(chunk_bounds(tracking.num_keys).tolist()))
     if not hot.any():
         return None
+
+    starts, seg = tracking.key_starts, tracking.seg
+    size_r, size_s = tracking.size_r(), tracking.size_s()
+    r_all, s_all = tracking.key_sizes()
 
     # Sharded keys deal their larger side: the dealt side is paid once,
     # the replicated side once *per shard*, so replicate the cheap one.

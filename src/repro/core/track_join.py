@@ -32,13 +32,14 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..errors import ValidationError
+from ..exchange.base import group_by_link
 from ..exchange.gather import absorb_received
 from ..exchange.locations import LocationExchange
 from ..exchange.migrate import Migrate, ShardedMigrate
 from ..exchange.selective import SelectiveBroadcast
 from ..joins.base import DistributedJoin, JoinSpec
 from ..joins.local import JoinCount, local_join
-from ..parallel.chunks import chunk_bounds, run_chunks
+from ..parallel.chunks import chunk_bounds, kernel_chunk_rows, run_chunks
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from ..util import segmented_cartesian
@@ -174,19 +175,28 @@ class TrackJoin4(_TrackJoinBase):
 # ---------------------------------------------------------------------------
 
 
+#: Most keys per block of the pair expansion, which bounds a block's
+#: temporaries (some eighty bytes per key) to a few MiB.
+_PAIR_BLOCK = 1 << 15
+
+
 def _broadcast_pairs(sched: ScheduleSet) -> list[tuple[np.ndarray, ...]]:
     """Location pairs of the plain selective broadcasts, both directions.
 
     Per direction (R → S, then S → R) returns ``(pair_src, pair_dst,
     pair_key, pair_t)``: every broadcast-side holder of a key paired
     with every surviving (non-migrating) target-side holder, plus the
-    key and its scheduling node.  Sharded keys are left out; they
-    broadcast to their shard destinations instead.
+    key and its scheduling node; node ids keep the tracking table's
+    dtype.  Sharded keys are left out; they broadcast to their shard
+    destinations instead.
 
     Pairs are built per key-range block on the kernel pool and the
     blocks concatenate in key order, which is the order one pass over
     the whole table produces; block bounds depend on the key count and
-    the kernel chunk rows only.
+    the kernel chunk rows only.  The blocks' columns are as narrow as
+    the outputs', so the concatenation costs the pairs' 11 bytes (with
+    int8 node ids) once more; sizing the outputs first by counting every
+    key's pairs took longer than the expansion itself.
     """
     tracking = sched.tracking
     starts, counts = tracking.key_starts, tracking.entries_per_key
@@ -204,8 +214,8 @@ def _broadcast_pairs(sched: ScheduleSet) -> list[tuple[np.ndarray, ...]]:
         seg = np.repeat(np.arange(khi - klo), counts[klo:khi])
         nodes, keys = tracking.nodes[entries], tracking.keys[entries]
         t_nodes = tracking.t_nodes[klo:khi]
-        has_r = tracking.size_r[entries] > 0
-        has_s = tracking.size_s[entries] > 0
+        has_r = tracking.count_r[entries] > 0
+        has_s = tracking.count_s[entries] > 0
         pairs = []
         for key_mask, has_b, has_t in ((key_rs, has_r, has_s), (key_sr, has_s, has_r)):
             in_dir = key_mask[klo:khi][seg]
@@ -223,7 +233,8 @@ def _broadcast_pairs(sched: ScheduleSet) -> list[tuple[np.ndarray, ...]]:
             )
         return pairs
 
-    blocks = run_chunks(expand, pairwise(chunk_bounds(tracking.num_keys).tolist()))
+    edges = chunk_bounds(tracking.num_keys, min(_PAIR_BLOCK, kernel_chunk_rows()))
+    blocks = run_chunks(expand, pairwise(edges.tolist()))
     if len(blocks) == 1:
         return blocks[0]
     return [
@@ -283,8 +294,8 @@ def _execute_schedules(
                 sh_entry = sched.sharded[seg]
                 entry_dir_rs = sched.direction_rs[seg]
                 for side, entry_mask in (
-                    ("S", sh_entry & entry_dir_rs & (tracking.size_s > 0)),
-                    ("R", sh_entry & ~entry_dir_rs & (tracking.size_r > 0)),
+                    ("S", sh_entry & entry_dir_rs & (tracking.count_s > 0)),
+                    ("R", sh_entry & ~entry_dir_rs & (tracking.count_r > 0)),
                 ):
                     _run_shard_migrations(
                         cluster, spec, profile, tracking, sched, side,
@@ -305,18 +316,16 @@ def _execute_schedules(
     # sends and keep immediate semantics either way.
     pairs = _broadcast_pairs(sched)
     with cluster.pipelined_phases():
-        for b_side, t_side, (pair_src, pair_dst, pair_key, pair_t) in (
-            ("R", "S", pairs[0]),
-            ("S", "R", pairs[1]),
-        ):
+        for b_side, t_side in (("R", "S"), ("S", "R")):
+            pair_src, pair_dst, pair_key, pair_t = pairs.pop(0)
             if sched.has_shards:
                 # Each broadcast-side holder of a sharded key replicates
                 # its tuples to *every* shard, so each of the dealt
                 # target rows meets each matching broadcast row exactly
                 # once.
-                size_b = tracking.size_r if b_side == "R" else tracking.size_s
+                count_b = tracking.count_r if b_side == "R" else tracking.count_s
                 key_mask = sched.sharded & (sched.direction_rs == (b_side == "R"))
-                sb_idx = np.flatnonzero(key_mask[tracking.seg] & (size_b > 0))
+                sb_idx = np.flatnonzero(key_mask[tracking.seg] & (count_b > 0))
                 if len(sb_idx):
                     sb_seg = tracking.seg[sb_idx]
                     off = sched.shard_offsets
@@ -335,6 +344,9 @@ def _execute_schedules(
             _locations(spec, key_width, f"Tran. {b_side} → {t_side} keys, nodes").run(
                 cluster, profile, pair_t, pair_src, pair_dst
             )
+            link_keys, edges = group_by_link(pair_src, pair_dst, pair_key, num_nodes)
+            # The broadcast reads only the grouped keys: drop the pairs.
+            del pair_src, pair_dst, pair_key, pair_t
             SelectiveBroadcast(
                 category=categories[b_side],
                 width=widths[b_side],
@@ -345,7 +357,8 @@ def _execute_schedules(
                     f"Merge-join {b_side} → {t_side} keys, nodes ⇒ payloads "
                     "and partition by node"
                 ),
-            ).run(cluster, profile, work[b_side], pair_src, pair_dst, pair_key)
+            ).run(cluster, profile, work[b_side], link_keys, edges)
+            del link_keys
 
     # ---- Phase C: final local joins at every destination.  Each
     # direction joins the tuples received from the broadcast side with

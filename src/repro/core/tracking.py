@@ -9,9 +9,10 @@ schedule generation.
 
 This module materializes that state as a :class:`TrackingTable`: a flat
 "union table" with one row per (key, node) pair that holds at least one
-matching tuple on either side, carrying the total matching tuple *size*
-per side (count x tuple width, generalizing counts to variable lengths
-as the paper prescribes).
+matching tuple on either side, carrying the matching tuple *count* per
+side plus one tuple width per side.  A side's matching bytes on a node
+are ``count x width`` (the paper generalizes counts to sizes this way);
+consumers derive them per block instead of storing a float per entry.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from ..parallel.chunks import kernel_chunk_rows, run_chunks
 from ..storage.table import DistributedTable
 from ..timing.profile import ExecutionProfile
 from ..util import (
+    count_dtype,
     hash_partition,
+    index_dtype,
+    node_dtype,
     segment_boundaries,
     segment_ids,
     sort_with_index_bits,
@@ -40,29 +44,36 @@ __all__ = ["TrackingTable", "run_tracking_phase"]
 class TrackingTable:
     """Union of per-node key occurrences across both tables.
 
-    All arrays are parallel and sorted by ``(key, node)``:
+    All per-entry arrays are parallel and sorted by ``(key, node)``:
 
     Attributes
     ----------
     keys:
         Join key of the entry.
     nodes:
-        Node holding matching tuples of that key.
-    size_r, size_s:
-        Total matching tuple bytes of each table on that node (0 when
-        the node has no tuples of that side).
+        Node holding matching tuples of that key
+        (:func:`~repro.util.node_dtype` integers).
+    count_r, count_s:
+        Matching tuples of each table on that node (0 when the node has
+        no tuples of that side), in the narrowest unsigned dtype that
+        holds the largest count.
     key_starts:
         Segment offsets: entries of one distinct key are contiguous.
     t_nodes:
         Scheduling node of each distinct key (parallel to segments).
+    width_r, width_s:
+        Bytes per tuple of each side (positive): ``count x width`` is
+        the entry's matching bytes (:meth:`size_r` / :meth:`size_s`).
     """
 
     keys: np.ndarray
     nodes: np.ndarray
-    size_r: np.ndarray
-    size_s: np.ndarray
+    count_r: np.ndarray
+    count_s: np.ndarray
     key_starts: np.ndarray
     t_nodes: np.ndarray
+    width_r: float
+    width_s: float
     # Derived columns, filled on first use.  Not functools.cached_property:
     # before Python 3.12 it serializes every instance on one class-wide
     # lock, which concurrent queries would contend on.
@@ -70,6 +81,14 @@ class TrackingTable:
         default=None, init=False, repr=False, compare=False
     )
     _seg: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def empty(cls, num_nodes: int = 1) -> "TrackingTable":
+        """A table with no entries."""
+        index = np.empty(0, dtype=np.int64)
+        nodes = np.empty(0, dtype=node_dtype(num_nodes))
+        counts = np.empty(0, dtype=np.uint8)
+        return cls(index, nodes, counts, counts, index, nodes, 1.0, 1.0)
 
     @property
     def num_entries(self) -> int:
@@ -85,16 +104,40 @@ class TrackingTable:
         """The distinct key values, in sorted order."""
         return self.keys[self.key_starts]
 
+    def size_r(self, rows=slice(None)) -> np.ndarray:
+        """Matching R bytes of the entries ``rows`` (float64)."""
+        return self.count_r[rows].astype(np.float64) * self.width_r
+
+    def size_s(self, rows=slice(None)) -> np.ndarray:
+        """Matching S bytes of the entries ``rows`` (float64)."""
+        return self.count_s[rows].astype(np.float64) * self.width_s
+
+    def key_sizes(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per key of ``lo:hi``: its entries' summed R and S bytes."""
+        hi = self.num_keys if hi is None else hi
+        if hi <= lo:
+            return np.empty(0), np.empty(0)
+        elo = int(self.key_starts[lo])
+        ehi = int(self.key_starts[hi]) if hi < self.num_keys else self.num_entries
+        starts = self.key_starts[lo:hi] - elo
+        rows = slice(elo, ehi)
+        return (
+            np.add.reduceat(self.size_r(rows), starts),
+            np.add.reduceat(self.size_s(rows), starts),
+        )
+
     @property
     def entries_per_key(self) -> np.ndarray:
-        """Number of union rows of each distinct key (cached)."""
+        """Number of union rows of each distinct key (cached, int32)."""
         if self._entries_per_key is None:
-            self._entries_per_key = np.diff(np.append(self.key_starts, self.num_entries))
+            self._entries_per_key = np.diff(
+                self.key_starts, append=self.num_entries
+            ).astype(index_dtype(self.num_entries))
         return self._entries_per_key
 
     @property
     def seg(self) -> np.ndarray:
-        """Per entry: index of its key into the per-key arrays (cached)."""
+        """Per entry: index of its key into the per-key arrays (cached, int32)."""
         if self._seg is None:
             self._seg = segment_ids(self.key_starts, self.num_entries)
         return self._seg
@@ -141,7 +184,6 @@ def run_tracking_phase(
         )
         if len(distinct) == 0:
             return None
-        sizes = counts.astype(np.float64) * width
         # Ship (key [, count]) entries to each key's scheduling node.
         profile.add_cpu_at(
             "Hash part. keys, counts",
@@ -175,7 +217,8 @@ def run_tracking_phase(
                 profile.add_local("Local copy key, count", node, nbytes)
             else:
                 profile.add_net_at("Transfer key, count", node, nbytes)
-        return side, node, distinct, sizes
+        # The partition's cached distinct keys and counts, not copies.
+        return side, node, distinct, counts
 
     # One task per (side, node): R partitions first, then S, so the
     # stream assembly below sees the same order as a serial nested loop.
@@ -189,10 +232,6 @@ def run_tracking_phase(
     )
     # R streams precede S streams, each in node order.
     streams = [stream for stream in streams if stream is not None]
-    num_r_streams = sum(1 for side, *_ in streams if side == "R")
-    stream_keys = [distinct for _, _, distinct, _ in streams]
-    stream_nodes = [node for _, node, _, _ in streams]
-    stream_sizes = [sizes for _, _, _, sizes in streams]
 
     # Drain the tracking inboxes (payloads carry no data; the union table
     # below is the logically-equivalent global state).
@@ -200,14 +239,19 @@ def run_tracking_phase(
         pass
 
     if not streams:
-        empty = np.empty(0, dtype=np.int64)
-        return TrackingTable(empty, empty, empty.astype(float), empty.astype(float), empty, empty)
+        return TrackingTable.empty(num_nodes)
 
     tracking = TrackingTable(
         *merge_streams(
-            stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes,
+            [distinct for _, _, distinct, _ in streams],
+            [node for _, node, _, _ in streams],
+            [counts for _, _, _, counts in streams],
+            sum(1 for side, *_ in streams if side == "R"),
+            num_nodes,
             spec.hash_seed,
-        )
+        ),
+        width_r,
+        width_s,
     )
 
     # Receiving T nodes merge the incoming sorted (key, count) streams.
@@ -235,47 +279,43 @@ def run_tracking_phase(
     return tracking
 
 
-#: Merge blocks target this many kernel chunks' worth of entries: the
-#: per-block cut/concatenate overhead is per stream, so blocks much
-#: smaller than 2**17 entries lose more to it than cache residency and
-#: kernel threads win back.
-_MERGE_BLOCK_CHUNKS = 4
-
-
-def _group_columns(order, is_new, columns, sizes, r_entries):
-    """Union rows of one sorted run: ``columns`` + side sizes per group.
+def _group_counts(order, is_new, counts, r_entries):
+    """Side counts per (key, node) group of one sorted run.
 
     ``order`` is the stable sort permutation of the concatenated stream
     entries (R entries before S entries), ``is_new`` marks the first
-    entry of each (key, node) group in sorted order and ``columns`` are
-    already sorted.  A stream holds each key once, so a group is one R
-    entry, one S entry, or R then S (stability keeps R first).
+    entry of each group in sorted order and ``counts`` are the entries'
+    counts in input order.  A stream holds each key once, so a group is
+    one R entry, one S entry, or R then S (stability keeps R first).
+    Returns the group starts and ``(count_r, count_s)``.
     """
     starts = np.flatnonzero(is_new)
-    if len(starts) < len(order):
-        columns = [column[starts] for column in columns]
-        first = order[starts]
-    else:
-        first = order
-    size_first = sizes[first]
-    # Sizes are finite and >= 0, so the product is the size or +0.0.
-    size_r = size_first * (first < r_entries)
-    size_s = size_first - size_r  # exactly the size or 0.0
+    first = order[starts] if len(starts) < len(order) else order
+    count_first = counts[first]
+    count_r = count_first * (first < r_entries)
+    count_s = count_first - count_r
     if len(starts) < len(order):
         # Two-entry groups: the j-th second entry follows j earlier
         # ones, so its group is its position less j + 1.
         second = np.flatnonzero(~is_new)
-        size_s[second - np.arange(1, len(second) + 1)] = sizes[order[second]]
-    return [*columns, size_r, size_s]
+        count_s[second - np.arange(1, len(second) + 1)] = counts[order[second]]
+    return starts, count_r, count_s
+
+
+def _column_dtypes(stream_counts, num_nodes) -> tuple[np.dtype, np.dtype]:
+    """Node and count dtypes of the union table these streams merge into."""
+    max_count = max(int(counts.max()) for counts in stream_counts)
+    return node_dtype(num_nodes), count_dtype(max_count)
 
 
 def _merge_lexsort(
-    stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes, hash_seed
+    stream_keys, stream_nodes, stream_counts, num_r_streams, num_nodes, hash_seed
 ) -> tuple[np.ndarray, ...]:
     """Merge of keys too wide to pack: one global ``lexsort`` by (key, node)."""
+    nodes_dtype, counts_dtype = _column_dtypes(stream_counts, num_nodes)
     keys = np.concatenate(stream_keys)
     nodes = np.concatenate(
-        [np.full(len(k), n, dtype=np.int64) for k, n in zip(stream_keys, stream_nodes)]
+        [np.full(len(k), n, dtype=nodes_dtype) for k, n in zip(stream_keys, stream_nodes)]
     )
     order = np.lexsort((nodes, keys))
     keys = keys[order]
@@ -284,18 +324,26 @@ def _merge_lexsort(
     is_new[0] = True
     np.logical_or(keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:])
     r_entries = sum(len(k) for k in stream_keys[:num_r_streams])
-    keys, nodes, size_r, size_s = _group_columns(
-        order, is_new, (keys, nodes), np.concatenate(stream_sizes), r_entries
+    starts, count_r, count_s = _group_counts(
+        order, is_new, np.concatenate(stream_counts), r_entries
     )
+    keys, nodes = keys[starts], nodes[starts]
     key_starts = segment_boundaries(keys)
-    t_nodes = hash_partition(keys[key_starts], num_nodes, hash_seed)
-    return keys, nodes, size_r, size_s, key_starts, t_nodes
+    t_nodes = hash_partition(keys[key_starts], num_nodes, hash_seed).astype(nodes_dtype)
+    return (
+        keys,
+        nodes,
+        count_r.astype(counts_dtype),
+        count_s.astype(counts_dtype),
+        key_starts,
+        t_nodes,
+    )
 
 
 def merge_streams(
     stream_keys: list[np.ndarray],
     stream_nodes: list[int],
-    stream_sizes: list[np.ndarray],
+    stream_counts: list[np.ndarray],
     num_r_streams: int,
     num_nodes: int,
     hash_seed: int = 0,
@@ -303,10 +351,11 @@ def merge_streams(
     """Merge per-(side, node) distinct-key streams into the union table.
 
     Every stream is one node's sorted distinct keys of one side (not
-    empty) with the matching tuple bytes per key; the first
-    ``num_r_streams`` are R's.  Returns ``(keys, nodes, size_r, size_s,
-    key_starts, t_nodes)`` of the :class:`TrackingTable`, sorted by
-    ``(key, node)``.
+    empty) with the matching tuple count per key; the first
+    ``num_r_streams`` are R's.  Returns ``(keys, nodes, count_r,
+    count_s, key_starts, t_nodes)`` of the :class:`TrackingTable`,
+    sorted by ``(key, node)``; node ids and counts take the narrowest
+    dtypes that hold them.
 
     All streams are cut at shared key splitters into key-range blocks
     and each block value-sorts one int64 per entry: key, node and the
@@ -314,11 +363,16 @@ def merge_streams(
     bits down (:func:`~repro.util.sort_with_index_bits`), so the high
     bits group equal (key, node) pairs and the low bits are the stable
     permutation, R before S.  No key spans two blocks, so the blocks'
-    rows concatenate in key order into exactly the table one global
-    sort gives, whatever the splitters — which depend on the streams
-    and the kernel chunk rows only, never on the worker count.  Keys
-    that are negative or, with node and position bits, wider than 62
-    bits take :func:`_merge_lexsort`.
+    rows in key order are exactly the table one global sort gives,
+    whatever the splitters — which depend on the streams and the kernel
+    chunk rows only, never on the worker count.
+
+    A block has no more rows or keys than stream entries, so each block
+    writes its rows into output columns sized for the entries, at the
+    offset of its own first entry; the rows then slide down over the
+    gaps and the columns shrink in place.  Nothing is concatenated.
+    Keys that are negative or, with node and position bits, wider than
+    62 bits take :func:`_merge_lexsort`.
     """
     total = sum(len(keys) for keys in stream_keys)
     # Each distinct stream is sorted, so its min/max are its endpoints.
@@ -328,10 +382,13 @@ def merge_streams(
     idx_bits = total.bit_length()
     if min_key < 0 or max_key.bit_length() + node_bits + idx_bits > 62:
         return _merge_lexsort(
-            stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes, hash_seed
+            stream_keys, stream_nodes, stream_counts, num_r_streams, num_nodes, hash_seed
         )
 
-    num_blocks = -(-total // (_MERGE_BLOCK_CHUNKS * kernel_chunk_rows()))
+    # One kernel chunk of entries per block: a block allocates some fifty
+    # bytes of temporaries per entry, and the merge time does not depend
+    # on the block size.
+    num_blocks = -(-total // kernel_chunk_rows())
     cuts = np.zeros((len(stream_keys), num_blocks + 1), dtype=np.int64)
     cuts[:, -1] = [len(keys) for keys in stream_keys]
     if num_blocks > 1:
@@ -343,8 +400,18 @@ def merge_streams(
         splitters = sample[(np.arange(1, num_blocks) * len(sample)) // num_blocks]
         for row, keys in zip(cuts, stream_keys):
             row[1:-1] = np.searchsorted(keys, splitters)
+    block_at = cuts.sum(axis=0).tolist()  # each block's first entry
 
-    def merge_block(block: int):
+    nodes_dtype, counts_dtype = _column_dtypes(stream_counts, num_nodes)
+    # Per-entry columns, then the per-key ones (key_starts block-local
+    # until the blocks are compacted).
+    columns = [
+        np.empty(total, dtype=dtype)
+        for dtype in (np.int64, nodes_dtype, counts_dtype, counts_dtype, np.int64, nodes_dtype)
+    ]
+    keys_out, nodes_out, count_r_out, count_s_out, starts_out, t_nodes_out = columns
+
+    def merge_block(block: int) -> tuple[int, int]:
         lo, hi = cuts[:, block], cuts[:, block + 1]
         composite = np.concatenate(
             [
@@ -352,30 +419,46 @@ def merge_streams(
                 for keys, node, a, b in zip(stream_keys, stream_nodes, lo, hi)
             ]
         )
-        sizes = np.concatenate([s[a:b] for s, a, b in zip(stream_sizes, lo, hi)])
+        counts = np.concatenate([c[a:b] for c, a, b in zip(stream_counts, lo, hi)])
         order, composite = sort_with_index_bits(composite, idx_bits)
         is_new = np.empty(len(composite), dtype=bool)
         is_new[0] = True
         np.not_equal(composite[1:], composite[:-1], out=is_new[1:])
         r_entries = int((hi - lo)[:num_r_streams].sum())
-        composite, size_r, size_s = _group_columns(
-            order, is_new, (composite,), sizes, r_entries
-        )
+        starts, count_r, count_s = _group_counts(order, is_new, counts, r_entries)
+        composite = composite[starts]
         keys = composite >> node_bits
-        nodes = composite & ((1 << node_bits) - 1)
         key_starts = segment_boundaries(keys)
-        t_nodes = hash_partition(keys[key_starts], num_nodes, hash_seed)
-        return keys, nodes, size_r, size_s, key_starts, t_nodes
+        at = block_at[block]
+        rows = slice(at, at + len(keys))
+        keys_out[rows] = keys
+        nodes_out[rows] = composite & ((1 << node_bits) - 1)
+        count_r_out[rows] = count_r
+        count_s_out[rows] = count_s
+        key_rows = slice(at, at + len(key_starts))
+        starts_out[key_rows] = key_starts
+        t_nodes_out[key_rows] = hash_partition(keys[key_starts], num_nodes, hash_seed)
+        return len(keys), len(key_starts)
 
-    nonempty = np.flatnonzero((cuts[:, 1:] - cuts[:, :-1]).sum(axis=0))
-    blocks = run_chunks(merge_block, nonempty)
-    if len(blocks) == 1:
-        return blocks[0]
-    keys, nodes, size_r, size_s, key_starts, t_nodes = zip(*blocks)
-    # Block-local key_starts shift by the rows of the blocks before.
-    row_offsets = np.cumsum([0] + [len(block) for block in keys[:-1]])
-    key_starts = [starts + offset for starts, offset in zip(key_starts, row_offsets)]
-    return tuple(
-        np.concatenate(column)
-        for column in (keys, nodes, size_r, size_s, key_starts, t_nodes)
-    )
+    blocks = [block for block in range(num_blocks) if block_at[block + 1] > block_at[block]]
+    num_rows = num_keys = 0
+    for block, (block_rows, block_keys) in zip(blocks, run_chunks(merge_block, blocks)):
+        at = block_at[block]
+        # Block-local key_starts shift by the rows of the blocks before.
+        starts_out[num_keys : num_keys + block_keys] = (
+            starts_out[at : at + block_keys] + num_rows
+        )
+        if at > num_keys:
+            t_nodes_out[num_keys : num_keys + block_keys] = t_nodes_out[at : at + block_keys]
+        if at > num_rows:
+            for column in columns[:4]:
+                column[num_rows : num_rows + block_rows] = column[at : at + block_rows]
+        num_rows += block_rows
+        num_keys += block_keys
+    # No view of the columns outlives the blocks, so they shrink in
+    # place (a realloc) instead of being copied.
+    for column in columns[:4]:
+        column.resize(num_rows, refcheck=False)
+    for column in columns[4:]:
+        column.resize(num_keys, refcheck=False)
+    return tuple(columns)

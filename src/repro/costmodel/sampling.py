@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.schedule import generate_schedules
-from ..core.tracking import TrackingTable
+from ..core.tracking import TrackingTable, merge_streams
 from ..errors import CostModelError
 from ..storage.table import DistributedTable
-from ..util import hash_partition, mix64, segment_boundaries
+from ..util import mix64
 from .formulas import CorrelationClasses
 
 __all__ = ["CorrelatedSample", "correlated_sample", "estimate_classes"]
@@ -62,54 +62,40 @@ def correlated_sample(
     """Build the sampled tracking table for both inputs.
 
     The same key-hash decides inclusion in both tables, so every sampled
-    key carries its complete match structure.
+    key carries its complete match structure.  Each node's sampled
+    distinct keys and counts form one stream per side, merged exactly
+    as the tracking phase merges its streams, so at ``rate=1`` the
+    sample is the tracking phase's table.
     """
     if not 0.0 < rate <= 1.0:
         raise CostModelError(f"sampling rate must be in (0, 1], got {rate}")
-    width_r = table_r.schema.tuple_width(encoding)
-    width_s = table_s.schema.tuple_width(encoding)
     num_nodes = table_r.num_nodes
 
-    chunks_keys, chunks_nodes, chunks_r, chunks_s = [], [], [], []
-    for side, table, width in (("R", table_r, width_r), ("S", table_s, width_s)):
+    sides = []
+    for table in (table_r, table_s):
+        streams = []
         for node, partition in enumerate(table.partitions):
             kept = partition.keys[_sample_mask(partition.keys, rate)]
-            if len(kept) == 0:
-                continue
-            distinct, counts = np.unique(kept, return_counts=True)
-            chunks_keys.append(distinct)
-            chunks_nodes.append(np.full(len(distinct), node, dtype=np.int64))
-            sizes = counts.astype(np.float64) * width
-            if side == "R":
-                chunks_r.append(sizes)
-                chunks_s.append(np.zeros(len(distinct)))
-            else:
-                chunks_r.append(np.zeros(len(distinct)))
-                chunks_s.append(sizes)
+            if len(kept):
+                streams.append((node, *np.unique(kept, return_counts=True)))
+        sides.append(streams)
+    streams = sides[0] + sides[1]
+    if not streams:
+        return CorrelatedSample(rate=rate, tracking=TrackingTable.empty(num_nodes), num_keys=0)
 
-    if not chunks_keys:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        tracking = TrackingTable(empty_i, empty_i, empty_f, empty_f, empty_i, empty_i)
-        return CorrelatedSample(rate=rate, tracking=tracking, num_keys=0)
-
-    keys = np.concatenate(chunks_keys)
-    nodes = np.concatenate(chunks_nodes)
-    size_r = np.concatenate(chunks_r)
-    size_s = np.concatenate(chunks_s)
-    order = np.lexsort((nodes, keys))
-    keys, nodes, size_r, size_s = keys[order], nodes[order], size_r[order], size_s[order]
-    is_new = np.empty(len(keys), dtype=bool)
-    is_new[0] = True
-    np.logical_or(keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:])
-    starts = np.flatnonzero(is_new)
-    keys, nodes = keys[starts], nodes[starts]
-    size_r = np.add.reduceat(size_r, starts)
-    size_s = np.add.reduceat(size_s, starts)
-    key_starts = segment_boundaries(keys)
-    t_nodes = hash_partition(keys[key_starts], num_nodes, hash_seed)
-    tracking = TrackingTable(keys, nodes, size_r, size_s, key_starts, t_nodes)
-    return CorrelatedSample(rate=rate, tracking=tracking, num_keys=len(key_starts))
+    tracking = TrackingTable(
+        *merge_streams(
+            [keys for _, keys, _ in streams],
+            [node for node, _, _ in streams],
+            [counts for _, _, counts in streams],
+            len(sides[0]),
+            num_nodes,
+            hash_seed,
+        ),
+        table_r.schema.tuple_width(encoding),
+        table_s.schema.tuple_width(encoding),
+    )
+    return CorrelatedSample(rate=rate, tracking=tracking, num_keys=tracking.num_keys)
 
 
 def estimate_classes(
@@ -130,7 +116,7 @@ def estimate_classes(
 
     # Hash-like: after migration, the target side occupies one node.
     target_entries = np.where(
-        schedules.direction_rs[seg], tracking.size_s > 0, tracking.size_r > 0
+        schedules.direction_rs[seg], tracking.count_s > 0, tracking.count_r > 0
     )
     survivors = target_entries & ~schedules.migrate
     survivors_per_key = np.add.reduceat(survivors.astype(np.int64), tracking.key_starts)

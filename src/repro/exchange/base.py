@@ -128,10 +128,15 @@ def group_by_link(
     ``edges[h, 0] : edges[h, -1]``, already in destination order, with
     destination ``d``'s pairs at ``edges[h, d] : edges[h, d + 1]`` — the
     row :func:`matched_batches` cuts at.  Links are in range because
-    both ids are nodes of the cluster.
+    both ids are nodes of the cluster; they are built in the narrowest
+    unsigned dtype that holds ``num_nodes**2 - 1``, which may be wider
+    than the node ids'.
     """
-    links = np.asarray(holders, dtype=np.int64) * num_nodes + dests
+    links = np.asarray(holders).astype(np.min_scalar_type(num_nodes * num_nodes - 1))
+    links *= num_nodes
+    np.add(links, dests, out=links, casting="unsafe")
     order, bounds = group_bounded(links, num_nodes * num_nodes)
+    del links
     edges = bounds[np.add.outer(np.arange(num_nodes) * num_nodes, np.arange(num_nodes + 1))]
     return keys[order], edges
 

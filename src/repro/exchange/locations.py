@@ -76,7 +76,12 @@ class LocationExchange:
             )
         if len(senders) == 0:
             return
-        composite = (senders * n + receivers) * n + node_values
+        # int64 in place: the node ids may arrive in a narrower dtype.
+        composite = np.array(senders, dtype=np.int64)
+        composite *= n
+        composite += receivers
+        composite *= n
+        composite += node_values
         if n * n * n <= (1 << 20):
             # The (sender, receiver, value) triple domain is tiny: count
             # every triple with one bincount pass and read link totals

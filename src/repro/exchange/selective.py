@@ -19,7 +19,7 @@ from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import group_by_link, matched_batches, send_split
+from .base import matched_batches, send_split
 
 __all__ = ["SelectiveBroadcast"]
 
@@ -56,18 +56,17 @@ class SelectiveBroadcast:
         cluster: Cluster,
         profile: ExecutionProfile,
         sources: Sequence[LocalPartition],
-        pair_src: np.ndarray,
-        pair_dst: np.ndarray,
-        pair_key: np.ndarray,
+        link_keys: np.ndarray,
+        edges: np.ndarray,
     ) -> None:
         """One phase: each source node translates its pairs and sends.
 
-        ``pair_src``/``pair_dst``/``pair_key`` are parallel arrays of
-        location pairs: the holder node, the destination node, and the
-        key whose tuples move.  Pairs are grouped once by (holder,
-        destination) link, so every link's pairs keep their global order.
+        The location pairs (holder node, destination node, key whose
+        tuples move) arrive grouped by (holder, destination) link, as
+        :func:`~repro.exchange.base.group_by_link` returns them: every
+        link's pairs keep their global order, and the caller may drop
+        the ungrouped pairs before the sends.
         """
-        link_keys, edges = group_by_link(pair_src, pair_dst, pair_key, cluster.num_nodes)
 
         def broadcast_holder(src: int) -> None:
             num_pairs = int(edges[src, -1] - edges[src, 0])

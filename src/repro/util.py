@@ -24,6 +24,9 @@ __all__ = [
     "segment_count",
     "segment_ids",
     "segmented_cartesian",
+    "index_dtype",
+    "node_dtype",
+    "count_dtype",
 ]
 
 # splitmix64 multiplication constants; the full finalizer is applied so that
@@ -225,12 +228,34 @@ def segment_count(starts: np.ndarray, total: int) -> np.ndarray:
 
 
 def segment_ids(starts: np.ndarray, total: int) -> np.ndarray:
-    """Expand segment starts into a per-element segment index array."""
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ids = np.zeros(total, dtype=np.int64)
+    """Expand segment starts into a per-element segment index array.
+
+    The ids are :func:`index_dtype` integers: int32 below 2**31 elements.
+    """
+    ids = np.zeros(total, dtype=index_dtype(total))
     ids[starts[1:]] = 1
-    return np.cumsum(ids)
+    return np.cumsum(ids, out=ids)
+
+
+def index_dtype(n: int) -> np.dtype:
+    """int32 when every index below ``n`` fits in it, else int64."""
+    return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+
+
+def node_dtype(num_nodes: int) -> np.dtype:
+    """Narrowest signed integer dtype holding every node id and ``-1``.
+
+    ``-num_nodes`` fits a two's-complement type exactly when the largest
+    id ``num_nodes - 1`` does: int8 up to 128 nodes, int16 up to 32 768.
+    Arithmetic that can leave ``[-1, num_nodes)`` (packed link or triple
+    ids) widens first.
+    """
+    return np.min_scalar_type(-max(1, num_nodes))
+
+
+def count_dtype(max_count: int) -> np.dtype:
+    """Narrowest unsigned integer dtype holding ``0..max_count``."""
+    return np.min_scalar_type(max(0, int(max_count)))
 
 
 def segmented_cartesian(a_seg: np.ndarray, b_seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ The canonicalization helpers are the public ones from
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from repro import Cluster
 from repro.analysis import sanitizer_disable, sanitizer_enable
 from repro.core.tracking import TrackingTable
 from repro.testing import assert_same_output, canonical_output, scatter_tables
-from repro.util import segment_boundaries
+from repro.util import count_dtype, node_dtype, segment_boundaries
 
-__all__ = ["assert_same_output", "canonical_output", "make_tables", "tracking_from_dicts"]
+__all__ = [
+    "assert_same_output",
+    "canonical_output",
+    "make_tables",
+    "tracking_from_dicts",
+    "transient_peak",
+]
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -59,24 +66,48 @@ def make_tables(
     )
 
 
-def tracking_from_dicts(per_key, t_nodes):
-    """Build a TrackingTable from per-key (sizes_r, sizes_s) dicts."""
-    keys, nodes, size_r, size_s = [], [], [], []
-    for key, (sizes_r, sizes_s) in enumerate(per_key):
-        for node in sorted(set(sizes_r) | set(sizes_s)):
+def tracking_from_dicts(per_key, t_nodes, widths=(1.0, 1.0)):
+    """Build a TrackingTable from per-key (counts_r, counts_s) dicts.
+
+    An entry's bytes are its count times its side's width in ``widths``.
+    """
+    keys, nodes, count_r, count_s = [], [], [], []
+    for key, (counts_r, counts_s) in enumerate(per_key):
+        for node in sorted(set(counts_r) | set(counts_s)):
             keys.append(key)
             nodes.append(node)
-            size_r.append(float(sizes_r.get(node, 0.0)))
-            size_s.append(float(sizes_s.get(node, 0.0)))
+            count_r.append(counts_r.get(node, 0))
+            count_s.append(counts_s.get(node, 0))
     keys = np.array(keys, dtype=np.int64)
+    nodes_dtype = node_dtype(max(nodes + list(t_nodes)) + 1)
+    counts_dtype = count_dtype(max(count_r + count_s))
     return TrackingTable(
         keys=keys,
-        nodes=np.array(nodes, dtype=np.int64),
-        size_r=np.array(size_r),
-        size_s=np.array(size_s),
+        nodes=np.array(nodes, dtype=nodes_dtype),
+        count_r=np.array(count_r, dtype=counts_dtype),
+        count_s=np.array(count_s, dtype=counts_dtype),
         key_starts=segment_boundaries(keys),
-        t_nodes=np.array(t_nodes, dtype=np.int64),
+        t_nodes=np.array(t_nodes, dtype=nodes_dtype),
+        width_r=widths[0],
+        width_s=widths[1],
     )
+
+
+def transient_peak(operator, workload, spec):
+    """``(peak bytes, result)`` of one warmed run traced by tracemalloc.
+
+    An untraced first run builds the partitions' cached key indexes and
+    scatter plans, which later runs reuse; tracing only the second run
+    counts what a run allocates on top of the resident tables.
+    """
+    operator.run(workload.cluster, workload.table_r, workload.table_s, spec)
+    tracemalloc.start()
+    try:
+        result = operator.run(workload.cluster, workload.table_r, workload.table_s, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 @pytest.fixture

@@ -26,7 +26,9 @@ from repro.costmodel import (
     track_join_beats_hash_join_width_rule,
     tracking_aware_cost,
 )
+from repro.core.tracking import run_tracking_phase
 from repro.errors import CostModelError
+from repro.timing.profile import ExecutionProfile
 
 from conftest import make_tables
 
@@ -314,10 +316,26 @@ class TestCorrelatedSampling:
         sample = correlated_sample(table_r, table_s, rate=0.05, encoding=DictionaryEncoding())
         # Every sampled key must appear with both its R and S presence.
         tracking = sample.tracking
-        per_key_r = np.add.reduceat(tracking.size_r, tracking.key_starts)
-        per_key_s = np.add.reduceat(tracking.size_s, tracking.key_starts)
+        per_key_r, per_key_s = tracking.key_sizes()
         assert (per_key_r > 0).all()
         assert (per_key_s > 0).all()
+
+    @pytest.mark.parametrize("hash_seed", [0, 3])
+    def test_full_rate_sample_is_the_tracking_table(self, hash_seed):
+        """At rate 1 the sample is the tracking phase's table, column
+        for column: both come out of the one tracking merge."""
+        cluster = Cluster(5)
+        rng = np.random.default_rng(hash_seed)
+        table_r, table_s = make_tables(
+            cluster, rng.integers(0, 300, 900), rng.integers(100, 400, 700), seed=hash_seed
+        )
+        spec = JoinSpec(hash_seed=hash_seed)
+        tracked = run_tracking_phase(cluster, table_r, table_s, spec, ExecutionProfile(5))
+        sampled = correlated_sample(table_r, table_s, 1.0, spec.encoding, hash_seed).tracking
+        for name in ("keys", "nodes", "count_r", "count_s", "key_starts", "t_nodes"):
+            got, want = getattr(sampled, name), getattr(tracked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert (sampled.width_r, sampled.width_s) == (tracked.width_r, tracked.width_s)
 
     def test_estimated_cost_close_to_truth(self):
         cluster = Cluster(4)

@@ -29,6 +29,7 @@ from repro.exchange import (
     replicate_size,
     send_rows,
 )
+from repro.exchange.base import group_by_link
 from repro.parallel import kernel_config
 from repro.storage import LocalPartition
 from repro.timing.profile import ExecutionProfile
@@ -319,7 +320,7 @@ class TestDirectedExchanges:
         holders, src, dst, key = _random_case(seed, num_nodes)
         cluster = Cluster(num_nodes)
         profile = ExecutionProfile(num_nodes)
-        _selective().run(cluster, profile, holders, src, dst, key)
+        _selective().run(cluster, profile, holders, *group_by_link(src, dst, key, num_nodes))
         expected = _expected_rows(holders, src, dst, key)
         _assert_delivered(cluster, holders, expected)
         # Translate step: pairs * match width + matched rows * width,
@@ -386,7 +387,7 @@ class TestDirectedExchanges:
         holders = [_holder(n, k) for n, k in enumerate(self._HOLDER_KEYS)]
         src, dst, key = self._PAIRS
         cluster, profile = Cluster(4), ExecutionProfile(4)
-        _selective().run(cluster, profile, holders, src, dst, key)
+        _selective().run(cluster, profile, holders, *group_by_link(src, dst, key, 4))
         assert self._observed(cluster, profile) == (
             {MessageClass.R_TUPLES: 120.0},
             [((0, 1), 36.0), ((0, 2), 36.0), ((1, 0), 36.0), ((1, 3), 12.0)],

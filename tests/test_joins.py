@@ -8,7 +8,6 @@ multisets must be identical on every input.
 
 from __future__ import annotations
 
-import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro import (
     TrackJoin4,
 )
 from repro.cluster.network import MessageClass
+from repro.encoding import DictionaryEncoding
 from repro.errors import JoinConfigError
 from repro.joins import (
     LateMaterializationHashJoin,
@@ -32,9 +32,9 @@ from repro.joins import (
     TrackingAwareHashJoin,
 )
 from repro.joins.registry import algorithm_names, create
-from repro.workloads import hot_key_workload
+from repro.workloads import hot_key_workload, unique_keys_workload
 
-from conftest import assert_same_output, canonical_output, make_tables
+from conftest import assert_same_output, canonical_output, make_tables, transient_peak
 
 
 def all_algorithms():
@@ -284,18 +284,30 @@ class TestJoinConfig:
         assert workload.expected_output_rows == 18_693_055
         spec = JoinSpec(materialize=False)
         for name in ("HJ", "4TJ", "4TJ-bal", "4TJ-shard", "BJ-R", "BJ-S"):
-            operator = create(name)
-            operator.run(workload.cluster, workload.table_r, workload.table_s, spec)
-            tracemalloc.start()
-            try:
-                result = operator.run(
-                    workload.cluster, workload.table_r, workload.table_s, spec
-                )
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, result = transient_peak(create(name), workload, spec)
             assert result.output_rows == workload.expected_output_rows, name
             assert peak < 32 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
+
+    def test_track_join_transient_peak_is_bounded_by_the_input(self):
+        """Tracking stores counts, node ids are narrow and pair blocks are
+        written in place, so a warmed 2TJ-R / 3TJ / 4TJ / 4TJ-shard run on
+        unique keys allocates at most 2.5x its input arrays on top of
+        them; hash join, which ships every tuple, at most 1.6x."""
+        workload = unique_keys_workload(
+            16, scaled_tuples=200_000, row_bytes_r=20, row_bytes_s=60, seed=1
+        )
+        input_bytes = sum(
+            part.keys.nbytes + sum(values.nbytes for values in part.columns.values())
+            for table in (workload.table_r, workload.table_s)
+            for part in table.partitions
+        )
+        spec = JoinSpec(DictionaryEncoding(), materialize=False, group_locations=True)
+        for name, bound in (
+            ("HJ", 1.6), ("2TJ-R", 2.5), ("3TJ", 2.5), ("4TJ", 2.5), ("4TJ-shard", 2.5)
+        ):
+            peak, result = transient_peak(create(name), workload, spec)
+            assert result.output_rows == workload.expected_output_rows, name
+            assert peak <= bound * input_bytes, f"{name}: {peak / input_bytes:.2f}x the input"
 
     def test_invalid_broadcast_side(self):
         with pytest.raises(ValueError):

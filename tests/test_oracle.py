@@ -19,14 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Cluster
+from repro import Cluster, JoinSpec
 from repro.core import tracking as tracking_module
-from repro.core.tracking import _merge_lexsort, merge_streams
+from repro.core.tracking import _merge_lexsort, merge_streams, run_tracking_phase
 from repro.joins.registry import algorithm_names, create
 from repro.joins.tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin
 from repro.parallel.chunks import kernel_config
+from repro.storage.schema import Schema
 from repro.storage.table import LocalPartition
-from repro.timing.profile import NET
+from repro.timing.profile import NET, ExecutionProfile
 from repro.util import hash_partition, segment_boundaries
 
 from conftest import canonical_output, make_tables
@@ -77,15 +78,25 @@ def gathered(table, column):
 
 
 def assert_matches_oracle(operators, instance):
-    """Rows equal the oracle's and per-node NET profile equals ledger sends,
-    as configured and over two kernel workers with two-row chunks."""
+    """:func:`assert_tables_match_oracle` on randomly placed tables."""
     num_nodes, keys_r, keys_s, seed = instance
-    for (name, factory), kernels in itertools.product(operators, [{}, CHUNKED]):
-        cluster = Cluster(num_nodes)
-        table_r, table_s = make_tables(
+    assert_tables_match_oracle(
+        operators,
+        num_nodes,
+        lambda cluster: make_tables(
             cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
             seed=seed,
-        )
+        ),
+    )
+
+
+def assert_tables_match_oracle(operators, num_nodes, place):
+    """Rows equal the oracle's and per-node NET profile equals ledger sends,
+    as configured and over two kernel workers with two-row chunks.
+    ``place(cluster)`` returns the two tables on a fresh cluster."""
+    for (name, factory), kernels in itertools.product(operators, [{}, CHUNKED]):
+        cluster = Cluster(num_nodes)
+        table_r, table_s = place(cluster)
         expected = sort_merge_join(
             gathered(table_r, None), gathered(table_r, "rid"),
             gathered(table_s, None), gathered(table_s, "rid"),
@@ -115,6 +126,79 @@ class TestOracle:
     def test_rid_joins_match_sort_merge(self, instance):
         """The two Sec. 3.2 hash joins that carry record ids (rids)."""
         assert_matches_oracle(RID_JOINS, instance)
+
+
+NARROWED = tuple(
+    (name, lambda name=name: create(name)) for name in ("2TJ-R", "3TJ", "4TJ", "4TJ-shard")
+)
+
+
+def placed_tables(cluster, rows_r, rows_s):
+    """R and S from explicit ``(key, node)`` rows, with rid payloads."""
+    return [
+        cluster.table_from_assignment(
+            name,
+            Schema.with_widths(32, bits),
+            np.array([key for key, _ in rows], dtype=np.int64),
+            np.array([node for _, node in rows], dtype=np.int64),
+        )
+        for name, rows, bits in (("R", rows_r, 64), ("S", rows_s, 128))
+    ]
+
+
+def tracked(num_nodes, rows_r, rows_s):
+    """The tracking table of the two placed tables."""
+    cluster = Cluster(num_nodes)
+    table_r, table_s = placed_tables(cluster, rows_r, rows_s)
+    return run_tracking_phase(cluster, table_r, table_s, JoinSpec(), ExecutionProfile(num_nodes))
+
+
+class TestNarrowDtypeBoundaries:
+    """Node ids, link ids and counts take the narrowest integer dtype that
+    holds them; each case sits on one side of one dtype boundary."""
+
+    @pytest.mark.parametrize("num_nodes", [16, 17, 128, 129])
+    def test_node_ids(self, num_nodes):
+        """int8 node ids hold 128 nodes, uint8 (holder, destination) link
+        ids 16.  Keys live on node 0 and the two highest nodes, and some
+        are scheduled on those two, so the top ids hold, schedule, migrate
+        and receive."""
+        top = [num_nodes - 2, num_nodes - 1]
+        candidates = np.arange(4000)
+        t_nodes = hash_partition(candidates, num_nodes)
+        keys = np.concatenate([candidates[t_nodes == t][:6] for t in top] + [candidates[:12]])
+        rng = np.random.default_rng(num_nodes)
+        hosts = [0, *top]
+        rows_r, rows_s = (
+            [
+                (int(key), hosts[host])
+                for key in keys
+                for host in rng.choice(3, int(rng.integers(1, 4)), replace=False)
+            ]
+            for _ in range(2)
+        )
+        tracking = tracked(num_nodes, rows_r, rows_s)
+        assert tracking.nodes.dtype == tracking.t_nodes.dtype
+        assert tracking.nodes.dtype == (np.int8 if num_nodes <= 128 else np.int16)
+        assert set(top) <= set(tracking.t_nodes.tolist())
+        assert_tables_match_oracle(
+            NARROWED, num_nodes, lambda cluster: placed_tables(cluster, rows_r, rows_s)
+        )
+
+    @pytest.mark.parametrize("repeats", [255, 256])
+    @pytest.mark.parametrize("side", ["R", "S"])
+    def test_counts(self, repeats, side):
+        """uint8 counts hold one key repeated 255 times on one node."""
+        heavy = [(7, 1)] * repeats + [(7, 2), (8, 1), (9, 3)]
+        light = [(7, 2), (7, 3), (8, 0), (9, 3), (9, 1)]
+        rows_r, rows_s = (heavy, light) if side == "R" else (light, heavy)
+        tracking = tracked(4, rows_r, rows_s)
+        expected = np.uint8 if repeats == 255 else np.uint16
+        assert tracking.count_r.dtype == tracking.count_s.dtype == expected
+        assert max(tracking.count_r.max(), tracking.count_s.max()) == repeats
+        assert_tables_match_oracle(
+            NARROWED, 4, lambda cluster: placed_tables(cluster, rows_r, rows_s)
+        )
 
 
 @st.composite
@@ -188,12 +272,14 @@ def stream_instance(draw):
     """Per-(side, node) distinct-key streams, as the tracking phase sees them.
 
     ``anchor`` places the largest key at zero-based, negative, exactly
-    at the packing limit, or one past it.
+    at the packing limit, or one past it; counts stay below 256 or may
+    cross it.
     """
     num_nodes = draw(st.sampled_from([1, 2, 3, 5, 8]))
     domain = draw(st.integers(1, 12))  # 1: one key everywhere
     anchor = draw(st.sampled_from(["zero", "negative", "limit", "past"]))
     sides = draw(st.sampled_from(["RS", "R", "S"]))  # one side may be empty
+    max_count = draw(st.sampled_from([99, 300]))
     drawn = []
     for side in sides:
         for node in range(num_nodes):
@@ -201,10 +287,10 @@ def stream_instance(draw):
             # across sides and the index bits must keep R first.
             keys = draw(st.lists(st.integers(0, domain - 1), unique=True, max_size=domain))
             if keys:
-                sizes = draw(
-                    st.lists(st.integers(1, 99), min_size=len(keys), max_size=len(keys))
+                counts = draw(
+                    st.lists(st.integers(1, max_count), min_size=len(keys), max_size=len(keys))
                 )
-                drawn.append((side, node, sorted(keys), sizes))
+                drawn.append((side, node, sorted(keys), counts))
     if not drawn:
         drawn.append((sides[0], 0, [0], [7]))
     total = sum(len(keys) for _, _, keys, _ in drawn)
@@ -214,36 +300,39 @@ def stream_instance(draw):
     return (
         [np.array(keys, dtype=np.int64) + shift[anchor] for _, _, keys, _ in drawn],
         [node for _, node, _, _ in drawn],
-        [np.array(sizes, dtype=np.float64) * 2.5 for _, _, _, sizes in drawn],
+        [np.array(counts, dtype=np.int64) for _, _, _, counts in drawn],
         sum(1 for side, *_ in drawn if side == "R"),
         num_nodes,
     )
 
 
 def assert_same_table(merged, reference):
-    names = ("keys", "nodes", "size_r", "size_s", "key_starts", "t_nodes")
+    names = ("keys", "nodes", "count_r", "count_s", "key_starts", "t_nodes")
     assert len(merged) == len(reference) == len(names)
     for name, got, want in zip(names, merged, reference):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
 
-def dict_union_table(stream_keys, stream_nodes, stream_sizes, num_r_streams, num_nodes, seed):
-    """The union table built row by row in a dict: shares no code with the merges."""
-    rows: dict[tuple[int, int], list[float]] = {}
-    for index, (keys, node, sizes) in enumerate(zip(stream_keys, stream_nodes, stream_sizes)):
-        for key, size in zip(keys.tolist(), sizes.tolist()):
-            rows.setdefault((key, node), [0.0, 0.0])[index >= num_r_streams] += size
+def dict_union_table(stream_keys, stream_nodes, stream_counts, num_r_streams, num_nodes, seed):
+    """The union table built row by row in a dict: shares no code with the
+    merges.  Both callers stay within 16 nodes (int8 ids) and counts below
+    2**16."""
+    rows: dict[tuple[int, int], list[int]] = {}
+    for index, (keys, node, counts) in enumerate(zip(stream_keys, stream_nodes, stream_counts)):
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            rows.setdefault((key, node), [0, 0])[index >= num_r_streams] += count
     ordered = sorted(rows)
     keys = np.array([key for key, _ in ordered], dtype=np.int64)
     key_starts = segment_boundaries(keys)
+    counts_dtype = np.uint8 if max(max(row) for row in rows.values()) < 256 else np.uint16
     return (
         keys,
-        np.array([node for _, node in ordered], dtype=np.int64),
-        np.array([rows[row][0] for row in ordered], dtype=np.float64),
-        np.array([rows[row][1] for row in ordered], dtype=np.float64),
+        np.array([node for _, node in ordered], dtype=np.int8),
+        np.array([rows[row][0] for row in ordered], dtype=counts_dtype),
+        np.array([rows[row][1] for row in ordered], dtype=counts_dtype),
         key_starts,
-        hash_partition(keys[key_starts], num_nodes, seed),
+        hash_partition(keys[key_starts], num_nodes, seed).astype(np.int8),
     )
 
 
@@ -269,7 +358,7 @@ class TestTrackingMergeEquivalence:
             lambda high, bits: packed_sorts.append(len(high)) or original(high, bits),
         )
         offsets = np.arange(40, dtype=np.int64)
-        sizes = np.full(40, 20.0)
+        counts = np.full(40, 20)
         # The S stream shares every (key, node) with the last R stream.
         r_nodes = sorted({0, num_nodes - 1})
         nodes = r_nodes + [num_nodes - 1]
@@ -279,7 +368,7 @@ class TestTrackingMergeEquivalence:
             args = (
                 [offsets + (top - 39)] * len(nodes),
                 nodes,
-                [sizes] * len(r_nodes) + [sizes * 3],
+                [counts] * len(r_nodes) + [counts * 3],
                 len(r_nodes),
                 num_nodes,
                 1,

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.schedule import (
     _both_direction_costs_generic,
     _both_direction_costs_paired,
+    both_direction_plans,
     generate_schedules,
     migrate_and_broadcast,
     optimal_schedule,
@@ -67,47 +68,55 @@ class TestPaperExamples:
 def brute_force_minimum(sizes_r: dict[int, float], sizes_s: dict[int, float], n: int) -> float:
     """Exhaustive minimum transfer cost for one key's cartesian join.
 
-    Enumerates every assignment x (R sends) and y (S sends) over ``n``
-    nodes; local sends are free; valid plans meet every (R_i, S_j) pair
-    at some common node.
+    Every holder of either side sends its tuples to any subset of the
+    other nodes; local data is free; a valid plan meets every (R_i, S_j)
+    pair at some common node.  Reach sets are node bitmasks, and each
+    side's plans are enumerated in ascending cost, so both loops stop at
+    the first plan that cannot beat the best valid one: every cheaper
+    combination has been tried by then.
     """
     r_nodes = [i for i in range(n) if sizes_r.get(i, 0) > 0]
     s_nodes = [j for j in range(n) if sizes_s.get(j, 0) > 0]
     if not r_nodes or not s_nodes:
         return 0.0
-    all_nodes = list(range(n))
+
+    def plans(sources, sizes):
+        """Every per-source choice of remote destinations, as ``(cost,
+        reach bitmasks)`` in ascending cost."""
+        choices = [
+            [
+                (bin(dests).count("1") * sizes[src], dests | 1 << src)
+                for dests in range(1 << n)
+                if not dests >> src & 1
+            ]
+            for src in sources
+        ]
+        return sorted(
+            (
+                (sum(cost for cost, _ in combo), [reach for _, reach in combo])
+                for combo in itertools.product(*choices)
+            ),
+            key=lambda plan: plan[0],
+        )
+
+    r_plans, s_plans = plans(r_nodes, sizes_r), plans(s_nodes, sizes_s)
+    everyone = (1 << len(r_nodes)) - 1
     best = float("inf")
-
-    def destinations_options(sources):
-        """Per source: choose any subset of remote destinations."""
-        per_source = []
-        for src in sources:
-            remote = [k for k in all_nodes if k != src]
-            options = []
-            for mask in range(2 ** len(remote)):
-                options.append({remote[b] for b in range(len(remote)) if mask >> b & 1})
-            per_source.append(options)
-        return per_source
-
-    r_options = destinations_options(r_nodes)
-    s_options = destinations_options(s_nodes)
-    for r_choice in itertools.product(*r_options):
-        r_cost = sum(len(dsts) * sizes_r[i] for i, dsts in zip(r_nodes, r_choice))
+    for r_cost, r_reach in r_plans:
         if r_cost >= best:
-            continue
-        r_reach = {i: dsts | {i} for i, dsts in zip(r_nodes, r_choice)}
-        for s_choice in itertools.product(*s_options):
-            cost = r_cost + sum(
-                len(dsts) * sizes_s[j] for j, dsts in zip(s_nodes, s_choice)
+            break
+        # met[mask]: bitmask of the R holders reaching some node of mask.
+        met = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            met[mask] = met[mask ^ low] | sum(
+                1 << i for i, reach in enumerate(r_reach) if reach & low
             )
-            if cost >= best:
-                continue
-            s_reach = {j: dsts | {j} for j, dsts in zip(s_nodes, s_choice)}
-            valid = all(
-                r_reach[i] & s_reach[j] for i in r_nodes for j in s_nodes
-            )
-            if valid:
-                best = cost
+        for s_cost, s_reach in s_plans:
+            if r_cost + s_cost >= best:
+                break
+            if all(met[reach] == everyone for reach in s_reach):
+                best = r_cost + s_cost
     return best
 
 
@@ -218,9 +227,9 @@ def key_population(draw):
     return per_key, t_nodes
 
 
-def draw_keys(data, max_entries: int, width: float = 1.0):
-    """Per-key ``(sizes_r, sizes_s)`` of 1..``max_entries`` holders among
-    nodes 0-4, sizes a multiple of ``width``, and T nodes 0-5."""
+def draw_keys(data, max_entries: int):
+    """Per-key ``(counts_r, counts_s)`` of 1..``max_entries`` holders among
+    nodes 0-4, and T nodes 0-5."""
     entry = st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(any)
     per_key = data.draw(
         st.lists(
@@ -233,7 +242,7 @@ def draw_keys(data, max_entries: int, width: float = 1.0):
         st.lists(st.integers(0, 5), min_size=len(per_key), max_size=len(per_key))
     )
     sides = [
-        tuple({n: e[side] * width for n, e in key.items() if e[side]} for side in (0, 1))
+        tuple({n: float(e[side]) for n, e in key.items() if e[side]} for side in (0, 1))
         for key in per_key
     ]
     return sides, t_nodes
@@ -322,6 +331,9 @@ class TestVectorizedAgainstScalar:
         tracking = tracking_from_dicts(sides, t_nodes)
         with kernel_config(workers=2, chunk_rows=2):
             gated = generate_schedules(tracking, location_width, allow_migration, forced)
+            (cost_rs, _, _), (cost_sr, _, _) = both_direction_plans(
+                tracking, location_width, allow_migration
+            )
 
         ends = np.append(tracking.key_starts[1:], tracking.num_entries)
         for key, (sizes_r, sizes_s) in enumerate(sides):
@@ -341,8 +353,8 @@ class TestVectorizedAgainstScalar:
                 assert gated.cost[key] == pytest.approx(plain)
                 assert migrating == () and gated.dest_node[key] == -1
                 continue
-            assert gated.cost_rs[key] == pytest.approx(plans["RS"].cost)
-            assert gated.cost_sr[key] == pytest.approx(plans["SR"].cost)
+            assert cost_rs[key] == pytest.approx(plans["RS"].cost)
+            assert cost_sr[key] == pytest.approx(plans["SR"].cost)
             if forced is not None:
                 assert direction == forced
             else:
@@ -369,11 +381,7 @@ class TestVectorizedAgainstScalar:
             generate_schedules(tracking, forced_direction="XY")
 
     def test_empty_tracking_table(self):
-        empty = np.empty(0, dtype=np.int64)
-        tracking = TrackingTable(
-            empty, empty, empty.astype(float), empty.astype(float), empty, empty
-        )
-        schedules = generate_schedules(tracking)
+        schedules = generate_schedules(TrackingTable.empty())
         assert schedules.num_keys == 0
 
 
@@ -393,7 +401,7 @@ class TestScheduleEquivalence:
 
         The paired path runs in two-key blocks or in one.
         """
-        tracking = tracking_from_dicts(*draw_keys(data, 2, width))
+        tracking = tracking_from_dicts(*draw_keys(data, 2), widths=(width, width))
         assert_paired_equals_generic(tracking, location_width, allow_migration, chunk_rows)
 
     def test_paired_shape_exercises_blocked_path(self):

@@ -63,14 +63,7 @@ class TestPlanShards:
         tracking = tracking_from_dicts([({0: 10.0}, {1: 10.0})], [0])
         schedules = generate_schedules(tracking)
         assert plan_shards(tracking, schedules, num_nodes=1) is None
-        empty = TrackingTable(
-            keys=np.empty(0, dtype=np.int64),
-            nodes=np.empty(0, dtype=np.int64),
-            size_r=np.empty(0),
-            size_s=np.empty(0),
-            key_starts=np.zeros(1, dtype=np.int64),
-            t_nodes=np.empty(0, dtype=np.int64),
-        )
+        empty = TrackingTable.empty(4)
         assert plan_shards(empty, generate_schedules(empty), num_nodes=4) is None
 
     def test_no_hot_keys_returns_none(self):

@@ -48,8 +48,8 @@ class TestTrackingPhase:
         tracking, _ = self._tracking(small_cluster, table_r, table_s, spec=spec)
         width_r = table_r.schema.tuple_width(spec.encoding)
         width_s = table_s.schema.tuple_width(spec.encoding)
-        assert tracking.size_r.sum() == pytest.approx(table_r.total_rows * width_r)
-        assert tracking.size_s.sum() == pytest.approx(table_s.total_rows * width_s)
+        assert tracking.size_r().sum() == pytest.approx(table_r.total_rows * width_r)
+        assert tracking.size_s().sum() == pytest.approx(table_s.total_rows * width_s)
 
     def test_distinct_keys_cover_both_tables(self, small_cluster, small_tables):
         table_r, table_s = small_tables
