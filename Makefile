@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-exchange test-chaos lint bench bench-e2e-smoke
+.PHONY: test test-exchange test-chaos examples lint bench bench-e2e-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,6 +25,13 @@ test-exchange:
 test-chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py -q
 	$(PYTHON) -m repro chaos seeds=0,1,2 workers=1,4
+
+# Run every example script end to end; each exits non-zero on failure.
+examples:
+	@set -e; for example in examples/*.py; do \
+		echo "== $$example"; \
+		$(PYTHON) $$example > /dev/null; \
+	done
 
 # Static analysis: the project's REP determinism/aliasing rules plus
 # the whole-package REP007-REP011 dataflow pass always run; ruff and

@@ -5,7 +5,7 @@ it pays for optimal payload schedules; delta-coded key streams and
 node-grouped location messages shrink exactly that metadata.
 """
 
-from repro import JoinSpec, TrackJoin4
+from repro import JoinSpec, TrackJoin
 from repro.cluster import MessageClass
 from repro.experiments.report import ExperimentResult, Group, Row
 from repro.workloads import workload_x
@@ -28,7 +28,7 @@ def run_ablation(scale_denominator: int = 2048) -> ExperimentResult:
         ("delta + grouped", JoinSpec(materialize=False, delta_keys=True, group_locations=True)),
     ]
     for name, spec in variants:
-        run = TrackJoin4().run(workload.cluster, workload.table_r, workload.table_s, spec)
+        run = TrackJoin("4TJ").run(workload.cluster, workload.table_r, workload.table_s, spec)
         group.rows.append(
             Row(
                 name,

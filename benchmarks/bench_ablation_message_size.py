@@ -7,7 +7,7 @@ eliminate — track join's advantage, and that the Section 2.4 grouped
 form flattens the dependence.
 """
 
-from repro import JoinSpec, TrackJoin4
+from repro import JoinSpec, TrackJoin
 from repro.cluster import MessageClass
 from repro.experiments.report import ExperimentResult, Group, Row
 from repro.workloads import unique_keys_workload
@@ -28,7 +28,7 @@ def run_ablation(scaled_tuples: int = 100_000) -> ExperimentResult:
             spec = JoinSpec(
                 materialize=False, location_width=width, group_locations=grouped
             )
-            run = TrackJoin4().run(workload.cluster, workload.table_r, workload.table_s, spec)
+            run = TrackJoin("4TJ").run(workload.cluster, workload.table_r, workload.table_s, spec)
             group.rows.append(
                 Row(
                     f"M = {width:.0f} B",

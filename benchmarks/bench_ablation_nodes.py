@@ -6,7 +6,7 @@ grows; track join's tracking cost is N-insensitive for unique keys
 in Section 3.1; here we measure it.
 """
 
-from repro import GraceHashJoin, JoinSpec, TrackJoin2
+from repro import GraceHashJoin, JoinSpec, TrackJoin
 from repro.experiments.report import ExperimentResult, Group, Row
 from repro.workloads import unique_keys_workload
 
@@ -23,7 +23,7 @@ def run_ablation(scaled_tuples: int = 100_000) -> ExperimentResult:
     for num_nodes in (4, 8, 16, 32):
         workload = unique_keys_workload(num_nodes=num_nodes, scaled_tuples=scaled_tuples)
         group = Group(label=f"N = {num_nodes}")
-        for algorithm in (GraceHashJoin(), TrackJoin2("RS")):
+        for algorithm in (GraceHashJoin(), TrackJoin("2TJ-R")):
             run = algorithm.run(workload.cluster, workload.table_r, workload.table_s, spec)
             group.rows.append(Row(run.algorithm, run.network_bytes * workload.scale / GIB))
         result.groups.append(group)

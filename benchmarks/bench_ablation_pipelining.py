@@ -8,7 +8,7 @@ barely helps (transfers dominate), but on a 10x faster network the CPU
 of track join starts to matter and overlap recovers most of it.
 """
 
-from repro import JoinSpec, TrackJoin2, paper_cluster_2014, scaled_network
+from repro import JoinSpec, TrackJoin, paper_cluster_2014, scaled_network
 from repro.experiments.report import ExperimentResult, Group, Row
 from repro.joins.grace_hash import GraceHashJoin
 from repro.workloads import workload_x
@@ -32,7 +32,7 @@ def run_ablation(scale_x: int = 2048) -> ExperimentResult:
     fast = scaled_network(base, 10.0)
     for label, model in (("1 GbE", base), ("10x network", fast)):
         group = Group(label=label)
-        for algorithm in (GraceHashJoin(), TrackJoin2("RS")):
+        for algorithm in (GraceHashJoin(), TrackJoin("2TJ-R")):
             run = algorithm.run(workload.cluster, workload.table_r, workload.table_s, spec)
             sequential = model.total_seconds(run.profile) * workload.scale
             overlapped = model.total_seconds(run.profile, overlap=True) * workload.scale

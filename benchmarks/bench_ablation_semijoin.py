@@ -8,7 +8,7 @@ filters to it only pays the filter broadcast.
 
 import numpy as np
 
-from repro import Cluster, GraceHashJoin, JoinSpec, Schema, TrackJoin2, random_uniform
+from repro import Cluster, GraceHashJoin, JoinSpec, Schema, TrackJoin, random_uniform
 from repro.experiments.report import ExperimentResult, Group, Row
 from repro.joins import SemiJoinFilteredJoin
 
@@ -35,8 +35,8 @@ def run_ablation(tuples: int = 200_000) -> ExperimentResult:
     for algorithm in (
         GraceHashJoin(),
         SemiJoinFilteredJoin(GraceHashJoin()),
-        TrackJoin2("RS"),
-        SemiJoinFilteredJoin(TrackJoin2("RS")),
+        TrackJoin("2TJ-R"),
+        SemiJoinFilteredJoin(TrackJoin("2TJ-R")),
     ):
         run = algorithm.run(cluster, table_r, table_s, spec)
         group.rows.append(Row(run.algorithm, run.network_bytes / 1e6))

@@ -8,8 +8,7 @@ traffic and receive-balance across skew levels, including the
 balance-aware Section 5 extension.
 """
 
-from repro import GraceHashJoin, JoinSpec, TrackJoin4
-from repro.core.balance import BalanceAwareTrackJoin
+from repro import GraceHashJoin, JoinSpec, TrackJoin
 from repro.experiments.report import ExperimentResult, Group, Row
 from repro.workloads import zipf_workload
 
@@ -26,7 +25,7 @@ def run_ablation(tuples: int = 100_000) -> ExperimentResult:
             tuples_per_table=tuples, distinct_keys=tuples // 10, skew=skew
         )
         group = Group(label=f"zipf skew = {skew}")
-        for algorithm in (GraceHashJoin(), TrackJoin4(), BalanceAwareTrackJoin()):
+        for algorithm in (GraceHashJoin(), TrackJoin("4TJ"), TrackJoin("4TJ-bal")):
             run = algorithm.run(workload.cluster, workload.table_r, workload.table_s, spec)
             balance = run.node_balance()
             group.rows.append(
@@ -45,7 +44,7 @@ def test_ablation_skew(benchmark, record_report):
     record_report(result)
     for group in result.groups:
         # Balance-aware scheduling never increases traffic beyond 4TJ
-        # (tolerance 0) ...
+        # (it re-decides only exact cost ties) ...
         four = result.row(group.label, "4TJ")
         balanced = result.row(group.label, "4TJ-bal")
         assert balanced.measured <= four.measured * 1.001

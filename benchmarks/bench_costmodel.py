@@ -7,7 +7,7 @@ the formulas model) across several width configurations.
 
 import numpy as np
 
-from repro import Cluster, GraceHashJoin, JoinSpec, Schema, TrackJoin2, random_uniform
+from repro import Cluster, GraceHashJoin, JoinSpec, Schema, TrackJoin, random_uniform
 from repro.costmodel import JoinStats, hash_join_cost, track2_cost
 from repro.experiments.report import ExperimentResult, Group, Row
 
@@ -50,7 +50,7 @@ def run_validation(tuples: int = 100_000) -> ExperimentResult:
                 paper=hash_join_cost(stats, include_local_discount=True) / 1e6,
             )
         )
-        measured_tj = TrackJoin2("RS").run(cluster, table_r, table_s, spec).network_bytes
+        measured_tj = TrackJoin("2TJ-R").run(cluster, table_r, table_s, spec).network_bytes
         group.rows.append(
             Row("2TJ-R", measured_tj / 1e6, paper=track2_cost(stats, "RS") / 1e6)
         )

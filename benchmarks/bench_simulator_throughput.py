@@ -10,7 +10,7 @@ statistics are the point.
 import numpy as np
 import pytest
 
-from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin4
+from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin
 from repro.testing import scatter_tables
 
 _TUPLES = 300_000
@@ -46,7 +46,7 @@ def test_track_join_throughput(benchmark, tables):
     cluster, table_r, table_s = tables
     spec = JoinSpec(materialize=False)
     result = benchmark.pedantic(
-        lambda: TrackJoin4().run(cluster, table_r, table_s, spec),
+        lambda: TrackJoin("4TJ").run(cluster, table_r, table_s, spec),
         rounds=3,
         iterations=1,
     )

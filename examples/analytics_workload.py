@@ -12,7 +12,7 @@ Run:  python examples/analytics_workload.py
 
 from __future__ import annotations
 
-from repro import GraceHashJoin, JoinSpec, TrackJoin2, paper_cluster_2014, scaled_network
+from repro import GraceHashJoin, JoinSpec, TrackJoin, paper_cluster_2014, scaled_network
 from repro.workloads import workload_x
 
 
@@ -29,7 +29,7 @@ def main() -> None:
         hash_join = GraceHashJoin().run(
             workload.cluster, workload.table_r, workload.table_s, spec
         )
-        track = TrackJoin2("RS").run(
+        track = TrackJoin("2TJ-R").run(
             workload.cluster, workload.table_r, workload.table_s, spec
         )
         hj_gib = hash_join.network_bytes * workload.scale / 2**30
@@ -46,7 +46,7 @@ def main() -> None:
     model = paper_cluster_2014(num_nodes=4)
     fast = scaled_network(model, 10.0)
     impl_spec = JoinSpec(materialize=False)
-    for label, algorithm in (("hash join", GraceHashJoin()), ("track join", TrackJoin2("RS"))):
+    for label, algorithm in (("hash join", GraceHashJoin()), ("track join", TrackJoin("2TJ-R"))):
         result = algorithm.run(workload.cluster, workload.table_r, workload.table_s, impl_spec)
         cpu = model.cpu_seconds(result.profile) * workload.scale
         net = model.network_seconds(result.profile) * workload.scale

@@ -15,7 +15,7 @@ Run:  python examples/locality_patterns.py
 
 from __future__ import annotations
 
-from repro import GraceHashJoin, JoinSpec, TrackJoin2, TrackJoin4
+from repro import GraceHashJoin, JoinSpec, TrackJoin
 from repro.workloads import (
     PATTERN_COLLOCATED,
     PATTERN_PARTIAL,
@@ -41,10 +41,10 @@ def main() -> None:
             hash_join = GraceHashJoin().run(
                 workload.cluster, workload.table_r, workload.table_s, spec
             )
-            two = TrackJoin2("RS").run(
+            two = TrackJoin("2TJ-R").run(
                 workload.cluster, workload.table_r, workload.table_s, spec
             )
-            four = TrackJoin4().run(
+            four = TrackJoin("4TJ").run(
                 workload.cluster, workload.table_r, workload.table_s, spec
             )
             label = (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Cluster, GraceHashJoin, JoinSpec, Schema, TrackJoin2, random_uniform
+from repro import Cluster, GraceHashJoin, JoinSpec, Schema, TrackJoin, random_uniform
 from repro.mapreduce import mr_hash_join, mr_track_join
 
 
@@ -34,7 +34,7 @@ def main() -> None:
     spec = JoinSpec()
 
     native_hash = GraceHashJoin().run(cluster, table_r, table_s, spec)
-    native_track = TrackJoin2("RS").run(cluster, table_r, table_s, spec)
+    native_track = TrackJoin("2TJ-R").run(cluster, table_r, table_s, spec)
     mr_hash = mr_hash_join(cluster, table_r, table_s, spec)
     tracking, joined = mr_track_join(cluster, table_r, table_s, spec)
     mr_track_bytes = tracking.network_bytes + joined.network_bytes

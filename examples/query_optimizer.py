@@ -17,34 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
-    BroadcastJoin,
-    Cluster,
-    GraceHashJoin,
-    JoinSpec,
-    Schema,
-    TrackJoin2,
-    TrackJoin3,
-    TrackJoin4,
-    random_uniform,
-)
-from repro.costmodel import (
-    JoinStats,
-    choose_algorithm,
-    correlated_sample,
-    estimate_classes,
-    rank_algorithms,
-)
-
-ALGORITHMS = {
-    "BJ-R": lambda: BroadcastJoin("R"),
-    "BJ-S": lambda: BroadcastJoin("S"),
-    "HJ": GraceHashJoin,
-    "2TJ-R": lambda: TrackJoin2("RS"),
-    "2TJ-S": lambda: TrackJoin2("SR"),
-    "3TJ": TrackJoin3,
-    "4TJ": TrackJoin4,
-}
+from repro import Cluster, JoinSpec, Schema, random_uniform
+from repro.costmodel import JoinStats, correlated_sample, estimate_classes
+from repro.costmodel.optimizer import choose_algorithm, rank_algorithms
+from repro.joins.registry import create
 
 
 def build_join(name, cluster, tuples_r, tuples_s, distinct, payload_bits_r, payload_bits_s, seed):
@@ -96,7 +72,7 @@ def main() -> None:
 
         print(f"{'algorithm':<8} {'predicted MB':>13} {'measured MB':>12}")
         for estimate in rank_algorithms(stats)[:4]:
-            result = ALGORITHMS[estimate.algorithm]().run(cluster, table_r, table_s, spec)
+            result = create(estimate.algorithm).run(cluster, table_r, table_s, spec)
             print(
                 f"{estimate.algorithm:<8} {estimate.cost_bytes / 1e6:>13.2f} "
                 f"{result.network_bytes / 1e6:>12.2f}"

@@ -19,9 +19,7 @@ from repro import (
     GraceHashJoin,
     JoinSpec,
     Schema,
-    TrackJoin2,
-    TrackJoin3,
-    TrackJoin4,
+    TrackJoin,
     random_uniform,
 )
 from repro.joins import LateMaterializationHashJoin, TrackingAwareHashJoin
@@ -52,10 +50,10 @@ def main() -> None:
         GraceHashJoin(),
         LateMaterializationHashJoin(),
         TrackingAwareHashJoin(),
-        TrackJoin2("RS"),
-        TrackJoin2("SR"),
-        TrackJoin3(),
-        TrackJoin4(),
+        TrackJoin("2TJ-R"),
+        TrackJoin("2TJ-S"),
+        TrackJoin("3TJ"),
+        TrackJoin("4TJ"),
     ]
 
     print(f"{num_nodes}-node cluster, R = {table_r.total_rows:,} x "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Cluster, JoinSpec, Schema, TrackJoin4, random_uniform
+from repro import Cluster, JoinSpec, Schema, TrackJoin, random_uniform
 from repro.cluster import MessageClass
 from repro.encoding import (
     DeltaEncoding,
@@ -50,7 +50,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, spec in variants:
-        result = TrackJoin4().run(cluster, table_r, table_s, spec)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s, spec)
         print(
             f"{name:<28} "
             f"{result.class_bytes(MessageClass.KEYS_COUNTS) / 1e6:>12.3f} "

@@ -22,7 +22,7 @@ Quickstart::
 
     import numpy as np
     from repro import (
-        Cluster, JoinSpec, GraceHashJoin, TrackJoin4, Schema, random_uniform,
+        Cluster, JoinSpec, GraceHashJoin, TrackJoin, Schema, random_uniform,
     )
 
     cluster = Cluster(num_nodes=4)
@@ -31,17 +31,23 @@ Quickstart::
     r = cluster.table_from_assignment("R", schema, keys, random_uniform(len(keys), 4, seed=1))
     s = cluster.table_from_assignment("S", schema, keys, random_uniform(len(keys), 4, seed=2))
     hash_result = GraceHashJoin().run(cluster, r, s)
-    track_result = TrackJoin4().run(cluster, r, s)
+    track_result = TrackJoin("4TJ").run(cluster, r, s)
     print(hash_result.network_bytes, track_result.network_bytes)
 """
 
 from .cluster import Cluster, MessageClass, Network, TrafficLedger
+
+# ``joins`` before ``core``: the operator registry in ``joins`` imports
+# the track join operator, which subclasses ``joins``' base class.
+from .joins import (
+    BroadcastJoin,
+    DistributedJoin,
+    GraceHashJoin,
+    JoinResult,
+    JoinSpec,
+)
 from .core import (
-    BalanceAwareTrackJoin,
-    SkewShardTrackJoin,
-    TrackJoin2,
-    TrackJoin3,
-    TrackJoin4,
+    TrackJoin,
     generate_schedules,
     migrate_and_broadcast,
     optimal_schedule,
@@ -68,13 +74,6 @@ from .parallel import (
     ThreadExecutor,
     resolve_executor,
     set_default_workers,
-)
-from .joins import (
-    BroadcastJoin,
-    DistributedJoin,
-    GraceHashJoin,
-    JoinResult,
-    JoinSpec,
 )
 from .storage import (
     Column,
@@ -111,11 +110,7 @@ __all__ = [
     "DistributedJoin",
     "BroadcastJoin",
     "GraceHashJoin",
-    "TrackJoin2",
-    "TrackJoin3",
-    "TrackJoin4",
-    "BalanceAwareTrackJoin",
-    "SkewShardTrackJoin",
+    "TrackJoin",
     "Encoding",
     "FixedByteEncoding",
     "VarByteEncoding",

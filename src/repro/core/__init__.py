@@ -1,6 +1,5 @@
-"""Track join core: tracking, per-key schedule generation, operators."""
+"""Track join core: tracking, per-key schedule generation, the operator."""
 
-from .balance import BalanceAwareTrackJoin
 from .messages import location_message_bytes, tracking_message_bytes
 from .schedule import (
     BroadcastPlan,
@@ -12,16 +11,12 @@ from .schedule import (
     optimal_schedule,
     selective_broadcast_cost,
 )
-from .skew import ShardPlan, SkewShardTrackJoin, attach_shards, plan_shards
-from .track_join import TrackJoin2, TrackJoin3, TrackJoin4
+from .skew import ShardPlan, attach_shards, plan_shards
+from .track_join import TrackJoin
 from .tracking import TrackingTable, run_tracking_phase
 
 __all__ = [
-    "TrackJoin2",
-    "TrackJoin3",
-    "TrackJoin4",
-    "BalanceAwareTrackJoin",
-    "SkewShardTrackJoin",
+    "TrackJoin",
     "ShardPlan",
     "plan_shards",
     "attach_shards",

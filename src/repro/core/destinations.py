@@ -3,8 +3,8 @@
 Every scheduling path — the scalar oracle
 (:func:`repro.core.schedule.migrate_and_broadcast`), the vectorized
 :func:`repro.core.schedule.generate_schedules`, and the load-aware
-policies (:class:`repro.core.balance.BalanceAwareTrackJoin`,
-:class:`repro.core.skew.SkewShardTrackJoin`) — answers the same
+policies (:func:`repro.core.balance.balanced_schedules`,
+:func:`repro.core.skew.sharded_schedules`) — answers the same
 question for each key and direction: *which target-side holders
 migrate, and where do the migrating tuples consolidate?*
 

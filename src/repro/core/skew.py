@@ -7,25 +7,25 @@ problem — a hot key's bytes (both sides) pile onto one destination, so
 minimal total traffic comes with a maximal per-node peak
 (:attr:`~repro.cluster.network.TrafficLedger.max_received_bytes`).
 
-:class:`SkewShardTrackJoin` trades a bounded amount of replication for
-a flat load profile.  Keys that the optimal plan consolidates and whose
-combined bytes exceed ``hot_fraction`` of the total tracked bytes are
-*sharded*: their larger side is dealt row-wise across several
-destinations (:class:`~repro.exchange.migrate.ShardedMigrate`) picked
-least-loaded first (:func:`~repro.core.destinations.rank_by_load`), and
-the smaller side replicates to every shard so each output pair is still
-produced exactly once.  Dealing the larger side may flip the key's
+:func:`sharded_schedules` (the ``4TJ-shard`` variant of
+:class:`~repro.core.track_join.TrackJoin`) trades a bounded amount of
+replication for a flat load profile.  Keys that the optimal plan
+consolidates and whose combined bytes exceed ``hot_fraction`` of the
+total tracked bytes are *sharded*: their larger side is dealt row-wise
+across several destinations
+(:class:`~repro.exchange.migrate.ShardedMigrate`) picked least-loaded
+first (:func:`~repro.core.destinations.rank_by_load`), and the smaller
+side replicates to every shard so each output pair is still produced
+exactly once.  Dealing the larger side may flip the key's
 broadcast direction — replication is paid once per shard, so the
 replicated side must be the cheap one.  Cold keys keep their
 traffic-optimal schedule untouched: with no hot keys the plan (and
-therefore the byte ledger) is identical to plain
-:class:`~repro.core.track_join.TrackJoin4`.
+therefore the byte ledger) is identical to plain 4TJ.
 
 The planner is exact, not sketched: tracking already delivers per-key,
 per-node byte counts to the scheduling nodes, so hot keys are read off
-the tracked sizes directly.  Nothing feeds skew to the cost model
-before execution: ``JoinStats.max_key_fraction`` is ``0`` unless a
-caller supplies it.
+the tracked sizes directly.  The cost model has no skew term: it
+estimates ``4TJ-shard`` at plain 4TJ's cost.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ from itertools import pairwise
 
 import numpy as np
 
-from ..cluster.cluster import Cluster
 from ..errors import ValidationError
-from ..joins.base import JoinSpec
 from ..parallel.chunks import chunk_bounds, run_chunks
 from .destinations import rank_by_load
 from .schedule import ScheduleSet, generate_schedules
-from .track_join import TrackJoin4
 from .tracking import TrackingTable
 
-__all__ = ["SkewShardTrackJoin", "ShardPlan", "plan_shards", "attach_shards"]
+__all__ = ["ShardPlan", "plan_shards", "attach_shards", "sharded_schedules"]
 
 
 @dataclass
@@ -67,7 +64,6 @@ def plan_shards(
     schedules: ScheduleSet,
     num_nodes: int,
     hot_fraction: float = 0.05,
-    max_shards: int | None = None,
 ) -> ShardPlan | None:
     """Pick shard destinations for the heavy hitters of a schedule set.
 
@@ -76,7 +72,7 @@ def plan_shards(
     ``hot_fraction`` of the total — exactly the keys whose bytes the
     single-destination optimum piles onto one node.  A hot key's larger
     side is split over ``ceil(larger_bytes / (hot_fraction *
-    total_bytes))`` shards (capped at ``min(num_nodes, max_shards)``),
+    total_bytes))`` shards (at least 2, at most ``num_nodes``),
     assigned least-loaded first against the cold keys' estimated
     per-node received bytes.  Hot keys are placed in descending
     combined-size order so the largest key gets the emptiest nodes; the
@@ -85,6 +81,8 @@ def plan_shards(
     Returns a :class:`ShardPlan`, or ``None`` when no key qualifies (or
     the cluster cannot split: fewer than two nodes).
     """
+    if not 0.0 < hot_fraction <= 1.0:
+        raise ValidationError(f"hot_fraction must be in (0, 1], got {hot_fraction}")
     if num_nodes < 2 or tracking.num_entries == 0:
         return None
     # Tuple widths are whole eighths of a byte (bits / 8), so the byte
@@ -119,9 +117,8 @@ def plan_shards(
     direction_rs = np.where(hot, s_all >= r_all, schedules.direction_rs)
     t_all = np.where(direction_rs, s_all, r_all)
     b_all = np.where(direction_rs, r_all, s_all)
-    cap = num_nodes if max_shards is None else min(num_nodes, max_shards)
     num_shards = np.clip(
-        np.ceil(t_all / (hot_fraction * total)).astype(np.int64), 2, cap
+        np.ceil(t_all / (hot_fraction * total)).astype(np.int64), 2, num_nodes
     )
 
     # Estimated received bytes per node under the *cold* keys' plan:
@@ -177,45 +174,17 @@ def attach_shards(schedules: ScheduleSet, plan: ShardPlan | None) -> ScheduleSet
     )
 
 
-class SkewShardTrackJoin(TrackJoin4):
-    """4-phase track join with heavy-hitter sharding.
+def sharded_schedules(
+    tracking: TrackingTable, location_width: float, num_nodes: int
+) -> ScheduleSet:
+    """4-phase schedules with the heavy hitters sharded.
 
-    Parameters
-    ----------
-    hot_fraction:
-        A consolidating key is sharded when its combined tracked bytes
-        exceed this fraction of the total; it also sizes the shards
-        (each shard's deal targets at most ``hot_fraction`` of the
-        total).
-    max_shards:
-        Optional cap on shards per key (default: the node count).
+    The traffic-optimal schedules, then :func:`plan_shards` at its
+    default ``hot_fraction`` grafted on by :func:`attach_shards`.  The
+    three are called through this module's namespace, where the
+    benchmark tracer (``benchmarks/e2e/trace.py``) wraps them.
     """
-
-    name = "4TJ-shard"
-
-    def __init__(self, hot_fraction: float = 0.05, max_shards: int | None = None):
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ValidationError(
-                f"hot_fraction must be in (0, 1], got {hot_fraction}"
-            )
-        self.hot_fraction = float(hot_fraction)
-        self.max_shards = max_shards
-
-    def _make_schedules(
-        self,
-        cluster: Cluster,
-        tracking: TrackingTable,
-        spec: JoinSpec,
-        location_width: float,
-    ) -> ScheduleSet:
-        schedules = generate_schedules(
-            tracking, location_width=location_width, allow_migration=True
-        )
-        plan = plan_shards(
-            tracking,
-            schedules,
-            cluster.num_nodes,
-            hot_fraction=self.hot_fraction,
-            max_shards=self.max_shards,
-        )
-        return attach_shards(schedules, plan)
+    schedules = generate_schedules(
+        tracking, location_width=location_width, allow_migration=True
+    )
+    return attach_shards(schedules, plan_shards(tracking, schedules, num_nodes))

@@ -1,6 +1,6 @@
-"""The track join operators: 2-phase, 3-phase, and 4-phase variants.
+"""The track join operator: every 2-, 3- and 4-phase variant.
 
-All three share the same skeleton, faithful to Section 2:
+All variants share the same skeleton, faithful to Section 2:
 
 1. **Tracking** — project both inputs to their join keys, deduplicate
    locally, and ship (key [, count]) entries to each key's scheduling
@@ -18,6 +18,10 @@ All three share the same skeleton, faithful to Section 2:
    matching tuples only to nodes with matches; each destination joins
    the received tuples against its (post-migration) local fragment.
 
+The variants differ only in the tracking payload, the direction rule,
+whether migration runs, and how destinations are picked; :data:`VARIANTS`
+fixes those four per registry name.
+
 The executor moves real numpy-backed tuple batches through the
 simulated network, so output correctness and byte-exact traffic both
 fall out of the same run.
@@ -26,6 +30,7 @@ fall out of the same run.
 from __future__ import annotations
 
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,21 +48,62 @@ from ..parallel.chunks import chunk_bounds, kernel_chunk_rows, run_chunks
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from ..util import segmented_cartesian
+from .balance import balanced_schedules
 from .schedule import ScheduleSet, generate_schedules
+from .skew import sharded_schedules
 from .tracking import run_tracking_phase
 
-__all__ = ["TrackJoin2", "TrackJoin3", "TrackJoin4"]
+__all__ = ["TrackJoin", "VARIANTS"]
 
 
-class _TrackJoinBase(DistributedJoin):
-    """Shared tracking/scheduling/broadcast skeleton of all variants."""
+class Variant(NamedTuple):
+    """What one track join variant fixes (Section 2)."""
 
-    #: 3/4-phase tracking carries per-node match counts.
-    with_counts: bool = True
-    #: 4-phase adds the migration optimization.
-    allow_migration: bool = True
-    #: 2-phase pins every key to one direction ("RS" or "SR").
-    forced_direction: str | None = None
+    #: Tracking carries per-node match counts (3/4-phase), not bare keys.
+    with_counts: bool
+    #: "RS" or "SR" pins every key to one broadcast direction (2-phase);
+    #: ``None`` picks the cheaper direction per key.
+    direction: str | None
+    #: The migration phase runs (4-phase).
+    migrate: bool
+    #: Destination rule: "optimal" (Theorem 1's consolidation node),
+    #: "balanced" (least-loaded survivor, :mod:`repro.core.balance`) or
+    #: "sharded" (heavy hitters dealt over several nodes,
+    #: :mod:`repro.core.skew`).
+    destinations: str
+
+
+VARIANTS: dict[str, Variant] = {
+    "2TJ-R": Variant(False, "RS", False, "optimal"),
+    "2TJ-S": Variant(False, "SR", False, "optimal"),
+    "3TJ": Variant(True, None, False, "optimal"),
+    "4TJ": Variant(True, None, True, "optimal"),
+    "4TJ-bal": Variant(True, None, True, "balanced"),
+    "4TJ-shard": Variant(True, None, True, "sharded"),
+}
+
+
+class TrackJoin(DistributedJoin):
+    """Track join, one of the :data:`VARIANTS` by registry name.
+
+    ``2TJ-R``/``2TJ-S`` track bare key locations and selectively
+    broadcast R to S locations (or S to R): the direction is a query
+    optimizer decision taken before execution, like the inner/outer
+    distinction of hash join.  ``3TJ`` tracks per-node match counts
+    and picks the cheaper direction per key.  ``4TJ`` adds migrations
+    that consolidate a key's broadcast-target tuples whenever that
+    lowers traffic, reaching the minimum payload transfers of an
+    early-materialized join (Theorems 1-2).  ``4TJ-bal`` and
+    ``4TJ-shard`` are 4TJ with load-aware destinations (Section 5).
+    """
+
+    def __init__(self, variant: str):
+        if variant not in VARIANTS:
+            raise ValidationError(
+                f"unknown track join variant {variant!r}; valid: {list(VARIANTS)}"
+            )
+        self.name = variant
+        self.variant = VARIANTS[variant]
 
     def _execute(
         self,
@@ -67,8 +113,9 @@ class _TrackJoinBase(DistributedJoin):
         spec: JoinSpec,
         profile: ExecutionProfile,
     ) -> list[LocalPartition] | list[JoinCount]:
+        variant = self.variant
         tracking = run_tracking_phase(
-            cluster, table_r, table_s, spec, profile, with_counts=self.with_counts
+            cluster, table_r, table_s, spec, profile, with_counts=variant.with_counts
         )
         key_width = table_r.schema.key_width(spec.encoding)
         if tracking.num_entries:
@@ -101,73 +148,19 @@ class _TrackJoinBase(DistributedJoin):
         # have size equal to M"), so schedules are generated with the
         # full wire width of a (key, node) pair — keeping migration
         # decisions consistent with the bytes actually sent.
-        schedules = self._make_schedules(
-            cluster, tracking, spec, key_width + spec.location_width
-        )
+        location_width = key_width + spec.location_width
+        if variant.destinations == "balanced":
+            schedules = balanced_schedules(tracking, location_width, cluster.num_nodes)
+        elif variant.destinations == "sharded":
+            schedules = sharded_schedules(tracking, location_width, cluster.num_nodes)
+        else:
+            schedules = generate_schedules(
+                tracking,
+                location_width=location_width,
+                allow_migration=variant.migrate,
+                forced_direction=variant.direction,
+            )
         return _execute_schedules(cluster, table_r, table_s, spec, profile, schedules)
-
-    def _make_schedules(
-        self,
-        cluster: Cluster,
-        tracking,
-        spec: JoinSpec,
-        location_width: float,
-    ) -> ScheduleSet:
-        """Schedule-generation hook.
-
-        The base operators take the traffic-optimal plan; policy
-        subclasses (:mod:`repro.core.balance`, :mod:`repro.core.skew`)
-        override only this method to re-pick destinations from the same
-        shared candidate evaluation.
-        """
-        return generate_schedules(
-            tracking,
-            location_width=location_width,
-            allow_migration=self.allow_migration,
-            forced_direction=self.forced_direction,
-        )
-
-
-class TrackJoin2(_TrackJoinBase):
-    """2-phase (single broadcast) track join.
-
-    Tracks bare key locations, then selectively broadcasts one side's
-    tuples to the other side's locations.  The direction is a query
-    optimizer decision taken before execution, like the inner/outer
-    distinction of hash join.
-    """
-
-    with_counts = False
-    allow_migration = False
-
-    def __init__(self, direction: str = "RS"):
-        if direction not in ("RS", "SR"):
-            raise ValidationError(f"direction must be 'RS' or 'SR', got {direction!r}")
-        self.forced_direction = direction
-        self.name = "2TJ-R" if direction == "RS" else "2TJ-S"
-
-
-class TrackJoin3(_TrackJoinBase):
-    """3-phase (double broadcast) track join.
-
-    Tracking carries per-node match sizes, and the cheaper selective
-    broadcast direction is chosen independently for every distinct key.
-    """
-
-    name = "3TJ"
-    allow_migration = False
-
-
-class TrackJoin4(_TrackJoinBase):
-    """4-phase (full) track join.
-
-    Adds the migration phase: per key, tuples of the broadcast-target
-    side are consolidated onto fewer nodes whenever that lowers total
-    traffic, producing the minimum possible payload transfers for an
-    early-materialized distributed join (Theorems 1-2).
-    """
-
-    name = "4TJ"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Analytic network cost model and optimizer hooks (Section 3)."""
+"""Analytic network cost model (Section 3).
+
+The optimizer that ranks the registry's operators by these estimates
+lives in :mod:`repro.costmodel.optimizer`; it is not re-exported here,
+because it reads the operator registry, which itself imports the
+formulas.
+"""
 
 from .formulas import (
     CorrelationClasses,
@@ -11,11 +17,9 @@ from .formulas import (
     track2_cost,
     track3_cost,
     track4_cost,
-    track4_shard_cost,
     track_join_beats_hash_join_width_rule,
     tracking_aware_cost,
 )
-from .optimizer import AlgorithmEstimate, choose_algorithm, rank_algorithms
 from .sampling import CorrelatedSample, correlated_sample, estimate_classes
 from .stats import (
     JoinStats,
@@ -35,16 +39,12 @@ __all__ = [
     "track2_cost",
     "track3_cost",
     "track4_cost",
-    "track4_shard_cost",
     "late_materialization_cost",
     "tracking_aware_cost",
     "filtered_hash_join_cost",
     "filtered_late_materialization_cost",
     "filtered_track2_cost",
     "track_join_beats_hash_join_width_rule",
-    "AlgorithmEstimate",
-    "rank_algorithms",
-    "choose_algorithm",
     "CorrelatedSample",
     "correlated_sample",
     "estimate_classes",

@@ -25,7 +25,6 @@ __all__ = [
     "track2_cost",
     "track3_cost",
     "track4_cost",
-    "track4_shard_cost",
     "CorrelationClasses",
     "late_materialization_cost",
     "tracking_aware_cost",
@@ -168,35 +167,6 @@ def track4_cost(stats: JoinStats, classes: CorrelationClasses | None = None) -> 
         + _selective_broadcast_terms(stats, classes.sr, "SR")
         + hashlike
     )
-
-
-def track4_shard_cost(
-    stats: JoinStats,
-    classes: CorrelationClasses | None = None,
-    hot_fraction: float = 0.05,
-    max_shards: int | None = None,
-) -> float:
-    """4-phase track join with heavy-hitter sharding.
-
-    Cold keys cost exactly :func:`track4_cost`.  A heavy hitter
-    (``stats.max_key_fraction > hot_fraction``) additionally replicates
-    its smaller side to every shard of its larger side, paying the
-    replicated bytes once per extra shard — the premium sharding trades
-    for a flat per-node load.  Without skew information
-    (``max_key_fraction = 0``) the estimate equals the plain 4-phase
-    cost, mirroring the byte-identical execution on non-skewed inputs.
-    """
-    base = track4_cost(stats, classes)
-    if stats.max_key_fraction <= hot_fraction:
-        return base
-    bytes_r = stats.tuples_r * stats.tuple_width_r
-    bytes_s = stats.tuples_s * stats.tuple_width_s
-    total = bytes_r + bytes_s
-    big, small = max(bytes_r, bytes_s), min(bytes_r, bytes_s)
-    shards = math.ceil(stats.max_key_fraction * big / (hot_fraction * total))
-    cap = stats.num_nodes if max_shards is None else min(stats.num_nodes, max_shards)
-    shards = max(2, min(shards, cap))
-    return base + stats.max_key_fraction * small * (shards - 1)
 
 
 def _rid_bytes(tuples: float) -> float:

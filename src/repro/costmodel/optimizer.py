@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import CostModelError
 from ..joins.registry import ALGORITHMS
 from .formulas import CorrelationClasses, track_join_beats_hash_join_width_rule
 from .stats import JoinStats
@@ -44,41 +43,22 @@ class AlgorithmEstimate:
 
 
 def rank_algorithms(
-    stats: JoinStats,
-    classes: CorrelationClasses | None = None,
-    load_weight: float = 0.0,
+    stats: JoinStats, classes: CorrelationClasses | None = None
 ) -> list[AlgorithmEstimate]:
     """All algorithms ordered by estimated network bytes, cheapest first.
 
     Candidates come from the operator registry
     (:data:`repro.joins.registry.ALGORITHMS`); registry order is the
     tie-break of the stable sort.
-
-    ``load_weight`` adds the skew-aware term: entries not flagged
-    ``skew_resistant`` are ranked (not reported) with a penalty of
-    ``load_weight * max_key_fraction * total_tuple_bytes`` — the bytes
-    a heavy hitter concentrates on a single node.  The default ``0``
-    ranks purely by total traffic, the paper's objective; weights near
-    1 value a byte of peak load like a byte of traffic.
     """
-    if load_weight < 0:
-        raise CostModelError(f"load_weight must be non-negative, got {load_weight}")
-    hot_bytes = stats.max_key_fraction * (
-        stats.tuples_r * stats.tuple_width_r + stats.tuples_s * stats.tuple_width_s
-    )
-    ranked = sorted(
+    return sorted(
         (
-            (
-                info.cost(stats, classes),
-                0.0 if info.skew_resistant else load_weight * hot_bytes,
-                info.name,
-            )
+            AlgorithmEstimate(info.name, info.cost(stats, classes))
             for info in ALGORITHMS
             if info.cost is not None
         ),
-        key=lambda entry: entry[0] + entry[1],
+        key=lambda estimate: estimate.cost_bytes,
     )
-    return [AlgorithmEstimate(name, cost) for cost, _, name in ranked]
 
 
 def fallback_algorithm(
@@ -100,22 +80,13 @@ def fallback_algorithm(
 
 
 def choose_algorithm(
-    stats: JoinStats,
-    classes: CorrelationClasses | None = None,
-    load_weight: float = 0.0,
+    stats: JoinStats, classes: CorrelationClasses | None = None
 ) -> AlgorithmEstimate:
     """The optimizer's pick, with the reasoning attached."""
-    ranking = rank_algorithms(stats, classes, load_weight=load_weight)
+    ranking = rank_algorithms(stats, classes)
     best = ranking[0]
 
     notes = []
-    if load_weight > 0 and stats.max_key_fraction > 0:
-        unweighted = rank_algorithms(stats, classes)[0]
-        if unweighted.algorithm != best.algorithm:
-            notes.append(
-                f"heavy hitter holds {stats.max_key_fraction:.0%} of the rows; "
-                f"load weighting displaced {unweighted.algorithm}"
-            )
     repetition_r = stats.tuples_r / stats.distinct_r
     repetition_s = stats.tuples_s / stats.distinct_s
     unique_keys = (

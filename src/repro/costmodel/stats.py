@@ -127,11 +127,6 @@ class JoinStats:
     selectivity_r: float = 1.0
     selectivity_s: float = 1.0
     location_width: float = 1.0
-    #: Fraction of all rows held by the most frequent join key (both
-    #: sides combined, symmetric under :meth:`swapped`).  Nothing in the
-    #: library measures it: it is ``0`` ("no skew known", every formula
-    #: at its uniform estimate) unless the caller supplies it.
-    max_key_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -146,7 +141,7 @@ class JoinStats:
             raise CostModelError(
                 f"distinct_s={self.distinct_s} inconsistent with tuples_s={self.tuples_s}"
             )
-        for name in ("selectivity_r", "selectivity_s", "max_key_fraction"):
+        for name in ("selectivity_r", "selectivity_s"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise CostModelError(f"{name} must be in [0, 1], got {value}")
@@ -207,5 +202,4 @@ class JoinStats:
             selectivity_r=self.selectivity_s,
             selectivity_s=self.selectivity_r,
             location_width=self.location_width,
-            max_key_fraction=self.max_key_fraction,
         )

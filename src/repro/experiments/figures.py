@@ -15,7 +15,7 @@ size, so the reported values are scaled by the workload's factor.
 from __future__ import annotations
 
 from ..cluster.network import MessageClass
-from ..core.track_join import TrackJoin2, TrackJoin3, TrackJoin4
+from ..core.track_join import TrackJoin
 from ..encoding import DictionaryEncoding, FixedByteEncoding, VarByteEncoding
 from ..errors import WorkloadError
 from ..joins.base import DistributedJoin, JoinSpec
@@ -66,10 +66,10 @@ def seven_algorithms() -> list[DistributedJoin]:
         BroadcastJoin("R"),
         BroadcastJoin("S"),
         GraceHashJoin(),
-        TrackJoin2("RS"),
-        TrackJoin2("SR"),
-        TrackJoin3(),
-        TrackJoin4(),
+        TrackJoin("2TJ-R"),
+        TrackJoin("2TJ-S"),
+        TrackJoin("3TJ"),
+        TrackJoin("4TJ"),
     ]
 
 
@@ -324,7 +324,7 @@ def run_fig9(scale_denominator: int = 1024, num_nodes: int = 16, seed: int = 0) 
         # Both inputs have almost entirely unique keys, so the paper notes
         # all track join versions perform alike and the 2-phase variant
         # (broadcasting the shorter R tuples) suffices.
-        track_result = TrackJoin2("RS").run(
+        track_result = TrackJoin("2TJ-R").run(
             workload.cluster, workload.table_r, workload.table_s, spec
         )
         hash_gib = hash_result.network_bytes * workload.scale / _GIB

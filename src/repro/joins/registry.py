@@ -16,21 +16,27 @@ the entries stably by estimated cost, so on ties the earlier entry wins
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from ..core.track_join import TrackJoin
+from ..costmodel.formulas import (
+    CorrelationClasses,
+    broadcast_cost,
+    hash_join_cost,
+    track2_cost,
+    track3_cost,
+    track4_cost,
+)
+from ..costmodel.stats import JoinStats
 from ..errors import UnknownKeyError
 from .base import DistributedJoin
 from .broadcast import BroadcastJoin
 from .grace_hash import GraceHashJoin
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..costmodel.formulas import CorrelationClasses
-    from ..costmodel.stats import JoinStats
-
 __all__ = ["AlgorithmInfo", "ALGORITHMS", "algorithm", "algorithm_names", "create"]
 
 #: An analytic traffic estimate: (stats, correlation classes) → bytes.
-CostFn = Callable[["JoinStats", "CorrelationClasses | None"], float]
+CostFn = Callable[[JoinStats, CorrelationClasses | None], float]
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,6 @@ class AlgorithmInfo:
         family).  Graceful degradation keys on this: when tracking
         traffic exhausts its fault budget, the executor falls back to
         the cheapest non-tracking entry.
-    skew_resistant:
-        True for operators that keep per-node received bytes bounded
-        under heavy key skew (load-aware destinations, heavy-hitter
-        sharding).  The optimizer's load-weighted ranking penalizes
-        entries without it when statistics report a heavy hitter.
     """
 
     name: str
@@ -70,36 +71,6 @@ class AlgorithmInfo:
     cost: CostFn | None = None
     paper_label: str | None = None
     tracking: bool = False
-    skew_resistant: bool = False
-
-
-def _formulas():
-    # Deferred: repro.costmodel's package init imports the optimizer,
-    # which consumes this registry — a top-level import here would close
-    # that cycle during interpreter start-up.
-    from ..costmodel import formulas
-
-    return formulas
-
-
-def _track_join():
-    # Deferred for the same reason: repro.core's package init pulls in
-    # operators that import repro.joins.
-    from ..core import track_join
-
-    return track_join
-
-
-def _balance():
-    from ..core import balance
-
-    return balance
-
-
-def _skew():
-    from ..core import skew
-
-    return skew
 
 
 #: Registry order matters: it is the optimizer's tie-break (see module
@@ -109,49 +80,49 @@ ALGORITHMS: tuple[AlgorithmInfo, ...] = (
         "BJ-R",
         "broadcast join, replicating R to all S locations",
         lambda: BroadcastJoin("R"),
-        cost=lambda stats, classes: _formulas().broadcast_cost(stats, "R"),
+        cost=lambda stats, classes: broadcast_cost(stats, "R"),
     ),
     AlgorithmInfo(
         "BJ-S",
         "broadcast join, replicating S to all R locations",
         lambda: BroadcastJoin("S"),
-        cost=lambda stats, classes: _formulas().broadcast_cost(stats, "S"),
+        cost=lambda stats, classes: broadcast_cost(stats, "S"),
     ),
     AlgorithmInfo(
         "HJ",
         "Grace hash join, hash-partitioning both inputs",
         GraceHashJoin,
-        cost=lambda stats, classes: _formulas().hash_join_cost(stats),
+        cost=lambda stats, classes: hash_join_cost(stats),
         paper_label="HJ",
     ),
     AlgorithmInfo(
         "2TJ-R",
         "2-phase track join, selectively broadcasting R to S locations",
-        lambda: _track_join().TrackJoin2("RS"),
-        cost=lambda stats, classes: _formulas().track2_cost(stats, "RS"),
+        lambda: TrackJoin("2TJ-R"),
+        cost=lambda stats, classes: track2_cost(stats, "RS"),
         paper_label="2TJ",
         tracking=True,
     ),
     AlgorithmInfo(
         "2TJ-S",
         "2-phase track join, selectively broadcasting S to R locations",
-        lambda: _track_join().TrackJoin2("SR"),
-        cost=lambda stats, classes: _formulas().track2_cost(stats, "SR"),
+        lambda: TrackJoin("2TJ-S"),
+        cost=lambda stats, classes: track2_cost(stats, "SR"),
         tracking=True,
     ),
     AlgorithmInfo(
         "3TJ",
         "3-phase track join, choosing the cheaper direction per key",
-        lambda: _track_join().TrackJoin3(),
-        cost=lambda stats, classes: _formulas().track3_cost(stats, classes),
+        lambda: TrackJoin("3TJ"),
+        cost=track3_cost,
         paper_label="3TJ",
         tracking=True,
     ),
     AlgorithmInfo(
         "4TJ",
         "4-phase track join, adding per-key migrations",
-        lambda: _track_join().TrackJoin4(),
-        cost=lambda stats, classes: _formulas().track4_cost(stats, classes),
+        lambda: TrackJoin("4TJ"),
+        cost=track4_cost,
         paper_label="4TJ",
         tracking=True,
     ),
@@ -161,20 +132,20 @@ ALGORITHMS: tuple[AlgorithmInfo, ...] = (
     AlgorithmInfo(
         "4TJ-bal",
         "4-phase track join with load-balanced destination choices",
-        lambda: _balance().BalanceAwareTrackJoin(),
-        # At zero tolerance the balancer only re-picks cost-equivalent
+        lambda: TrackJoin("4TJ-bal"),
+        # The balancer only re-picks cost-equivalent directions and
         # destinations, so its traffic estimate is the plain 4-phase one.
-        cost=lambda stats, classes: _formulas().track4_cost(stats, classes),
+        cost=track4_cost,
         tracking=True,
-        skew_resistant=True,
     ),
     AlgorithmInfo(
         "4TJ-shard",
         "4-phase track join with heavy-hitter sharding",
-        lambda: _skew().SkewShardTrackJoin(),
-        cost=lambda stats, classes: _formulas().track4_shard_cost(stats, classes),
+        lambda: TrackJoin("4TJ-shard"),
+        # The cost model has no skew term; without one, sharding never
+        # fires and the estimate is the plain 4-phase one.
+        cost=track4_cost,
         tracking=True,
-        skew_resistant=True,
     ),
 )
 

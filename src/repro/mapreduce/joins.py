@@ -13,9 +13,8 @@ and the algorithm level optimize at different granularities:
   holders.  Job 2 uses those records as a *custom partitioner* (side
   data steering the shuffle, as real frameworks allow): R tuples ship
   only to tracked S locations while S stays in place.  Its traffic
-  matches the native :class:`~repro.core.track_join.TrackJoin2` byte
-  for byte, showing fine-grained "tracking" is expressible on a
-  MapReduce substrate.
+  matches the native ``TrackJoin("2TJ-R")`` byte for byte, showing
+  fine-grained "tracking" is expressible on a MapReduce substrate.
 """
 
 from __future__ import annotations

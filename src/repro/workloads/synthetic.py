@@ -278,7 +278,7 @@ def hot_key_workload(
     plain 4TJ piles each hot key onto a single destination.  This is
     the skew ablation's worst case: minimal total traffic with maximal
     per-node received bytes, the regime heavy-hitter sharding
-    (:class:`~repro.core.skew.SkewShardTrackJoin`) is built for.
+    (``4TJ-shard``, :mod:`repro.core.skew`) is built for.
 
     ``hot_threshold`` is the build-frequency fraction above which a key
     gets probe amplification; all draws are deterministic per ``seed``.

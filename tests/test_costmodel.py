@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin2
+from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin
 from repro.costmodel import (
     CorrelationClasses,
     JoinStats,
     broadcast_cost,
-    choose_algorithm,
     correlated_sample,
     estimate_classes,
     filtered_hash_join_cost,
@@ -18,16 +17,16 @@ from repro.costmodel import (
     filtered_track2_cost,
     hash_join_cost,
     late_materialization_cost,
-    rank_algorithms,
     track2_cost,
     track3_cost,
     track4_cost,
-    track4_shard_cost,
     track_join_beats_hash_join_width_rule,
     tracking_aware_cost,
 )
 from repro.core.tracking import run_tracking_phase
+from repro.costmodel.optimizer import choose_algorithm, rank_algorithms
 from repro.errors import CostModelError
+from repro.joins.registry import algorithm
 from repro.timing.profile import ExecutionProfile
 
 from conftest import make_tables
@@ -69,10 +68,6 @@ class TestStats:
         swapped = stats.swapped()
         assert swapped.payload_r == 20 and swapped.payload_s == 10
 
-    def test_swapped_carries_max_key_fraction(self):
-        stats = JoinStats(4, 100, 100, 50, 50, 4, 4, 4, max_key_fraction=0.3)
-        assert stats.swapped().max_key_fraction == 0.3
-
     def test_validation(self):
         with pytest.raises(CostModelError):
             JoinStats(0, 1, 1, 1, 1, 4, 4, 4)
@@ -80,8 +75,6 @@ class TestStats:
             JoinStats(4, 100, 100, 200, 100, 4, 4, 4)  # distinct > tuples
         with pytest.raises(CostModelError):
             JoinStats(4, 100, 100, 100, 100, 4, 4, 4, selectivity_r=1.5)
-        with pytest.raises(CostModelError):
-            JoinStats(4, 100, 100, 100, 100, 4, 4, 4, max_key_fraction=1.5)
 
 
 class TestFormulas:
@@ -192,7 +185,7 @@ class TestFormulaVsSimulation:
         keys = np.arange(20_000, dtype=np.int64)
         table_r, table_s = make_tables(cluster, keys, keys, 128, 448, seed=2)
         spec = JoinSpec(location_width=1.0)
-        measured = TrackJoin2("RS").run(cluster, table_r, table_s, spec).network_bytes
+        measured = TrackJoin("2TJ-R").run(cluster, table_r, table_s, spec).network_bytes
         stats = JoinStats(
             num_nodes=8,
             tuples_r=20_000,
@@ -242,68 +235,12 @@ class TestOptimizer:
 
 
 class TestShardCost:
-    def _skewed_stats(self, max_key_fraction=0.2):
-        return JoinStats(
-            num_nodes=16,
-            tuples_r=100_000,
-            tuples_s=100_000,
-            distinct_r=10_000,
-            distinct_s=10_000,
-            key_width=4,
-            payload_r=16,
-            payload_s=56,
-            max_key_fraction=max_key_fraction,
-        )
-
     def test_no_skew_matches_track4(self):
-        stats = self._skewed_stats(max_key_fraction=0.0)
-        assert track4_shard_cost(stats) == track4_cost(stats)
-        # At or below the hot threshold nothing is sharded either.
-        at = self._skewed_stats(max_key_fraction=0.05)
-        assert track4_shard_cost(at, hot_fraction=0.05) == track4_cost(at)
-
-    def test_replication_premium_grows_with_skew(self):
-        mild = track4_shard_cost(self._skewed_stats(0.1))
-        heavy = track4_shard_cost(self._skewed_stats(0.4))
-        base = track4_cost(self._skewed_stats(0.1))
-        assert base < mild < heavy
-
-    def test_max_shards_caps_premium(self):
-        stats = self._skewed_stats(0.4)
-        capped = track4_shard_cost(stats, max_shards=2)
-        uncapped = track4_shard_cost(stats)
-        assert capped <= uncapped
-
-    def test_load_weighted_ranking_prefers_skew_resistant(self):
-        """With heavy skew and a positive load weight, the sharded
-        operator displaces plain 4TJ in the ranking even though its
-        reported cost is higher."""
-        stats = self._skewed_stats(0.4)
-        unweighted = rank_algorithms(stats)
-        weighted = rank_algorithms(stats, load_weight=4.0)
-        position = {e.algorithm: i for i, e in enumerate(weighted)}
-        assert position["4TJ-shard"] < position["4TJ"]
-        # Reported cost bytes are the unweighted estimates either way.
-        unweighted_costs = {e.algorithm: e.cost_bytes for e in unweighted}
-        for estimate in weighted:
-            assert estimate.cost_bytes == unweighted_costs[estimate.algorithm]
-
-    def test_load_weight_zero_keeps_order(self):
-        stats = self._skewed_stats(0.4)
-        assert [e.algorithm for e in rank_algorithms(stats)] == [
-            e.algorithm for e in rank_algorithms(stats, load_weight=0.0)
-        ]
-
-    def test_negative_load_weight_rejected(self):
-        with pytest.raises(CostModelError):
-            rank_algorithms(self._skewed_stats(), load_weight=-1.0)
-
-    def test_choose_algorithm_notes_displacement(self):
-        stats = self._skewed_stats(0.4)
-        unweighted = choose_algorithm(stats)
-        weighted = choose_algorithm(stats, load_weight=4.0)
-        if weighted.algorithm != unweighted.algorithm:
-            assert "load weighting displaced" in weighted.note
+        """The cost model has no skew term, so the registry estimates
+        4TJ-shard (and 4TJ-bal) at plain 4TJ's cost."""
+        stats = JoinStats(16, 100_000, 100_000, 10_000, 10_000, 4, 16, 56)
+        for name in ("4TJ-bal", "4TJ-shard"):
+            assert algorithm(name).cost(stats, None) == track4_cost(stats)
 
 
 class TestCorrelatedSampling:

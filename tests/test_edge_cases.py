@@ -10,7 +10,7 @@ from repro import (
     GraceHashJoin,
     JoinSpec,
     Schema,
-    TrackJoin4,
+    TrackJoin,
     paper_cluster_2014,
 )
 from repro.errors import ReproError
@@ -38,7 +38,7 @@ class TestEmptyAndDegenerate:
         table_r, table_s = make_tables(
             small_cluster, np.array([], dtype=np.int64), np.arange(100)
         )
-        for algorithm in (GraceHashJoin(), TrackJoin4()):
+        for algorithm in (GraceHashJoin(), TrackJoin("4TJ")):
             assert algorithm.run(small_cluster, table_r, table_s).output_rows == 0
 
     def test_all_rows_one_node(self):
@@ -49,7 +49,7 @@ class TestEmptyAndDegenerate:
         zeros = np.zeros(500, dtype=np.int64)
         table_r = cluster.table_from_assignment("R", schema, keys, zeros)
         table_s = cluster.table_from_assignment("S", schema, keys, zeros)
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert result.output_rows == 500
         # All matches are collocated: no payload crosses.
         from repro.cluster import MessageClass
@@ -66,7 +66,7 @@ class TestEmptyAndDegenerate:
         table_r = cluster.table_from_assignment("R", schema, keys, nodes)
         table_s = cluster.table_from_assignment("S", schema, keys, nodes)
         hashed = GraceHashJoin().run(cluster, table_r, table_s)
-        tracked = TrackJoin4().run(cluster, table_r, table_s)
+        tracked = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert hashed.output_rows == tracked.output_rows == 64
 
 

@@ -30,7 +30,7 @@ import pytest
 
 from repro import Cluster, JoinSpec
 from repro.cluster.network import TrafficLedger
-from repro.core.track_join import TrackJoin2, TrackJoin3, TrackJoin4
+from repro.core.track_join import TrackJoin
 from repro.joins.broadcast import BroadcastJoin
 from repro.joins.grace_hash import GraceHashJoin
 from repro.joins.semijoin import SemiJoinFilteredJoin
@@ -172,17 +172,19 @@ CASES = {
     "HJ": _join_case(GraceHashJoin),
     "BJ-R": _join_case(lambda: BroadcastJoin("R")),
     "BJ-S": _join_case(lambda: BroadcastJoin("S")),
-    "2TJ-R": _join_case(lambda: TrackJoin2("RS")),
-    "2TJ-S": _join_case(lambda: TrackJoin2("SR")),
-    "3TJ": _join_case(TrackJoin3),
-    "4TJ": _join_case(TrackJoin4),
+    "2TJ-R": _join_case(lambda: TrackJoin("2TJ-R")),
+    "2TJ-S": _join_case(lambda: TrackJoin("2TJ-S")),
+    "3TJ": _join_case(lambda: TrackJoin("3TJ")),
+    "4TJ": _join_case(lambda: TrackJoin("4TJ")),
     "4TJ-grouped": _join_case(
-        TrackJoin4, JoinSpec(group_locations=True, delta_keys=True)
+        lambda: TrackJoin("4TJ"), JoinSpec(group_locations=True, delta_keys=True)
     ),
+    "4TJ-bal": _join_case(lambda: TrackJoin("4TJ-bal")),
+    "4TJ-shard": _join_case(lambda: TrackJoin("4TJ-shard")),
     "LMHJ": _join_case(LateMaterializationHashJoin),
     "TAHJ": _join_case(TrackingAwareHashJoin),
     "BF+HJ": _join_case(lambda: SemiJoinFilteredJoin(GraceHashJoin())),
-    "BF+3TJ": _join_case(lambda: SemiJoinFilteredJoin(TrackJoin3())),
+    "BF+3TJ": _join_case(lambda: SemiJoinFilteredJoin(TrackJoin("3TJ"))),
     "MR-HJ": _mr_hash_case,
     "MR-TJ": _mr_track_case,
 }

@@ -19,9 +19,7 @@ from repro import (
     Cluster,
     GraceHashJoin,
     JoinSpec,
-    TrackJoin2,
-    TrackJoin3,
-    TrackJoin4,
+    TrackJoin,
 )
 from repro.cluster.network import MessageClass
 from repro.encoding import DictionaryEncoding
@@ -42,14 +40,14 @@ def all_algorithms():
         GraceHashJoin(),
         BroadcastJoin("R"),
         BroadcastJoin("S"),
-        TrackJoin2("RS"),
-        TrackJoin2("SR"),
-        TrackJoin3(),
-        TrackJoin4(),
+        TrackJoin("2TJ-R"),
+        TrackJoin("2TJ-S"),
+        TrackJoin("3TJ"),
+        TrackJoin("4TJ"),
         LateMaterializationHashJoin(),
         TrackingAwareHashJoin(),
         SemiJoinFilteredJoin(GraceHashJoin()),
-        SemiJoinFilteredJoin(TrackJoin4()),
+        SemiJoinFilteredJoin(TrackJoin("4TJ")),
     ]
 
 
@@ -78,10 +76,10 @@ class TestOutputEquality:
             algorithm.run(cluster, table_r, table_s)
             for algorithm in (
                 GraceHashJoin(),
-                TrackJoin2("RS"),
-                TrackJoin2("SR"),
-                TrackJoin3(),
-                TrackJoin4(),
+                TrackJoin("2TJ-R"),
+                TrackJoin("2TJ-S"),
+                TrackJoin("3TJ"),
+                TrackJoin("4TJ"),
                 TrackingAwareHashJoin(),
             )
         ]
@@ -110,7 +108,7 @@ class TestOutputEquality:
         )
         reference = GraceHashJoin().run(small_cluster, table_r, table_s)
         assert reference.output_rows == 2000
-        for algorithm in (TrackJoin3(), TrackJoin4(), TrackingAwareHashJoin()):
+        for algorithm in (TrackJoin("3TJ"), TrackJoin("4TJ"), TrackingAwareHashJoin()):
             assert_same_output(reference, algorithm.run(small_cluster, table_r, table_s))
 
     def test_single_node_cluster(self):
@@ -128,7 +126,7 @@ class TestTrafficInvariants:
     def test_single_node_no_traffic(self):
         cluster = Cluster(1)
         table_r, table_s = make_tables(cluster, np.arange(100), np.arange(100))
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert result.network_bytes == 0.0
 
     def test_hash_join_moves_most_tuples(self, small_cluster, small_tables):
@@ -173,8 +171,8 @@ class TestTrafficInvariants:
                 MessageClass.S_TUPLES
             )
 
-        four = payload_bytes(TrackJoin4().run(small_cluster, table_r, table_s, spec))
-        for simpler in (TrackJoin2("RS"), TrackJoin2("SR"), TrackJoin3()):
+        four = payload_bytes(TrackJoin("4TJ").run(small_cluster, table_r, table_s, spec))
+        for simpler in (TrackJoin("2TJ-R"), TrackJoin("2TJ-S"), TrackJoin("3TJ")):
             other = payload_bytes(simpler.run(small_cluster, table_r, table_s, spec))
             assert four <= other + 1e-6, simpler.name
 
@@ -188,14 +186,14 @@ class TestTrafficInvariants:
         schema = Schema.with_widths(32, 64)
         table_r = cluster.table_from_assignment("R", schema, keys, nodes)
         table_s = cluster.table_from_assignment("S", schema, keys, nodes)
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert result.class_bytes(MessageClass.R_TUPLES) == 0.0
         assert result.class_bytes(MessageClass.S_TUPLES) == 0.0
         assert result.output_rows == 400
 
     def test_traffic_scales_linearly(self):
         """Doubling table size ~doubles every algorithm's traffic."""
-        for algorithm_factory in (GraceHashJoin, TrackJoin4):
+        for algorithm_factory in (GraceHashJoin, partial(TrackJoin, "4TJ")):
             totals = []
             for size in (2000, 4000):
                 cluster = Cluster(4)
@@ -312,10 +310,6 @@ class TestJoinConfig:
     def test_invalid_broadcast_side(self):
         with pytest.raises(ValueError):
             BroadcastJoin("X")
-
-    def test_invalid_track2_direction(self):
-        with pytest.raises(ValueError):
-            TrackJoin2("XY")
 
     def test_node_balance_diagnostics(self, small_cluster, small_tables):
         table_r, table_s = small_tables

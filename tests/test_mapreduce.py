@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin2
+from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin
 from repro.cluster import MessageClass
 from repro.mapreduce import Channel, MapReduceJob, mr_hash_join, mr_track_join
 from repro.storage import LocalPartition
@@ -128,7 +128,7 @@ class TestMRHashJoin:
 class TestMRTrackJoin:
     def test_output_matches_native(self, small_cluster, small_tables):
         table_r, table_s = small_tables
-        native = TrackJoin2("RS").run(small_cluster, table_r, table_s)
+        native = TrackJoin("2TJ-R").run(small_cluster, table_r, table_s)
         _tracking, joined = mr_track_join(small_cluster, table_r, table_s)
         assert np.array_equal(mr_canonical(joined), canonical_output(native))
 
@@ -137,7 +137,7 @@ class TestMRTrackJoin:
         native operator — the Section 6 claim, measured."""
         table_r, table_s = small_tables
         spec = JoinSpec()
-        native = TrackJoin2("RS").run(small_cluster, table_r, table_s, spec)
+        native = TrackJoin("2TJ-R").run(small_cluster, table_r, table_s, spec)
         tracking, joined = mr_track_join(small_cluster, table_r, table_s, spec)
         combined = tracking.traffic.merged_with(joined.traffic)
         assert combined.total_bytes == pytest.approx(native.network_bytes)

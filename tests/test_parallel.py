@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Cluster, GraceHashJoin, TrackJoin4, BroadcastJoin
+from repro import Cluster, GraceHashJoin, TrackJoin, BroadcastJoin
 from repro.cluster.network import MessageClass
 from repro.errors import FaultExhaustedError, ParallelError, ValidationError
 from repro.joins import LateMaterializationHashJoin, TrackingAwareHashJoin
@@ -216,7 +216,7 @@ def _ledger_fingerprint(result):
 DETERMINISM_ALGORITHMS = [
     GraceHashJoin(),
     BroadcastJoin("S"),
-    TrackJoin4(),
+    TrackJoin("4TJ"),
     LateMaterializationHashJoin(),
     TrackingAwareHashJoin(),
 ]
@@ -261,7 +261,7 @@ def test_profile_deterministic_across_worker_counts():
 
     def profile_steps(workers):
         cluster.set_workers(workers)
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         return [
             (step.name, step.kind, step.rate_class, step.per_node_bytes.tobytes())
             for step in result.profile.steps

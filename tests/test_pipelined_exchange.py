@@ -11,10 +11,12 @@ barriers regardless of the configured depth.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin2, TrackJoin4
+from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin
 from repro.cluster.cluster import default_pipeline_depth
 from repro.errors import ParallelError, ValidationError
 from repro.faults import FaultPlan
@@ -23,7 +25,12 @@ from repro.timing.profile import ExecutionProfile
 
 from conftest import assert_same_output, make_tables
 
-ALGORITHMS = [TrackJoin4, TrackJoin2, GraceHashJoin]
+TJ4 = partial(TrackJoin, "4TJ")
+ALGORITHMS = [
+    pytest.param(TJ4, id="TrackJoin-4TJ"),
+    pytest.param(partial(TrackJoin, "2TJ-R"), id="TrackJoin-2TJ-R"),
+    pytest.param(GraceHashJoin, id="GraceHashJoin"),
+]
 
 
 def run_join(algorithm, workers, depth, num_nodes=4, fault_plan=None):
@@ -60,25 +67,25 @@ class TestPipelinedIdentity:
 
     @pytest.mark.parametrize("depth", [2, 3, 8])
     def test_deeper_windows_identical(self, depth):
-        strict = run_join(TrackJoin4, workers=1, depth=1)
-        pipelined = run_join(TrackJoin4, workers=4, depth=depth)
+        strict = run_join(TJ4, workers=1, depth=1)
+        pipelined = run_join(TJ4, workers=4, depth=depth)
         assert ledger_signature(strict.traffic) == ledger_signature(
             pipelined.traffic
         )
         assert_same_output(strict, pipelined)
 
     def test_profile_step_totals_identical(self):
-        strict = run_join(TrackJoin4, workers=1, depth=1)
-        pipelined = run_join(TrackJoin4, workers=4, depth=2)
+        strict = run_join(TJ4, workers=1, depth=1)
+        pipelined = run_join(TJ4, workers=4, depth=2)
         totals = lambda profile: sorted(  # noqa: E731
             (s.name, s.kind, tuple(s.per_node_bytes)) for s in profile.steps
         )
         assert totals(strict.profile) == totals(pipelined.profile)
 
     def test_fused_groups_actually_formed(self):
-        result = run_join(TrackJoin4, workers=2, depth=2)
+        result = run_join(TJ4, workers=2, depth=2)
         assert any(t["stages"] > 1 for t in result.profile.phase_timings)
-        strict = run_join(TrackJoin4, workers=2, depth=1)
+        strict = run_join(TJ4, workers=2, depth=1)
         assert all(t["stages"] == 1 for t in strict.profile.phase_timings)
 
 
@@ -91,8 +98,8 @@ class TestFaultFallback:
 
     def test_faulted_pipelined_run_matches_faultless_goodput(self):
         plan = FaultPlan(seed=5, drop=0.05, max_retries=8)
-        clean = run_join(TrackJoin4, workers=2, depth=4)
-        faulted = run_join(TrackJoin4, workers=2, depth=4, fault_plan=plan)
+        clean = run_join(TJ4, workers=2, depth=4)
+        faulted = run_join(TJ4, workers=2, depth=4, fault_plan=plan)
         assert ledger_signature(clean.traffic) == ledger_signature(
             faulted.traffic
         )
@@ -152,7 +159,7 @@ class TestWindowSemantics:
 
 class TestPhaseTimings:
     def test_breakdown_fields_recorded(self):
-        result = run_join(TrackJoin4, workers=2, depth=2)
+        result = run_join(TJ4, workers=2, depth=2)
         timings = result.profile.phase_timings
         assert timings
         for timing in timings:

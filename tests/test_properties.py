@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,7 @@ from repro import (
     Cluster,
     GraceHashJoin,
     JoinSpec,
-    TrackJoin2,
-    TrackJoin3,
-    TrackJoin4,
+    TrackJoin,
 )
 from repro.cluster import MessageClass
 
@@ -39,8 +39,8 @@ class TestDeterminism:
             cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
             seed=seed,
         )
-        first = TrackJoin4().run(cluster, table_r, table_s)
-        second = TrackJoin4().run(cluster, table_r, table_s)
+        first = TrackJoin("4TJ").run(cluster, table_r, table_s)
+        second = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert first.network_bytes == second.network_bytes
         assert first.traffic.by_link == second.traffic.by_link
         assert_same_output(first, second)
@@ -57,8 +57,8 @@ class TestOutputInvariance:
             cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
             seed=seed,
         )
-        base = TrackJoin4().run(cluster, table_r, table_s, JoinSpec(hash_seed=0))
-        other = TrackJoin4().run(cluster, table_r, table_s, JoinSpec(hash_seed=hash_seed))
+        base = TrackJoin("4TJ").run(cluster, table_r, table_s, JoinSpec(hash_seed=0))
+        other = TrackJoin("4TJ").run(cluster, table_r, table_s, JoinSpec(hash_seed=hash_seed))
         assert_same_output(base, other)
 
     @settings(max_examples=12, deadline=None)
@@ -76,7 +76,7 @@ class TestOutputInvariance:
                 seed=placement_seed,
             )
             outputs.append(
-                canonical_output(TrackJoin3().run(cluster, table_r, table_s))
+                canonical_output(TrackJoin("3TJ").run(cluster, table_r, table_s))
             )
         assert outputs[0].shape == outputs[1].shape
         assert np.array_equal(outputs[0], outputs[1])
@@ -104,8 +104,8 @@ class TestTrafficMonotonicity:
                 + result.class_bytes(MessageClass.KEYS_NODES)
             )
 
-        four = optimized_bytes(TrackJoin4().run(cluster, table_r, table_s, spec))
-        for simpler in (TrackJoin2("RS"), TrackJoin2("SR"), TrackJoin3()):
+        four = optimized_bytes(TrackJoin("4TJ").run(cluster, table_r, table_s, spec))
+        for simpler in (TrackJoin("2TJ-R"), TrackJoin("2TJ-S"), TrackJoin("3TJ")):
             assert (
                 four
                 <= optimized_bytes(simpler.run(cluster, table_r, table_s, spec)) + 1e-9
@@ -116,7 +116,7 @@ class TestTrafficMonotonicity:
     def test_wider_payloads_cost_more(self, instance):
         """Traffic is monotone in payload width for every algorithm."""
         num_nodes, keys_r, keys_s, seed = instance
-        for algorithm_factory in (GraceHashJoin, TrackJoin4):
+        for algorithm_factory in (GraceHashJoin, partial(TrackJoin, "4TJ")):
             totals = []
             for payload_bits in (32, 256):
                 cluster = Cluster(num_nodes)
@@ -145,7 +145,7 @@ class TestLedgerConsistency:
             cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
             seed=seed,
         )
-        for algorithm in (GraceHashJoin(), TrackJoin4()):
+        for algorithm in (GraceHashJoin(), TrackJoin("4TJ")):
             result = algorithm.run(cluster, table_r, table_s)
             assert result.profile.total_network_bytes() == pytest.approx(
                 result.network_bytes
@@ -160,7 +160,7 @@ class TestLedgerConsistency:
             cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
             seed=seed,
         )
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         sent = sum(result.traffic.sent_by_node.values())
         received = sum(result.traffic.received_by_node.values())
         assert sent == pytest.approx(result.network_bytes)

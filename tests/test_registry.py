@@ -9,12 +9,16 @@ consumer actually goes through it.
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
+from repro.core.track_join import VARIANTS, TrackJoin
 from repro.costmodel.optimizer import rank_algorithms
 from repro.costmodel.stats import JoinStats
-from repro.errors import ReproError, UnknownKeyError
-from repro.joins import DistributedJoin
+from repro.errors import ReproError, UnknownKeyError, ValidationError
+from repro.joins import DistributedJoin, registry
 from repro.joins.registry import ALGORITHMS, algorithm, algorithm_names, create
 
 #: Registry order is contractual: the optimizer's stable-sort tie-break
@@ -71,6 +75,31 @@ class TestRegistryContract:
         # The registry error stays catchable as the stdlib type too.
         with pytest.raises(KeyError):
             create("nope")
+
+    def test_tracking_entries_build_their_track_join_variant(self):
+        tracking = [info for info in ALGORITHMS if info.tracking]
+        assert [info.name for info in tracking] == list(VARIANTS)
+        for info in tracking:
+            operator = info.factory()
+            assert type(operator) is TrackJoin
+            assert operator.name == info.name
+
+    def test_unknown_track_join_variant(self):
+        with pytest.raises(ValidationError, match="4TJ-shard"):
+            TrackJoin("XY")
+
+    def test_registry_imports_at_module_top(self):
+        """No deferred import: the registry imports every operator and
+        formula it lists when it loads."""
+        tree = ast.parse(inspect.getsource(registry))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [
+                    node
+                    for node in ast.walk(function)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+                assert not nested, f"import inside {function.name}()"
 
     def test_costs_are_finite_and_positive(self):
         stats = _stats()

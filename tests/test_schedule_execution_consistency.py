@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Cluster, JoinSpec, TrackJoin2, TrackJoin3, TrackJoin4
+from repro import Cluster, JoinSpec, TrackJoin
 from repro.cluster import MessageClass
 from repro.core.schedule import generate_schedules
 from repro.core.tracking import run_tracking_phase
@@ -51,10 +51,10 @@ def _executed_non_tracking_bytes(result):
 @pytest.mark.parametrize(
     "algorithm,allow_migration,forced",
     [
-        (TrackJoin2("RS"), False, "RS"),
-        (TrackJoin2("SR"), False, "SR"),
-        (TrackJoin3(), False, None),
-        (TrackJoin4(), True, None),
+        (TrackJoin("2TJ-R"), False, "RS"),
+        (TrackJoin("2TJ-S"), False, "SR"),
+        (TrackJoin("3TJ"), False, None),
+        (TrackJoin("4TJ"), True, None),
     ],
 )
 def test_executed_traffic_equals_schedule_cost(
@@ -86,5 +86,5 @@ def test_consistency_on_random_inputs(keys_r, keys_s, num_nodes, seed):
     )
     spec = JoinSpec(location_width=1.0)
     predicted = _scheduled_cost(cluster, table_r, table_s, spec, True, None)
-    result = TrackJoin4().run(cluster, table_r, table_s, spec)
+    result = TrackJoin("4TJ").run(cluster, table_r, table_s, spec)
     assert _executed_non_tracking_bytes(result) == pytest.approx(predicted)

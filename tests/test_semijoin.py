@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin2, TrackJoin4
+from repro import GraceHashJoin, JoinSpec, TrackJoin
 from repro.cluster.network import MessageClass
 from repro.joins import SemiJoinFilteredJoin
 
@@ -35,15 +35,15 @@ class TestCorrectness:
 
     def test_filtered_track_join_output(self, small_cluster, selective_tables):
         table_r, table_s = selective_tables
-        plain = TrackJoin4().run(small_cluster, table_r, table_s)
-        filtered = SemiJoinFilteredJoin(TrackJoin4()).run(
+        plain = TrackJoin("4TJ").run(small_cluster, table_r, table_s)
+        filtered = SemiJoinFilteredJoin(TrackJoin("4TJ")).run(
             small_cluster, table_r, table_s
         )
         assert_same_output(plain, filtered)
 
     def test_name_reflects_inner(self):
         assert SemiJoinFilteredJoin(GraceHashJoin()).name == "BF+HJ"
-        assert SemiJoinFilteredJoin(TrackJoin2("RS")).name == "BF+2TJ-R"
+        assert SemiJoinFilteredJoin(TrackJoin("2TJ-R")).name == "BF+2TJ-R"
 
 
 class TestTraffic:
@@ -72,8 +72,8 @@ class TestTraffic:
         filtering."""
         table_r, table_s = selective_tables
         spec = JoinSpec()
-        plain = TrackJoin2("RS").run(small_cluster, table_r, table_s, spec)
-        filtered = SemiJoinFilteredJoin(TrackJoin2("RS")).run(
+        plain = TrackJoin("2TJ-R").run(small_cluster, table_r, table_s, spec)
+        filtered = SemiJoinFilteredJoin(TrackJoin("2TJ-R")).run(
             small_cluster, table_r, table_s, spec
         )
         payload = MessageClass.R_TUPLES

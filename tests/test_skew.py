@@ -12,17 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import (
-    Cluster,
-    DictionaryEncoding,
-    JoinSpec,
-    SkewShardTrackJoin,
-    TrackJoin4,
-)
+from repro import Cluster, DictionaryEncoding, JoinSpec, TrackJoin
 from repro.cluster.network import MessageClass
 from repro.core.schedule import generate_schedules
 from repro.core.skew import attach_shards, plan_shards
-from repro.core.tracking import TrackingTable
+from repro.core.track_join import _execute_schedules
+from repro.core.tracking import TrackingTable, run_tracking_phase
 from repro.errors import ValidationError
 from repro.exchange import absorb_received
 from repro.exchange.migrate import ShardedMigrate
@@ -48,6 +43,27 @@ def hot_tables(cluster, hot_repeats=600, num_cold=200, seed=11):
     )
     keys_s = np.concatenate([np.full(hot_repeats, 0), rng.integers(1, num_cold, 400)])
     return make_tables(cluster, keys_r.astype(np.int64), keys_s.astype(np.int64))
+
+
+def sharded_run(cluster, table_r, table_s, spec, hot_fraction):
+    """4TJ-shard's executor path with the shard planner at ``hot_fraction``.
+
+    Returns the output row count and the traffic ledger.
+    """
+    cluster.reset()
+    profile = ExecutionProfile(cluster.num_nodes)
+    tracking = run_tracking_phase(
+        cluster, table_r, table_s, spec, profile, with_counts=True
+    )
+    location_width = table_r.schema.key_width(spec.encoding) + spec.location_width
+    schedules = generate_schedules(
+        tracking, location_width=location_width, allow_migration=True
+    )
+    plan = plan_shards(tracking, schedules, cluster.num_nodes, hot_fraction=hot_fraction)
+    outputs = _execute_schedules(
+        cluster, table_r, table_s, spec, profile, attach_shards(schedules, plan)
+    )
+    return sum(part.num_rows for part in outputs), cluster.network.reset_ledger()
 
 
 def hot_colocated(sizes_r, sizes_s, num_nodes):
@@ -111,10 +127,6 @@ class TestPlanShards:
         plan = plan_shards(tracking, schedules, num_nodes=8, hot_fraction=0.1)
         counts = np.diff(plan.offsets)[plan.sharded]
         assert ((counts >= 2) & (counts <= 8)).all()
-        capped = plan_shards(
-            tracking, schedules, num_nodes=8, hot_fraction=0.1, max_shards=3
-        )
-        assert (np.diff(capped.offsets)[capped.sharded] <= 3).all()
 
     def test_deterministic(self):
         per_key = [
@@ -147,9 +159,11 @@ class TestPlanShards:
         )
 
     def test_invalid_hot_fraction(self):
+        tracking = tracking_from_dicts([hot_colocated(10.0, 20.0, 4)], [0])
+        schedules = generate_schedules(tracking)
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValidationError):
-                SkewShardTrackJoin(hot_fraction=bad)
+                plan_shards(tracking, schedules, num_nodes=4, hot_fraction=bad)
 
 
 @st.composite
@@ -193,8 +207,8 @@ class TestNonSkewedIdentity:
         keys_r = np.repeat(np.arange(num_keys, dtype=np.int64), repeats_r)
         keys_s = np.repeat(np.arange(num_keys, dtype=np.int64), repeats_s)
         table_r, table_s = make_tables(cluster, keys_r, keys_s, seed=seed)
-        plain = TrackJoin4().run(cluster, table_r, table_s)
-        sharded = SkewShardTrackJoin().run(cluster, table_r, table_s)
+        plain = TrackJoin("4TJ").run(cluster, table_r, table_s)
+        sharded = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
         assert plain.traffic.by_link == sharded.traffic.by_link
         assert plain.traffic.received_by_node == sharded.traffic.received_by_node
         assert_same_output(plain, sharded)
@@ -204,8 +218,8 @@ class TestSkewedExecution:
     def test_row_identical_on_hot_key(self):
         cluster = Cluster(6)
         table_r, table_s = hot_tables(cluster)
-        plain = TrackJoin4().run(cluster, table_r, table_s)
-        sharded = SkewShardTrackJoin(hot_fraction=0.05).run(cluster, table_r, table_s)
+        plain = TrackJoin("4TJ").run(cluster, table_r, table_s)
+        sharded = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
         assert_same_output(plain, sharded)
         # The hot key engaged the sharding path: replication costs some
         # extra traffic but the per-node peak must not grow.
@@ -219,10 +233,10 @@ class TestSkewedExecution:
     def test_row_identical_across_worker_counts(self, workers):
         reference_cluster = Cluster(6)
         table_r, table_s = hot_tables(reference_cluster)
-        reference = TrackJoin4().run(reference_cluster, table_r, table_s)
+        reference = TrackJoin("4TJ").run(reference_cluster, table_r, table_s)
         cluster = Cluster(6, workers=workers)
         table_r, table_s = hot_tables(cluster)
-        result = SkewShardTrackJoin(hot_fraction=0.05).run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
         assert_same_output(reference, result)
 
     def test_flattens_max_received_on_zipf_workload(self):
@@ -233,10 +247,10 @@ class TestSkewedExecution:
             num_nodes=8, tuples_per_table=12_000, distinct_keys=1_200, seed=0
         )
         spec = JoinSpec(materialize=False, group_locations=True)
-        plain = TrackJoin4().run(
+        plain = TrackJoin("4TJ").run(
             plain_load.cluster, plain_load.table_r, plain_load.table_s, spec
         )
-        sharded = SkewShardTrackJoin(hot_fraction=0.05).run(
+        sharded = TrackJoin("4TJ-shard").run(
             shard_load.cluster, shard_load.table_r, shard_load.table_s, spec
         )
         assert plain.output_rows == sharded.output_rows
@@ -250,7 +264,7 @@ class TestSkewedExecution:
             encoding=DictionaryEncoding(), materialize=False, group_locations=True
         )
 
-        def run(operator):
+        def workload():
             load = hot_key_workload(
                 num_nodes=16,
                 tuples_per_table=30_000,
@@ -258,22 +272,19 @@ class TestSkewedExecution:
                 skew=1.2,
                 seed=0,
             )
-            return operator.run(load.cluster, load.table_r, load.table_s, spec)
+            return load.cluster, load.table_r, load.table_s
 
-        plain = run(TrackJoin4())
-        sharded = run(SkewShardTrackJoin(hot_fraction=0.02))
-        assert plain.output_rows == sharded.output_rows
-        assert (
-            plain.traffic.max_received_bytes
-            >= 2.0 * sharded.traffic.max_received_bytes
-        )
-        assert sharded.traffic.total_bytes <= 1.25 * plain.traffic.total_bytes
+        plain = TrackJoin("4TJ").run(*workload(), spec)
+        sharded_rows, sharded = sharded_run(*workload(), spec, hot_fraction=0.02)
+        assert plain.output_rows == sharded_rows
+        assert plain.traffic.max_received_bytes >= 2.0 * sharded.max_received_bytes
+        assert sharded.total_bytes <= 1.25 * plain.traffic.total_bytes
 
     def test_deterministic_ledger(self):
         cluster = Cluster(6)
         table_r, table_s = hot_tables(cluster)
-        first = SkewShardTrackJoin().run(cluster, table_r, table_s)
-        second = SkewShardTrackJoin().run(cluster, table_r, table_s)
+        first = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
+        second = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
         assert first.traffic.by_link == second.traffic.by_link
 
 
@@ -347,7 +358,7 @@ class TestLoadMetrics:
     def test_ledger_max_received(self):
         cluster = Cluster(4)
         table_r, table_s = hot_tables(cluster)
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert result.traffic.max_received_bytes == max(
             result.traffic.received_by_node.values()
         )
@@ -358,7 +369,7 @@ class TestLoadMetrics:
     def test_profile_records_network_load(self):
         cluster = Cluster(4)
         table_r, table_s = hot_tables(cluster)
-        result = SkewShardTrackJoin().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
         load = result.profile.network_load
         assert load["max_received_bytes"] == result.traffic.max_received_bytes
         assert load["max_sent_bytes"] == result.traffic.max_sent_bytes

@@ -145,8 +145,7 @@ class TestBottleneckSeconds:
         at equal total traffic."""
         import numpy as np
 
-        from repro import Cluster, JoinSpec, Schema, TrackJoin4
-        from repro.core.balance import BalanceAwareTrackJoin
+        from repro import Cluster, Schema, TrackJoin
         from repro.testing import scatter_tables
 
         cluster = Cluster(6)
@@ -157,8 +156,8 @@ class TestBottleneckSeconds:
         nodes_s = np.where(rng.random(len(keys)) < 0.7, 0, rng.integers(0, 6, len(keys)))
         table_r = cluster.table_from_assignment("R", schema, keys, nodes_r)
         table_s = cluster.table_from_assignment("S", schema, keys, nodes_s)
-        optimal = TrackJoin4().run(cluster, table_r, table_s)
-        balanced = BalanceAwareTrackJoin().run(cluster, table_r, table_s)
+        optimal = TrackJoin("4TJ").run(cluster, table_r, table_s)
+        balanced = TrackJoin("4TJ-bal").run(cluster, table_r, table_s)
         assert max(balanced.traffic.by_link.values()) <= max(
             optimal.traffic.by_link.values()
         ) * 1.05

@@ -10,9 +10,7 @@ from repro import (
     GraceHashJoin,
     JoinSpec,
     Schema,
-    TrackJoin2,
-    TrackJoin3,
-    TrackJoin4,
+    TrackJoin,
 )
 from repro.cluster.network import MessageClass
 from repro.core.tracking import run_tracking_phase
@@ -81,10 +79,10 @@ class TestTrackingPhase:
 class TestSelectiveBroadcast:
     def test_two_phase_sends_only_chosen_side(self, small_cluster, small_tables):
         table_r, table_s = small_tables
-        rs = TrackJoin2("RS").run(small_cluster, table_r, table_s)
+        rs = TrackJoin("2TJ-R").run(small_cluster, table_r, table_s)
         assert rs.class_bytes(MessageClass.S_TUPLES) == 0.0
         assert rs.class_bytes(MessageClass.R_TUPLES) > 0.0
-        sr = TrackJoin2("SR").run(small_cluster, table_r, table_s)
+        sr = TrackJoin("2TJ-S").run(small_cluster, table_r, table_s)
         assert sr.class_bytes(MessageClass.R_TUPLES) == 0.0
         assert sr.class_bytes(MessageClass.S_TUPLES) > 0.0
 
@@ -94,7 +92,7 @@ class TestSelectiveBroadcast:
             small_cluster, np.arange(0, 1000), np.arange(900, 1900)
         )
         spec = JoinSpec()
-        result = TrackJoin2("RS").run(small_cluster, table_r, table_s, spec)
+        result = TrackJoin("2TJ-R").run(small_cluster, table_r, table_s, spec)
         # Only the ~100 matching R tuples may cross (plus none of S).
         width_r = table_r.schema.tuple_width(spec.encoding)
         assert result.class_bytes(MessageClass.R_TUPLES) <= 100 * width_r
@@ -109,7 +107,7 @@ class TestSelectiveBroadcast:
         table_r, table_s = make_tables(
             cluster, keys_r, keys_s, payload_bits_r=64, payload_bits_s=64, seed=2
         )
-        result = TrackJoin3().run(cluster, table_r, table_s)
+        result = TrackJoin("3TJ").run(cluster, table_r, table_s)
         spec = JoinSpec()
         width = table_r.schema.tuple_width(spec.encoding)
         # Both directions used, each moving only the scarce side.
@@ -127,7 +125,7 @@ class TestMigration:
             cluster, keys, np.repeat(np.arange(200), 10), seed=9
         )
         spec = JoinSpec()
-        four = TrackJoin4().run(cluster, table_r, table_s, spec)
+        four = TrackJoin("4TJ").run(cluster, table_r, table_s, spec)
         hash_join = GraceHashJoin().run(cluster, table_r, table_s, spec)
         assert_same_output(four, hash_join)
 
@@ -151,7 +149,7 @@ class TestMigration:
         table_s = cluster.table_from_assignment(
             "S", schema, np.repeat(keys, 3), random_uniform(300, 4, seed=2)
         )
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert result.output_rows == 900
         total_tuple_bytes = result.class_bytes(MessageClass.R_TUPLES) + result.class_bytes(
             MessageClass.S_TUPLES
@@ -165,7 +163,7 @@ class TestMigration:
         schema = Schema.with_widths(32, 64)
         table_r = cluster.table_from_assignment("R", schema, keys, nodes)
         table_s = cluster.table_from_assignment("S", schema, keys, nodes)
-        result = TrackJoin4().run(cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         assert result.class_bytes(MessageClass.R_TUPLES) == 0.0
         assert result.class_bytes(MessageClass.S_TUPLES) == 0.0
         assert result.class_bytes(MessageClass.KEYS_COUNTS) > 0.0
@@ -175,8 +173,8 @@ class TestMigration:
 class TestSpecOptions:
     def test_grouped_locations_cheaper(self, small_cluster, small_tables):
         table_r, table_s = small_tables
-        plain = TrackJoin4().run(small_cluster, table_r, table_s, JoinSpec())
-        grouped = TrackJoin4().run(
+        plain = TrackJoin("4TJ").run(small_cluster, table_r, table_s, JoinSpec())
+        grouped = TrackJoin("4TJ").run(
             small_cluster, table_r, table_s, JoinSpec(group_locations=True)
         )
         assert grouped.class_bytes(MessageClass.KEYS_NODES) < plain.class_bytes(
@@ -186,15 +184,15 @@ class TestSpecOptions:
 
     def test_wider_location_messages_cost_more(self, small_cluster, small_tables):
         table_r, table_s = small_tables
-        narrow = TrackJoin4().run(small_cluster, table_r, table_s, JoinSpec(location_width=1))
-        wide = TrackJoin4().run(small_cluster, table_r, table_s, JoinSpec(location_width=4))
+        narrow = TrackJoin("4TJ").run(small_cluster, table_r, table_s, JoinSpec(location_width=1))
+        wide = TrackJoin("4TJ").run(small_cluster, table_r, table_s, JoinSpec(location_width=4))
         assert wide.class_bytes(MessageClass.KEYS_NODES) > narrow.class_bytes(
             MessageClass.KEYS_NODES
         )
 
     def test_profile_contains_paper_steps(self, small_cluster, small_tables):
         table_r, table_s = small_tables
-        result = TrackJoin4().run(small_cluster, table_r, table_s)
+        result = TrackJoin("4TJ").run(small_cluster, table_r, table_s)
         step_names = {step.name for step in result.profile.steps}
         assert "Aggregate keys" in step_names
         assert "Generate schedules and partition by node" in step_names

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin2
+from repro import GraceHashJoin, JoinSpec, TrackJoin
 from repro.cluster.network import MessageClass
 from repro.joins.tracking_aware import (
     LateMaterializationHashJoin,
@@ -86,7 +86,7 @@ class TestTrackingAware:
             seed=4,
         )
         spec = JoinSpec()
-        track = TrackJoin2("RS").run(small_cluster, table_r, table_s, spec)
+        track = TrackJoin("2TJ-R").run(small_cluster, table_r, table_s, spec)
         aware = TrackingAwareHashJoin().run(small_cluster, table_r, table_s, spec)
         assert_same_output(track, aware)
         assert track.network_bytes <= aware.network_bytes

@@ -117,13 +117,13 @@ class TestWorkloadX:
     def test_shuffled_removes_locality(self):
         original = workload_x(scale_denominator=2048, num_nodes=4, ordering="original")
         shuffled = workload_x(scale_denominator=2048, num_nodes=4, ordering="shuffled")
-        from repro import TrackJoin2
+        from repro import TrackJoin
 
         spec = JoinSpec(materialize=False)
-        orig = TrackJoin2("RS").run(
+        orig = TrackJoin("2TJ-R").run(
             original.cluster, original.table_r, original.table_s, spec
         )
-        shuf = TrackJoin2("RS").run(
+        shuf = TrackJoin("2TJ-R").run(
             shuffled.cluster, shuffled.table_r, shuffled.table_s, spec
         )
         assert orig.network_bytes < shuf.network_bytes
