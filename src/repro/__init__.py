@@ -69,7 +69,6 @@ from .faults import (
     StragglerEvent,
 )
 from .parallel import (
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     resolve_executor,
@@ -98,7 +97,6 @@ __all__ = [
     "TrafficLedger",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "resolve_executor",
     "set_default_workers",
     "Schema",

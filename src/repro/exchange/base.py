@@ -26,7 +26,7 @@ at the barrier — exchange operators never bypass the staging contract.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,32 +88,19 @@ def send_split(
     width: float,
     transfer_step: str,
     local_step: str,
-    payload_of: Callable[[LocalPartition], Any] | None = None,
 ) -> list[tuple[int, float]]:
     """Send one scatter's per-destination batch list, accounting each.
 
     ``batches`` is indexed by destination node (the shape produced by
-    ``LocalPartition.split_by``); ``None`` entries are skipped.  With
-    ``payload_of`` the wire payload is derived from each batch (e.g. the
-    MapReduce engine tags batches with their channel name); otherwise
-    batches travel zero-copy through
+    ``LocalPartition.split_by``); ``None`` entries are skipped.  Batches
+    travel zero-copy through
     :meth:`~repro.cluster.network.Network.send_batches`.
 
     Returns ``(dst, nbytes)`` per message, in destination order.
     """
-    if payload_of is None:
-        sent = cluster.network.send_batches(src, category, batches, width)
-        for dst, nbytes in sent:
-            account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
-        return sent
-    sent = []
-    for dst, batch in enumerate(batches):
-        if batch is None:
-            continue
-        nbytes = batch.num_rows * width
-        cluster.network.send(src, dst, category, nbytes, payload=payload_of(batch))
+    sent = cluster.network.send_batches(src, category, batches, width)
+    for dst, nbytes in sent:
         account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
-        sent.append((dst, nbytes))
     return sent
 
 

@@ -9,7 +9,6 @@ from .chunks import (
 )
 from .executor import (
     PhaseExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     default_workers,
@@ -23,7 +22,6 @@ __all__ = [
     "PhaseExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "default_workers",
     "set_default_workers",
     "resolve_executor",

@@ -14,13 +14,8 @@ scatters, merge-joins, tracking dedup) as one *task*; a
     The hot kernels are GIL-releasing numpy (sorts, gathers, bincounts),
     so threads give real parallelism without pickling any state.
 
-:class:`ProcessExecutor`
-    Opt-in process pool.  Task callables and arguments must be
-    picklable (module-level functions), and numpy arrays cross the
-    process boundary as pickled copies.  The join operators use
-    closures over cluster state and therefore always run on the serial
-    or thread backend; the process backend serves embarrassingly
-    parallel work over picklable inputs.
+Phase tasks are closures over cluster state (network lanes, profile
+lanes, partitions), so phases run inline or on threads only.
 
 Determinism does not depend on the executor: :func:`run_phase` gives
 every task its own network send lane and profile lane, and commits
@@ -33,8 +28,7 @@ from __future__ import annotations
 import abc
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from ..errors import FaultExhaustedError, NodeCrashError, ParallelError, ValidationError
@@ -44,7 +38,6 @@ __all__ = [
     "PhaseExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "default_workers",
     "set_default_workers",
     "resolve_executor",
@@ -180,123 +173,19 @@ class ThreadExecutor(PhaseExecutor):
             self._pool = None
 
 
-def _run_batch(fn: Callable, items: list) -> list:
-    """Worker-side body of one :class:`ProcessExecutor` batch.
-
-    Module-level so it pickles; applies ``fn`` to each item inline and
-    ships all results back in one IPC round trip.
-    """
-    return [fn(item) for item in items]
-
-
-class ProcessExecutor(PhaseExecutor):
-    """Process-pool execution for picklable task functions.
-
-    Arguments and results travel as pickled copies.
-
-    Tasks are submitted in contiguous *batches* — one future per worker
-    rather than one per item — so a phase pays one pickle/IPC round trip
-    per worker instead of per task.  ``batch_size`` overrides the batch
-    length (default: items split evenly across workers).  Results are
-    still returned in item order.
-
-    A supervisor watches for dead workers: when the pool breaks (a
-    worker process died mid-task), the pool is respawned and only the
-    batches that never produced results are resubmitted, up to
-    ``max_respawns`` times before a
-    :class:`~repro.errors.FaultExhaustedError` propagates.  Task
-    functions must therefore be safe to re-execute (the phase tasks
-    are: they produce results, they don't mutate shared state before
-    the barrier).
-    """
-
-    def __init__(
-        self, workers: int, max_respawns: int = 2, batch_size: int | None = None
-    ):
-        self.workers = _check_workers(workers)
-        if max_respawns < 0:
-            raise ValidationError(f"max_respawns must be >= 0, got {max_respawns}")
-        self.max_respawns = max_respawns
-        self.batch_size = None if batch_size is None else _check_workers(batch_size)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _batches(self, indices: list[int]) -> list[list[int]]:
-        """Contiguous index batches, at most one per worker by default."""
-        if not indices:
-            return []
-        if self.batch_size is not None:
-            size = self.batch_size
-        else:
-            size = -(-len(indices) // self.workers)
-        return [indices[i : i + size] for i in range(0, len(indices), size)]
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        items = list(items)
-        results: list = [None] * len(items)
-        pending = list(range(len(items)))
-        respawns = 0
-        while pending:
-            pool = self._ensure_pool()
-            batches = self._batches(pending)
-            futures = [
-                (batch, pool.submit(_run_batch, fn, [items[i] for i in batch]))
-                for batch in batches
-            ]
-            failed: list[int] = []
-            for batch, future in futures:
-                try:
-                    for index, value in zip(batch, future.result()):
-                        results[index] = value
-                except BrokenProcessPool:
-                    failed.extend(batch)
-            if not failed:
-                break
-            # A worker died: discard the broken pool, respawn, and
-            # resubmit only the batches that never produced results.
-            self.close()
-            respawns += 1
-            if respawns > self.max_respawns:
-                raise FaultExhaustedError(
-                    f"process pool broke {respawns} times "
-                    f"({len(failed)} tasks unfinished); "
-                    f"respawn budget of {self.max_respawns} exhausted",
-                    attempts=respawns,
-                )
-            pending = failed
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def resolve_executor(
-    workers: int | None = None, backend: str = "thread"
-) -> PhaseExecutor:
+def resolve_executor(workers: int | None = None) -> PhaseExecutor:
     """Build the executor for ``workers`` (default: :func:`default_workers`).
 
-    One worker always resolves to :class:`SerialExecutor`; more workers
-    resolve to the requested ``backend`` (``"thread"`` or ``"process"``).
-    A malformed or non-positive explicit ``workers`` raises
-    :class:`~repro.errors.ValidationError`; an unknown backend raises
-    :class:`~repro.errors.ParallelError`.
+    One worker resolves to :class:`SerialExecutor`, more workers to
+    :class:`ThreadExecutor`.  A malformed or non-positive explicit
+    ``workers`` raises :class:`~repro.errors.ValidationError`.
     """
     if workers is None:
         workers = default_workers()
     workers = _check_workers(workers)
     if workers == 1:
         return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(workers)
-    if backend == "process":
-        return ProcessExecutor(workers)
-    raise ParallelError(f"backend must be 'thread' or 'process', got {backend!r}")
+    return ThreadExecutor(workers)
 
 
 class _CrashedTask:

@@ -17,9 +17,8 @@ as a pipeline: every operator goes through an explicit lifecycle of
 Intermediate results stay distributed, and the returned
 :class:`QueryResult` accounts every byte of the whole query.  The
 split lifecycle is what plan-level features hang off: operator
-statistics are cached on the run context, ``Rekey``-into-``Join``
-fusion is a compile-time rewrite (``fuse_rekey=True``), and a future
-adaptive re-choice can re-enter ``plan`` mid-pipeline.
+statistics are cached on the run context, and a future adaptive
+re-choice can re-enter ``plan`` mid-pipeline.
 """
 
 from __future__ import annotations
@@ -352,14 +351,9 @@ class ScanOp(PhysicalOperator):
 class JoinOp(PhysicalOperator):
     """Distributed join; the algorithm resolves at plan time."""
 
-    def __init__(
-        self, index: int, inputs: tuple[int, int], node: Join,
-        rekey_on: str | None = None, fused_rekey: bool = False,
-    ):
+    def __init__(self, index: int, inputs: tuple[int, int], node: Join):
         super().__init__(index, inputs)
         self.node = node
-        self.rekey_on = rekey_on if fused_rekey else node.rekey_on
-        self.fused_rekey = fused_rekey
 
     def plan(self, ctx: ExecutionContext) -> None:
         node = self.node
@@ -383,8 +377,6 @@ class JoinOp(PhysicalOperator):
                 f"unknown join algorithm {node.algorithm!r}; "
                 f"use 'auto' or one of {sorted(algorithm_names())}"
             )
-        if self.fused_rekey:
-            state["note"] += f"; fused rekey on {self.rekey_on}"
 
     #: Message classes only tracking-phase operators send; their fault
     #: exhaustion is survivable by degrading to a non-tracking algorithm.
@@ -411,7 +403,7 @@ class JoinOp(PhysicalOperator):
         state["operator_name"] = operator.name
         state["result"] = operator.run(ctx.cluster, left, right, ctx.spec)
         ctx.tables[self.index] = _join_output_table(
-            state["result"], left, right, self.rekey_on
+            state["result"], left, right, self.node.rekey_on
         )
 
     def _degraded_algorithm(
@@ -628,19 +620,7 @@ class PhysicalPlan:
                 cluster.executor = previous_executor
 
 
-def _fusable(node: PlanNode, fuse_rekey: bool) -> bool:
-    """A Rekey directly over a plain Join can fold into the join's output."""
-    return (
-        fuse_rekey
-        and isinstance(node, Rekey)
-        and isinstance(node.child, Join)
-        and node.child.rekey_on is None
-    )
-
-
-def _children(node: PlanNode, fuse_rekey: bool) -> tuple[PlanNode, ...]:
-    if _fusable(node, fuse_rekey):
-        return (node.child.left, node.child.right)
+def _children(node: PlanNode) -> tuple[PlanNode, ...]:
     if isinstance(node, Join):
         return (node.left, node.right)
     if isinstance(node, (Rekey, Aggregate)):
@@ -648,11 +628,7 @@ def _children(node: PlanNode, fuse_rekey: bool) -> tuple[PlanNode, ...]:
     return ()
 
 
-def _make_operator(
-    node: PlanNode, index: int, inputs: tuple[int, ...], fuse_rekey: bool
-) -> PhysicalOperator:
-    if _fusable(node, fuse_rekey):
-        return JoinOp(index, inputs, node.child, rekey_on=node.column, fused_rekey=True)
+def _make_operator(node: PlanNode, index: int, inputs: tuple[int, ...]) -> PhysicalOperator:
     if isinstance(node, Scan):
         return ScanOp(index, node)
     if isinstance(node, Join):
@@ -664,30 +640,26 @@ def _make_operator(
     raise ReproError(f"unknown plan node type: {type(node).__name__}")
 
 
-def compile_plan(plan: PlanNode, *, fuse_rekey: bool = False) -> PhysicalPlan:
+def compile_plan(plan: PlanNode) -> PhysicalPlan:
     """Linearize a logical plan tree into a physical pipeline.
 
     The walk is iterative (an explicit frame stack, no recursion) and
     emits operators in post-order: children left to right, then the
     node itself, so execution order and accounting match a bottom-up
-    evaluation.  With ``fuse_rekey=True``, a ``Rekey`` sitting directly
-    on a ``Join`` folds into the join's output-packaging step, saving
-    one full pass over the joined partitions; the fused plan's result
-    table keeps the join's name (not ``rekey(...)``) and reports one
-    fewer operator.
+    evaluation.
     """
     operators: list[PhysicalOperator] = []
     # Each frame: [node, collected child op indices, next child position].
     frames: list[list] = [[plan, [], 0]]
     while frames:
         node, child_ids, pos = frames[-1]
-        kids = _children(node, fuse_rekey)
+        kids = _children(node)
         if pos < len(kids):
             frames[-1][2] += 1
             frames.append([kids[pos], [], 0])
             continue
         index = len(operators)
-        operators.append(_make_operator(node, index, tuple(child_ids), fuse_rekey))
+        operators.append(_make_operator(node, index, tuple(child_ids)))
         frames.pop()
         if frames:
             frames[-1][1].append(index)

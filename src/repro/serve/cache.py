@@ -69,9 +69,7 @@ class PlanCache:
         self.invalidations = 0
         self._unregister = register_epoch_listener(self._on_epoch_bump)
 
-    def get_or_compile(
-        self, plan: PlanNode, *, fuse_rekey: bool = False
-    ) -> tuple[CacheEntry, bool]:
+    def get_or_compile(self, plan: PlanNode) -> tuple[CacheEntry, bool]:
         """The cached entry for ``plan``, compiling on a miss.
 
         Returns ``(entry, hit)``.  The fingerprint embeds each scanned
@@ -88,7 +86,7 @@ class PlanCache:
                 self.hits += 1
                 return entry, True
             self.misses += 1
-        physical = compile_plan(plan, fuse_rekey=fuse_rekey)
+        physical = compile_plan(plan)
         entry = CacheEntry(fingerprint=fingerprint, physical=physical)
         with self._lock:
             track_shared(self._track, write=True, locks=(self._lock,))

@@ -3,17 +3,12 @@
 Before the serve layer existed, every query paid worker-pool
 construction on its critical path: each :class:`~repro.cluster.cluster.Cluster`
 resolved its own :class:`~repro.parallel.executor.PhaseExecutor`, so a
-thread or process pool was spawned per query and torn down with it.
+thread pool was spawned per query and torn down with it.
 :class:`WarmExecutorPool` lifts that ownership out of per-query
 lifetimes: the pool resolves and warms one executor at service start,
 and every query's cluster borrows it through a :class:`SharedExecutor`
 handle whose ``close()`` is a no-op — per-query dispatch cost drops to
 task submission.
-
-The underlying executor keeps all of its own supervision: a
-:class:`~repro.parallel.executor.ProcessExecutor` leased through the
-pool still respawns broken worker pools and resubmits unfinished
-batches exactly as it does when privately owned.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from typing import Callable, Iterable
 
 from ..analysis.sanitizer import shared_key, track_shared
 from ..errors import ParallelError
-from ..parallel.executor import PhaseExecutor, ProcessExecutor, resolve_executor
+from ..parallel.executor import PhaseExecutor, resolve_executor
 
 __all__ = ["SharedExecutor", "WarmExecutorPool"]
 
@@ -35,20 +30,12 @@ class SharedExecutor(PhaseExecutor):
     ``close()``: a cluster that swaps executors (``set_workers``) or a
     query that finishes must never tear down workers other queries are
     using.  Only :meth:`WarmExecutorPool.shutdown` releases the real
-    pool.
-
-    Process pools serialize their ``map`` calls under a lock —
-    :class:`~repro.parallel.executor.ProcessExecutor`'s respawn
-    supervision mutates pool state and is not re-entrant.  Thread and
-    serial backends dispatch lock-free, so concurrent queries multiplex
-    onto one worker set.
+    pool.  Dispatch is lock-free, so concurrent queries multiplex onto
+    one worker set.
     """
 
     def __init__(self, inner: PhaseExecutor):
         self._inner = inner
-        self._lock = (
-            threading.Lock() if isinstance(inner, ProcessExecutor) else None
-        )
         self._dispatch_lock = threading.Lock()
         self._track = shared_key("serve.pool.dispatch")
         self.dispatches = 0
@@ -66,10 +53,7 @@ class SharedExecutor(PhaseExecutor):
             )
             self.dispatches += 1
             self.tasks += len(items)
-        if self._lock is None:
-            return self._inner.map(fn, items)
-        with self._lock:
-            return self._inner.map(fn, items)
+        return self._inner.map(fn, items)
 
     def snapshot(self) -> tuple[int, int]:
         """(dispatches, tasks) read atomically under the dispatch lock.
@@ -95,44 +79,33 @@ class WarmExecutorPool:
     ----------
     workers:
         Worker count, resolved exactly like a cluster's (``None`` uses
-        the process default / ``REPRO_WORKERS``).
-    backend:
-        ``"thread"`` or ``"process"`` for ``workers > 1``; one worker
-        resolves to the inline serial executor (queries then run their
-        phases inline on whichever service thread drives them, which is
-        the fastest configuration for small queries — concurrency comes
-        from the service's in-flight query drivers instead).
-    warm:
-        Pre-spawn the workers at construction (default) so the first
-        query never pays pool start-up; ``False`` defers to first use.
+        the process default / ``REPRO_WORKERS``).  More than one worker
+        is a thread pool, spawned at construction so the first query
+        never pays pool start-up.  One worker resolves to the inline
+        serial executor: queries then run their phases inline on
+        whichever service thread drives them, which is the fastest
+        configuration for small queries (concurrency comes from the
+        service's in-flight query drivers instead).
 
     The pool is a context manager; leaving the ``with`` block shuts the
     real executor down.
     """
 
-    def __init__(
-        self, workers: int | None = None, backend: str = "thread", warm: bool = True
-    ):
-        self._inner = resolve_executor(workers, backend)
-        self.backend = backend
+    def __init__(self, workers: int | None = None):
+        self._inner = resolve_executor(workers)
         self.executor = SharedExecutor(self._inner)
         self._lease_lock = threading.Lock()
         self._track = shared_key("serve.pool.leases")
         self.leases = 0
         self._closed = False
-        if warm:
-            self.warm()
+        # Pools spawn lazily on first submission; one trivial task per
+        # worker builds the full worker set off any query's critical path.
+        self._inner.map(_noop, range(self._inner.workers))
 
     @property
     def workers(self) -> int:
         """Worker count of the pooled executor."""
         return self._inner.workers
-
-    def warm(self) -> None:
-        """Force worker spawn now, off any query's critical path."""
-        # Pools spawn lazily on first submission; one trivial task per
-        # worker makes the executor build its full worker set.
-        self._inner.map(_noop, range(self._inner.workers))
 
     def lease(self) -> SharedExecutor:
         """Borrow the shared executor for one query (or cluster)."""
@@ -158,7 +131,6 @@ class WarmExecutorPool:
         dispatches, tasks = self.executor.snapshot()
         return {
             "workers": self.workers,
-            "backend": self.backend,
             "leases": leases,
             "dispatches": dispatches,
             "tasks": tasks,
@@ -179,5 +151,5 @@ class WarmExecutorPool:
 
 
 def _noop(_: int) -> None:
-    """Warm-up task body (module-level so process pools can pickle it)."""
+    """Warm-up task body."""
     return None

@@ -143,11 +143,13 @@ class QueryService:
     tables:
         Optional resident tables to register by name (convenience for
         :meth:`table`; plans reference table objects directly).
-    workers / backend:
-        Warm pool configuration (see :class:`WarmExecutorPool`).  With
-        one worker, queries run their phases inline on the driver
-        threads; inter-query concurrency then comes from
-        ``max_inflight`` alone.
+    workers:
+        Warm pool size (see :class:`WarmExecutorPool`).  With one
+        worker, queries run their phases inline on the driver threads;
+        inter-query concurrency then comes from ``max_inflight`` alone.
+    backend:
+        Must be ``"thread"``; any other value raises
+        :class:`~repro.errors.ValidationError`.
     max_inflight:
         Driver-thread count — the bound on concurrently *executing*
         queries.
@@ -156,8 +158,6 @@ class QueryService:
         :class:`~repro.errors.AdmissionError`.
     cache_capacity:
         Plan-cache entry bound (LRU).
-    fuse_rekey:
-        Compile plans with Rekey-into-Join fusion.
 
     Use as a context manager, or call :meth:`close` to drain and stop
     the driver threads and release the pool.
@@ -168,12 +168,14 @@ class QueryService:
         tables: dict[str, DistributedTable] | None = None,
         *,
         workers: int | None = None,
+        # Still a keyword only because benchmarks/e2e/measure.py passes it.
         backend: str = "thread",
         max_inflight: int = 4,
         max_queue: int = 128,
         cache_capacity: int = 128,
-        fuse_rekey: bool = False,
     ):
+        if backend != "thread":
+            raise ValidationError(f"backend must be 'thread', got {backend!r}")
         if max_inflight < 1:
             raise ValidationError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 1:
@@ -181,8 +183,7 @@ class QueryService:
         self.tables = dict(tables or {})
         self.max_inflight = max_inflight
         self.max_queue = max_queue
-        self.fuse_rekey = fuse_rekey
-        self.pool = WarmExecutorPool(workers, backend)
+        self.pool = WarmExecutorPool(workers)
         self.cache = PlanCache(cache_capacity)
         self._counters = _ServiceCounters()
         self._track = shared_key("serve.service.counters")
@@ -313,9 +314,7 @@ class QueryService:
                 queue_seconds=queue_seconds,
                 total_seconds=started - admitted_at,
             )
-        entry, hit = self.cache.get_or_compile(
-            request.plan, fuse_rekey=self.fuse_rekey
-        )
+        entry, hit = self.cache.get_or_compile(request.plan)
         num_nodes = self._num_nodes(request.plan)
         cluster = Cluster(num_nodes, executor=self.pool.lease())
         context = RunContext(

@@ -30,7 +30,6 @@ class TestExports:
         import repro.costmodel
         import repro.experiments
         import repro.joins
-        import repro.mapreduce
         import repro.query
         import repro.storage
         import repro.workloads
@@ -39,7 +38,6 @@ class TestExports:
             repro.costmodel,
             repro.experiments,
             repro.joins,
-            repro.mapreduce,
             repro.query,
             repro.storage,
             repro.workloads,
@@ -143,12 +141,9 @@ class TestReachability:
     UNREACHED = {
         "repro.joins.tracking_aware": "Sec. 3.2 tracking-aware hash joins; "
         "ROADMAP item 6(d) registers them",
-        "repro.mapreduce.engine": "Sec. 6 MapReduce discussion; ROADMAP item 7 "
-        "makes it an adapter after item 6(a)",
-        "repro.mapreduce.joins": "Sec. 6 MapReduce discussion; ROADMAP item 7 "
-        "makes it an adapter after item 6(a)",
-        "repro.encoding.prefix": "Sec. 2.4 radix-prefix grouping, the Figs. 7-8 "
-        "encodings",
+        "repro.encoding.prefix": "Sec. 2.4 radix-prefix grouping; only "
+        "examples/traffic_compression.py reaches it (Figs. 7-8 use the fixed, "
+        "varbyte and dictionary encodings)",
         "repro.experiments.markdown": "ROADMAP item 8 writes EXPERIMENTS.md with it",
     }
 

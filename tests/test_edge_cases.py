@@ -104,22 +104,3 @@ class TestModelEdges:
 
         with pytest.raises(ReproError):
             execute(Weird(), Cluster(2))
-
-    def test_mapreduce_router_with_empty_outputs(self):
-        from repro.mapreduce import Channel, MapReduceJob
-        from repro.storage import LocalPartition
-
-        cluster = Cluster(2)
-        inputs = [LocalPartition.empty() for _ in range(2)]
-
-        def router(node, outputs):
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-        job = MapReduceJob(
-            channels=[Channel("x", inputs, lambda n, p: p, 4.0)],
-            reducer=lambda n, g: LocalPartition.empty(),
-            output_router=router,
-            output_width=4.0,
-        )
-        result = job.run(cluster)
-        assert all(part.num_rows == 0 for part in result.outputs)

@@ -35,7 +35,6 @@ from repro.joins.broadcast import BroadcastJoin
 from repro.joins.grace_hash import GraceHashJoin
 from repro.joins.semijoin import SemiJoinFilteredJoin
 from repro.joins.tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin
-from repro.mapreduce.joins import mr_hash_join, mr_track_join
 from repro.storage.schema import Column, Schema
 from repro.storage.table import LocalPartition
 
@@ -147,27 +146,6 @@ def _join_case(factory, spec: JoinSpec | None = None):
     return run
 
 
-def _mr_hash_case(cluster: Cluster) -> dict:
-    table_r, table_s = _tables(cluster)
-    result = mr_hash_join(cluster, table_r, table_s, JoinSpec())
-    return {
-        "traffic": _ledger_fingerprint(result.traffic),
-        "profile": _profile_fingerprint(result.profile),
-        "output": _output_fingerprint(result.outputs),
-    }
-
-
-def _mr_track_case(cluster: Cluster) -> dict:
-    table_r, table_s = _tables(cluster)
-    tracking, joined = mr_track_join(cluster, table_r, table_s, JoinSpec())
-    combined = tracking.traffic.merged_with(joined.traffic)
-    return {
-        "traffic": _ledger_fingerprint(combined),
-        "profile": _profile_fingerprint(joined.profile),
-        "output": _output_fingerprint(joined.outputs),
-    }
-
-
 CASES = {
     "HJ": _join_case(GraceHashJoin),
     "BJ-R": _join_case(lambda: BroadcastJoin("R")),
@@ -185,8 +163,6 @@ CASES = {
     "TAHJ": _join_case(TrackingAwareHashJoin),
     "BF+HJ": _join_case(lambda: SemiJoinFilteredJoin(GraceHashJoin())),
     "BF+3TJ": _join_case(lambda: SemiJoinFilteredJoin(TrackJoin("3TJ"))),
-    "MR-HJ": _mr_hash_case,
-    "MR-TJ": _mr_track_case,
 }
 
 

@@ -5,6 +5,8 @@
   over the gathered inputs (:func:`sort_merge_join`, which imports
   nothing from ``repro``), and every node's NET profile steps add up to
   the bytes the traffic ledger says it sent.
+- :class:`TestByteOracle`: HJ's and 2TJ-R's per-class ledgers equal the
+  bytes :func:`byte_oracle` counts from key placement and widths alone.
 - :class:`TestSplitPrimitives`: ``split_by`` / ``hash_split`` buckets
   equal a boolean-mask selection of the rows.
 - :class:`TestTrackingMergeEquivalence`: the packed tracking merge, the
@@ -126,6 +128,77 @@ class TestOracle:
     def test_rid_joins_match_sort_merge(self, instance):
         """The two Sec. 3.2 hash joins that carry record ids (rids)."""
         assert_matches_oracle(RID_JOINS, instance)
+
+
+def byte_oracle(name, num_nodes, placed_r, placed_s, widths, seed):
+    """Per-class network bytes of ``HJ`` or ``2TJ-R`` by Sec. 2.1's count.
+
+    ``placed_r`` / ``placed_s`` are ``(keys, nodes)`` arrays of every
+    tuple; ``widths`` holds ``key``, ``R`` and ``S`` tuple and ``location``
+    (node id) bytes.  A message from a node to itself is a local copy and
+    costs nothing.  Only :func:`repro.util.hash_partition`, the key hash
+    both operators place work with, comes from ``repro``.
+    """
+    (keys_r, nodes_r), (keys_s, nodes_s) = placed_r, placed_s
+    if name == "HJ":
+        # Every tuple goes to its key's hash node.
+        return {
+            "r_tuples": widths["R"] * np.sum(hash_partition(keys_r, num_nodes, seed) != nodes_r),
+            "s_tuples": widths["S"] * np.sum(hash_partition(keys_s, num_nodes, seed) != nodes_s),
+        }
+    # 2TJ-R, per distinct key k: each node holding k in R, and again each
+    # node holding k in S, sends k to k's tracker t; t sends every R holder
+    # one (key, node) pair per S holder; each R holder sends its k-tuples
+    # to every S holder.
+    distinct, inverse = np.unique(np.concatenate([keys_r, keys_s]), return_inverse=True)
+    counts = np.zeros((2, len(distinct), num_nodes), dtype=np.int64)
+    np.add.at(counts[0], (inverse[: len(keys_r)], nodes_r), 1)
+    np.add.at(counts[1], (inverse[len(keys_r) :], nodes_s), 1)
+    has_r, has_s = counts > 0
+    trackers = hash_partition(distinct, num_nodes, seed)
+    off_tracker = np.arange(num_nodes) != trackers[:, None]
+    s_holders = has_s.sum(axis=1)
+    return {
+        "keys_counts": widths["key"] * np.sum((counts > 0) & off_tracker),
+        "keys_nodes": (widths["key"] + widths["location"])
+        * np.sum((has_r & off_tracker).sum(axis=1) * s_holders),
+        "r_tuples": widths["R"] * np.sum(counts[0] * (s_holders[:, None] - has_s)),
+    }
+
+
+class TestByteOracle:
+    """HJ's and 2TJ-R's per-class ledgers equal :func:`byte_oracle`."""
+
+    @pytest.mark.parametrize("name", ["HJ", "2TJ-R"])
+    @settings(max_examples=40, deadline=None)
+    @given(instance=join_instance())
+    def test_class_bytes_match_the_count(self, name, instance):
+        num_nodes, keys_r, keys_s, seed = instance
+        spec = JoinSpec()
+        for kernels in ({}, CHUNKED):
+            cluster = Cluster(num_nodes)
+            table_r, table_s = make_tables(
+                cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
+                seed=seed,
+            )
+            widths = {
+                "key": table_r.schema.key_width(spec.encoding),
+                "R": table_r.schema.tuple_width(spec.encoding),
+                "S": table_s.schema.tuple_width(spec.encoding),
+                "location": spec.location_width,
+            }
+            placed = [
+                (
+                    gathered(table, None),
+                    np.repeat(np.arange(num_nodes), [p.num_rows for p in table.partitions]),
+                )
+                for table in (table_r, table_s)
+            ]
+            expected = byte_oracle(name, num_nodes, *placed, widths, spec.hash_seed)
+            with kernel_config(**kernels):
+                result = create(name).run(cluster, table_r, table_s, spec)
+            ledger = {cls.value: nbytes for cls, nbytes in result.traffic.by_class.items()}
+            assert ledger == {cls: b for cls, b in expected.items() if b}, kernels
 
 
 NARROWED = tuple(

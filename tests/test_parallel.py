@@ -12,10 +12,9 @@ import pytest
 
 from repro import Cluster, GraceHashJoin, TrackJoin, BroadcastJoin
 from repro.cluster.network import MessageClass
-from repro.errors import FaultExhaustedError, ParallelError, ValidationError
+from repro.errors import ValidationError
 from repro.joins import LateMaterializationHashJoin, TrackingAwareHashJoin
 from repro.parallel import (
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     default_workers,
@@ -28,27 +27,7 @@ from conftest import canonical_output, make_tables
 
 
 def _square(value: int) -> int:
-    """Module-level so the process pool can pickle it."""
     return value * value
-
-
-def _die_once(args: tuple[str, int]) -> int:
-    """Kill the worker process the first time, succeed afterwards."""
-    import os
-
-    flag, value = args
-    if not os.path.exists(flag):
-        with open(flag, "w") as handle:
-            handle.write("dead")
-        os._exit(1)
-    return value * 2
-
-
-def _always_die(_value: int) -> None:
-    """A worker that never survives its task."""
-    import os
-
-    os._exit(1)
 
 
 # -- executors -----------------------------------------------------------
@@ -80,24 +59,12 @@ class TestExecutors:
         finally:
             executor.close()
 
-    def test_process_map(self):
-        executor = ProcessExecutor(workers=2)
-        try:
-            assert executor.map(_square, range(5)) == [0, 1, 4, 9, 16]
-        finally:
-            executor.close()
-
     def test_resolve_executor(self):
         serial = resolve_executor(1)
         assert isinstance(serial, SerialExecutor)
         threaded = resolve_executor(4)
         assert isinstance(threaded, ThreadExecutor)
         threaded.close()
-        procs = resolve_executor(2, backend="process")
-        assert isinstance(procs, ProcessExecutor)
-        procs.close()
-        with pytest.raises(ParallelError):
-            resolve_executor(2, backend="carrier-pigeon")
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -128,7 +95,7 @@ class TestExecutors:
         with pytest.raises(ValidationError):
             ThreadExecutor(workers=1.5)
         with pytest.raises(ValidationError):
-            ProcessExecutor(workers=True)
+            ThreadExecutor(workers=True)
         with pytest.raises(ValidationError):
             set_default_workers(-1)
         # ValidationError still is a ValueError, so parsers that caught
@@ -137,30 +104,6 @@ class TestExecutors:
             resolve_executor(0)
         # Integer-valued floats (a CLI parser artifact) are accepted.
         assert resolve_executor(1.0).workers == 1
-
-
-class TestProcessSupervisor:
-    def test_dead_worker_respawns_and_resubmits(self, tmp_path):
-        executor = ProcessExecutor(workers=2, max_respawns=2)
-        flag = str(tmp_path / "worker-died")
-        try:
-            results = executor.map(_die_once, [(flag, i) for i in range(4)])
-        finally:
-            executor.close()
-        assert results == [0, 2, 4, 6]
-
-    def test_respawn_budget_exhaustion_raises(self):
-        executor = ProcessExecutor(workers=2, max_respawns=1)
-        try:
-            with pytest.raises(FaultExhaustedError) as excinfo:
-                executor.map(_always_die, range(2))
-        finally:
-            executor.close()
-        assert excinfo.value.attempts == 2
-
-    def test_negative_respawn_budget_rejected(self):
-        with pytest.raises(ValidationError):
-            ProcessExecutor(workers=2, max_respawns=-1)
 
 
 # -- cluster phases ------------------------------------------------------

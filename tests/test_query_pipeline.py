@@ -3,8 +3,8 @@
 ``execute`` is now a thin wrapper over ``compile_plan(plan).run(...)``;
 these tests exercise the two-stage API directly — operator
 linearization order, re-runnable plans, per-run statistics caching,
-and the compile-time Rekey-into-Join fusion — plus the ``Rekey``
-edge cases the plan layer must reject.
+and a join's own ``rekey_on`` against a separate ``Rekey`` — plus the
+``Rekey`` edge cases the plan layer must reject.
 """
 
 from __future__ import annotations
@@ -127,43 +127,21 @@ class TestStatsCaching:
 
 
 class TestRekeyFusion:
-    def _plan(self, orders, items):
-        return Rekey(Join(Scan(orders), Scan(items), algorithm="HJ"), "r.cust")
-
-    def test_fused_plan_drops_the_rekey_operator(self):
-        cluster = Cluster(2)
-        orders, items = two_tables(cluster)
-        unfused = compile_plan(self._plan(orders, items))
-        fused = compile_plan(self._plan(orders, items), fuse_rekey=True)
-        assert len(fused.operators) == len(unfused.operators) - 1
-        assert isinstance(fused.operators[-1], JoinOp)
-        assert fused.operators[-1].fused_rekey
+    """``Join(..., rekey_on=c)`` re-keys in the join's output step; it must
+    equal a separate ``Rekey(Join(...), c)`` operator."""
 
     def test_fused_rows_match_unfused(self):
         cluster = Cluster(4)
         orders, items = two_tables(cluster)
-        unfused = execute(self._plan(orders, items), cluster)
-        fused = compile_plan(self._plan(orders, items), fuse_rekey=True).run(cluster)
+        fused = execute(
+            Join(Scan(orders), Scan(items), algorithm="HJ", rekey_on="r.cust"), cluster
+        )
+        unfused = execute(
+            Rekey(Join(Scan(orders), Scan(items), algorithm="HJ"), "r.cust"), cluster
+        )
         assert sorted_rows(fused.table)[0] == sorted_rows(unfused.table)[0]
         assert sorted_rows(fused.table)[1].tolist() == sorted_rows(unfused.table)[1].tolist()
-        # Fusion saves the extra pass: one fewer operator, same traffic.
-        assert len(fused.operators) == len(unfused.operators) - 1
-        assert fused.network_bytes == pytest.approx(unfused.network_bytes)
-        join_note = [o for o in fused.operators if o.operator.startswith("join")][0].note
-        assert "fused rekey on r.cust" in join_note
-
-    def test_fusion_leaves_prekeyed_joins_alone(self):
-        """A Join that already re-keys keeps its own rekey_on."""
-        cluster = Cluster(2)
-        orders, items = two_tables(cluster)
-        plan = Rekey(
-            Join(Scan(orders), Scan(items), algorithm="HJ", rekey_on="r.cust"),
-            "key",
-        )
-        physical = compile_plan(plan, fuse_rekey=True)
-        assert [type(op) for op in physical.operators] == [
-            ScanOp, ScanOp, JoinOp, RekeyOp,
-        ]
+        assert fused.network_bytes == unfused.network_bytes
 
 
 class TestRekeyEdgeCases:

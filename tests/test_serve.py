@@ -149,14 +149,14 @@ class TestPlanCache:
 
 class TestWarmExecutorPool:
     def test_lease_shares_one_executor(self):
-        with WarmExecutorPool(workers=2, backend="thread") as pool:
+        with WarmExecutorPool(workers=2) as pool:
             first, second = pool.lease(), pool.lease()
             assert first is second
             assert isinstance(first, SharedExecutor)
             assert pool.leases == 2
 
     def test_close_on_lease_is_noop(self):
-        with WarmExecutorPool(workers=2, backend="thread") as pool:
+        with WarmExecutorPool(workers=2) as pool:
             lease = pool.lease()
             lease.close()
             assert lease.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
@@ -168,7 +168,7 @@ class TestWarmExecutorPool:
             pool.lease()
 
     def test_dispatch_accounting(self):
-        with WarmExecutorPool(workers=1, warm=False) as pool:
+        with WarmExecutorPool(workers=1) as pool:
             pool.lease().map(lambda x: x, [1, 2])
             stats = pool.stats()
             assert stats["dispatches"] == 1
@@ -322,6 +322,10 @@ class TestQueryService:
             with pytest.raises(ValidationError):
                 service.table("nope")
 
+    def test_only_the_thread_backend_is_accepted(self, tables):
+        with pytest.raises(ValidationError, match="'process'"):
+            QueryService(tables, workers=2, backend="process")
+
 
 class TestRunContextReuse:
     """S1: reruns must not re-derive statistics or re-resolve executors."""
@@ -361,7 +365,7 @@ class TestRunContextReuse:
         assert calls["n"] == 2
 
     def test_warm_executor_used_and_restored(self, tables):
-        with WarmExecutorPool(workers=2, backend="thread") as pool:
+        with WarmExecutorPool(workers=2) as pool:
             cluster = Cluster(NUM_NODES)
             original = cluster.executor
             context = RunContext(executor=pool.lease())
