@@ -7,13 +7,14 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Exchange-layer gate: lint the communication primitives, then run
-# their unit tests, the placement/scatter tests, the
+# their unit tests, the network and profile tests of the one path that
+# accounts every send, the placement/scatter tests, the
 # golden-equivalence suite that pins every operator's traffic ledger
 # byte-for-byte and the sort-merge oracle every operator's rows must
 # match — once as is, once with 2 workers over 64-row kernel chunks, so
 # the chunk-merged grouping runs on inputs this small.
 EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test_storage.py \
-	tests/test_oracle.py
+	tests/test_oracle.py tests/test_network.py tests/test_timing.py
 test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
 	$(PYTHON) -m pytest $(EXCHANGE_TESTS) -q

@@ -27,12 +27,11 @@ def run_ablation(tuples: int = 100_000) -> ExperimentResult:
         group = Group(label=f"zipf skew = {skew}")
         for algorithm in (GraceHashJoin(), TrackJoin("4TJ"), TrackJoin("4TJ-bal")):
             run = algorithm.run(workload.cluster, workload.table_r, workload.table_s, spec)
-            balance = run.node_balance()
             group.rows.append(
                 Row(
                     run.algorithm,
                     run.network_bytes / 1e6,
-                    breakdown={"receive skew": balance["receive_skew"]},
+                    breakdown={"receive skew": run.profile.node_load.receive_skew},
                 )
             )
         result.groups.append(group)

@@ -56,7 +56,7 @@ def main() -> None:
                 f"{two.network_bytes / 1e6:>9.2f} "
                 f"{four.network_bytes / 1e6:>8.2f} "
                 f"{four.network_bytes / hash_join.network_bytes:>7.2f} "
-                f"{four.node_balance()['send_skew']:>13.2f}"
+                f"{four.profile.node_load.send_skew:>13.2f}"
             )
     print(
         "\nFully collocated matches (5,0,... inter+intra) leave track join\n"

@@ -234,9 +234,9 @@ def _thaw_network(network: Network) -> None:
             array.flags.writeable = True
 
 
-def _sanitized_send(self: Network, src, dst, category, nbytes, payload=None):
-    _saved["send"](self, src, dst, category, nbytes, payload)
-    if getattr(self._tls, "lane", None) is not None:
+def _sanitized_send(self: Network, src, dst, category, nbytes, payload=None, **accounting):
+    _saved["send"](self, src, dst, category, nbytes, payload, **accounting)
+    if self._bound_lane() is not None:
         _freeze_payload(self, payload)
 
 

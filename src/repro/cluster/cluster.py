@@ -164,9 +164,9 @@ class Cluster:
         """Run one phase of per-node work on this cluster's executor.
 
         See :func:`repro.parallel.run_phase`: each task gets a private
-        network send lane (and profile lane), committed in task order at
-        the closing barrier, so results are deterministic for any worker
-        count.  ``task_nodes`` maps task positions to the node each task
+        send lane (messages, ledger and profile steps), committed in
+        task order at the closing barrier, so results are deterministic
+        for any worker count.  ``task_nodes`` maps task positions to the node each task
         simulates when ``tasks`` is not already one-task-per-node
         (fault-injected crash recovery needs the mapping).
 

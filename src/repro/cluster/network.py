@@ -12,20 +12,29 @@ Local sends (``src == dst``) are delivered but accounted separately, the
 same way the paper's implementation separates "local copy" from "transfer"
 steps (Tables 3 and 4).
 
+One byte record
+---------------
+A send is written once.  :meth:`Network.send` records the message in the
+ledger (per class and per link) and, when the caller names a step and a
+profile, in that :class:`~repro.timing.profile.ExecutionProfile` (sent
+bytes per source node, received bytes per destination node, or a local
+copy).  Nothing else accounts a send's bytes.
+
 Concurrent senders
 ------------------
 The parallel engine runs many nodes' phase work at once, so accounting
 must stay deterministic under arbitrary thread interleaving.  During an
 open *phase* (:meth:`Network.begin_phase`), each task binds its own
 :class:`SendLane`: sends are staged into the lane's private message list
-and private ledger instead of touching shared state.  The phase barrier
+and ledger, and the task's profile steps into the lane's private step
+list, instead of touching shared state.  The phase barrier
 (:meth:`Network.end_phase`) commits lanes in task order — merging lane
-ledgers via :meth:`TrafficLedger.merge` and appending staged messages to
-the destination inboxes — so byte totals, ``by_link`` entries, and inbox
-ordering are bit-identical for every worker count and interleaving.
-Messages staged inside a phase only become visible to :meth:`deliver`
-after the barrier, which is exactly the paper's non-pipelined phase
-semantics.
+ledgers via :meth:`TrafficLedger.merge`, appending staged messages to
+the destination inboxes, and merging lane step lists into the profile —
+so byte totals, ``by_link`` entries, inbox ordering and profile steps
+are bit-identical for every worker count and interleaving.  Messages
+staged inside a phase only become visible to :meth:`deliver` after the
+barrier, which is exactly the paper's non-pipelined phase semantics.
 
 Zero-copy payloads
 ------------------
@@ -33,10 +42,9 @@ Payloads are handed to :meth:`send` by reference: operators pass numpy
 views (e.g. the slices produced by ``LocalPartition.split_by``) and the
 network never copies them.  The copy-on-conflict rule: a sender must not
 mutate a payload's underlying buffers after handing it to ``send``; a
-sender that intends to reuse or mutate the buffers passes ``copy=True``
-(or copies itself) so the network materializes a private snapshot at
-send time.  Receivers own what they are handed and must likewise treat
-it as immutable (they concatenate into fresh arrays when merging).
+sender that intends to reuse or mutate the buffers copies them itself
+before the send.  Receivers own what they are handed and must likewise
+treat it as immutable (they concatenate into fresh arrays when merging).
 
 Fault injection
 ---------------
@@ -56,13 +64,13 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from ..errors import NetworkError
+from ..timing.profile import ExecutionProfile, lane_slot
 
 __all__ = ["MessageClass", "Message", "TrafficLedger", "SendLane", "Network"]
 
@@ -114,6 +122,10 @@ class Message:
         injector's receivers (:mod:`repro.faults`) restore exact
         fault-free delivery order by sorting and dedup duplicates
         idempotently.  ``-1`` until committed.
+    step:
+        The profile step the bytes are accounted under: the sender's
+        transfer step, or its local-copy step for a message to itself;
+        ``None`` when the send records no step.
     """
 
     src: int
@@ -122,6 +134,7 @@ class Message:
     nbytes: float
     payload: Any
     seq: int = -1
+    step: str | None = None
 
 
 @dataclass
@@ -142,8 +155,6 @@ class TrafficLedger:
         default_factory=lambda: defaultdict(float)
     )
     by_link: dict[tuple[int, int], float] = field(default_factory=lambda: defaultdict(float))
-    sent_by_node: dict[int, float] = field(default_factory=lambda: defaultdict(float))
-    received_by_node: dict[int, float] = field(default_factory=lambda: defaultdict(float))
     local_bytes: float = 0.0
     message_count: int = 0
     retransmit_by_class: dict[MessageClass, float] = field(
@@ -159,8 +170,6 @@ class TrafficLedger:
             return
         self.by_class[msg.category] += msg.nbytes
         self.by_link[(msg.src, msg.dst)] += msg.nbytes
-        self.sent_by_node[msg.src] += msg.nbytes
-        self.received_by_node[msg.dst] += msg.nbytes
 
     def record_retransmit(self, category: MessageClass, nbytes: float) -> None:
         """Account one retransmitted (or duplicated) wire copy.
@@ -181,6 +190,22 @@ class TrafficLedger:
     def retransmit_bytes(self) -> float:
         """Recovery overhead bytes (retransmissions and duplicates)."""
         return float(sum(self.retransmit_by_class.values()))
+
+    @property
+    def sent_by_node(self) -> dict[int, float]:
+        """Goodput bytes each sending node sent, summed from ``by_link``."""
+        sent: dict[int, float] = defaultdict(float)
+        for (src, _dst), nbytes in self.by_link.items():
+            sent[src] += nbytes
+        return dict(sent)
+
+    @property
+    def received_by_node(self) -> dict[int, float]:
+        """Goodput bytes each receiving node received, summed from ``by_link``."""
+        received: dict[int, float] = defaultdict(float)
+        for (_src, dst), nbytes in self.by_link.items():
+            received[dst] += nbytes
+        return dict(received)
 
     @property
     def max_received_bytes(self) -> float:
@@ -222,10 +247,6 @@ class TrafficLedger:
             self.by_class[category] += nbytes
         for link, nbytes in other.by_link.items():
             self.by_link[link] += nbytes
-        for node, nbytes in other.sent_by_node.items():
-            self.sent_by_node[node] += nbytes
-        for node, nbytes in other.received_by_node.items():
-            self.received_by_node[node] += nbytes
         self.local_bytes += other.local_bytes
         self.message_count += other.message_count
         for category, nbytes in other.retransmit_by_class.items():
@@ -239,18 +260,22 @@ class TrafficLedger:
 
 
 class SendLane:
-    """Per-task staging buffer used while a network phase is open.
+    """One phase task's private state while a network phase is open.
 
-    A lane collects one task's outgoing messages and their byte
-    accounting privately, so concurrent tasks never contend on shared
-    state; the phase barrier commits lanes in task order.
+    A lane holds the task's staged messages, their ledger, and — when
+    the phase commits into a profile — the task's ordered step list, so
+    concurrent tasks never contend on shared state; the phase barrier
+    commits lanes in task order.
     """
 
-    __slots__ = ("messages", "ledger")
+    __slots__ = ("network", "profile", "messages", "ledger", "steps")
 
-    def __init__(self) -> None:
+    def __init__(self, network: "Network", profile: ExecutionProfile | None):
+        self.network = network
+        self.profile = profile
         self.messages: list[Message] = []
         self.ledger = TrafficLedger()
+        self.steps = ExecutionProfile(profile.num_nodes) if profile is not None else None
 
 
 class Network:
@@ -271,7 +296,6 @@ class Network:
         self.ledger = TrafficLedger()
         self._inboxes: list[list[Message]] = [[] for _ in range(num_nodes)]
         self._phase_lanes: list[SendLane] | None = None
-        self._tls = threading.local()
         #: Active fault injector, or ``None`` for the fault-free fast
         #: path (which stays byte-for-byte the pre-fault code path).
         self.faults = None
@@ -304,68 +328,78 @@ class Network:
 
     # -- phases and lanes ------------------------------------------------
 
-    def begin_phase(self, num_lanes: int) -> list[SendLane]:
+    def begin_phase(
+        self, num_lanes: int, profile: ExecutionProfile | None = None
+    ) -> list[SendLane]:
         """Open a phase with ``num_lanes`` staging lanes (one per task).
 
         While the phase is open, sends from a thread bound to a lane
-        (:meth:`bind_lane`) are staged in that lane; unbound sends (the
+        (:meth:`bind_lane`) are staged in that lane, and so are the
+        thread's recordings into ``profile``; unbound sends (the
         coordinating thread) keep immediate semantics, which is safe
         because the coordinator is single-threaded and runs at fixed
         points relative to the barrier.
         """
         if self._phase_lanes is not None:
             raise NetworkError("a network phase is already open (missing barrier?)")
-        self._phase_lanes = [SendLane() for _ in range(num_lanes)]
+        self._phase_lanes = [SendLane(self, profile) for _ in range(num_lanes)]
         if self.faults is not None:
             self.faults.begin_phase()
         return self._phase_lanes
 
     @contextmanager
     def bind_lane(self, lane: SendLane):
-        """Route this thread's sends into ``lane`` for the duration."""
-        previous = getattr(self._tls, "lane", None)
-        self._tls.lane = lane
+        """Route this thread's sends and profile steps into ``lane``."""
+        previous = getattr(lane_slot, "lane", None)
+        lane_slot.lane = lane
         try:
             yield lane
         finally:
-            self._tls.lane = previous
+            lane_slot.lane = previous
+
+    def _bound_lane(self) -> SendLane | None:
+        """This network's lane bound to the calling thread, if any."""
+        lane = getattr(lane_slot, "lane", None)
+        return lane if lane is not None and lane.network is self else None
 
     def end_phase(self) -> None:
         """Barrier: commit all lanes in task order and close the phase.
 
-        Lane ledgers merge into the master ledger and staged messages
-        append to the destination inboxes, both in lane (= task) order,
-        making the committed state independent of execution order.
+        Lane ledgers merge into the master ledger, staged messages
+        append to the destination inboxes and lane step lists merge into
+        the phase's profile, all in lane (= task) order, making the
+        committed state independent of execution order.
         """
         lanes = self._phase_lanes
         if lanes is None:
             raise NetworkError("no network phase is open")
         self._phase_lanes = None
-        if self.faults is None:
-            for lane in lanes:
-                self.ledger.merge(lane.ledger)
-                for msg in lane.messages:
-                    self._assign_seq(msg)
-                    self._inboxes[msg.dst].append(msg)
-            return
-        # Fault-injected barrier: goodput accounting is identical (lane
-        # ledgers merge unchanged), then every destination's staged
-        # batch runs through the injector on this (coordinator) thread
-        # in deterministic lane order, so drops, retransmissions,
+        # Under a fault plan every destination's staged batch runs
+        # through the injector on this (coordinator) thread in
+        # deterministic lane order, so drops, retransmissions,
         # duplicates, and reorders are bit-identical across worker
-        # counts.  A retry budget exhaustion raises FaultExhaustedError
-        # with the phase already closed; callers unwind via abort_phase.
+        # counts; goodput accounting is identical (lane ledgers merge
+        # unchanged).  A retry budget exhaustion raises
+        # FaultExhaustedError with the phase already closed; callers
+        # unwind via abort_phase.
         staged: dict[int, list[Message]] = {}
         for lane in lanes:
             self.ledger.merge(lane.ledger)
             for msg in lane.messages:
                 self._assign_seq(msg)
-                staged.setdefault(msg.dst, []).append(msg)
-        for dst in sorted(staged):
-            self._inboxes[dst].extend(
-                self.faults.commit_batch(dst, staged[dst], self.ledger)
-            )
-        self.faults.barrier()
+                if self.faults is None:
+                    self._inboxes[msg.dst].append(msg)
+                else:
+                    staged.setdefault(msg.dst, []).append(msg)
+        if self.faults is not None:
+            for dst in sorted(staged):
+                self._inboxes[dst].extend(
+                    self.faults.commit_batch(dst, staged[dst], self.ledger)
+                )
+            self.faults.barrier()
+        for lane in lanes:
+            if lane.steps is not None:
+                lane.profile.merge(lane.steps)
 
     def abort_phase(self) -> None:
         """Discard all staged lanes (error path; accounting unwinds)."""
@@ -380,12 +414,19 @@ class Network:
         category: MessageClass,
         nbytes: float,
         payload: Any = None,
+        profile: ExecutionProfile | None = None,
+        step: str | None = None,
+        local_step: str | None = None,
     ) -> None:
         """Send one message from ``src`` to ``dst`` and account its size.
 
-        The payload is handed over zero-copy (see the module notes for
-        the copy-on-conflict rule).  Inside an open phase with a bound
-        lane, the message is staged and becomes visible at the barrier.
+        The bytes go to the ledger and, when ``profile`` is given, to the
+        profile step the message is attributed to: ``step`` (a NET step)
+        between two nodes, ``local_step`` (a LOCAL copy) for a message to
+        itself; a missing name records no step.  The payload is handed
+        over zero-copy (see the module notes for the copy-on-conflict
+        rule).  Inside an open phase with a bound lane, the message is
+        staged and becomes visible at the barrier.
         """
         self._check_node(src)
         self._check_node(dst)
@@ -393,21 +434,26 @@ class Network:
             raise NetworkError(
                 f"message size must be finite and non-negative, got {nbytes}"
             )
-        msg = Message(src=src, dst=dst, category=category, nbytes=float(nbytes), payload=payload)
-        lane: SendLane | None = getattr(self._tls, "lane", None)
+        msg = Message(
+            src, dst, category, float(nbytes), payload,
+            step=step if src != dst else local_step,
+        )
+        lane = self._bound_lane()
         if lane is not None:
             lane.ledger.record(msg)
             lane.messages.append(msg)
-            return
-        self.ledger.record(msg)
-        self._assign_seq(msg)
-        if self.faults is not None and src != dst:
-            # Immediate (coordinator) sends run the fault model at send
-            # time; the coordinator is single-threaded, so draw order
-            # stays deterministic.
-            self._inboxes[dst].extend(self.faults.transmit(msg, self.ledger))
-            return
-        self._inboxes[dst].append(msg)
+        else:
+            self.ledger.record(msg)
+            self._assign_seq(msg)
+            if self.faults is not None and src != dst:
+                # Immediate (coordinator) sends run the fault model at
+                # send time; the coordinator is single-threaded, so draw
+                # order stays deterministic.
+                self._inboxes[dst].extend(self.faults.transmit(msg, self.ledger))
+            else:
+                self._inboxes[dst].append(msg)
+        if profile is not None and msg.step is not None:
+            profile.record_send(msg)
 
     def send_batches(
         self,
@@ -415,30 +461,24 @@ class Network:
         category: MessageClass,
         batches: Sequence[Any],
         width: float,
-        copy: bool = False,
-    ) -> list[tuple[int, float]]:
+        profile: ExecutionProfile | None = None,
+        step: str | None = None,
+        local_step: str | None = None,
+    ) -> None:
         """Coalesced per-destination send of one scatter's batch list.
 
         ``batches`` is indexed by destination (the shape produced by
         ``LocalPartition.split_by``); ``None`` entries are skipped and
-        each remaining batch becomes exactly one message of
-        ``batch.num_rows * width`` bytes.  Payloads are handed off as
-        zero-copy views unless ``copy=True``, which snapshots each batch
-        for senders that will mutate the underlying buffers afterwards
-        (the copy-on-conflict rule).
-
-        Returns ``(dst, nbytes)`` for every message sent, in destination
-        order, so callers can account profile work without re-deriving
-        sizes.
+        each remaining batch becomes exactly one zero-copy message of
+        ``batch.num_rows * width`` bytes, accounted as :meth:`send`
+        accounts it.
         """
-        sent: list[tuple[int, float]] = []
         for dst, batch in enumerate(batches):
-            if batch is None:
-                continue
-            nbytes = batch.num_rows * width
-            self.send(src, dst, category, nbytes, payload=batch.copy() if copy else batch)
-            sent.append((dst, nbytes))
-        return sent
+            if batch is not None:
+                self.send(
+                    src, dst, category, batch.num_rows * width, batch,
+                    profile=profile, step=step, local_step=local_step,
+                )
 
     # -- delivery --------------------------------------------------------
 

@@ -211,12 +211,9 @@ def run_tracking_phase(
                     delta_keys=spec.delta_keys,
                 )
             cluster.network.send(
-                node, dst, MessageClass.KEYS_COUNTS, nbytes, payload=None
+                node, dst, MessageClass.KEYS_COUNTS, nbytes, profile=profile,
+                step="Transfer key, count", local_step="Local copy key, count",
             )
-            if node == dst:
-                profile.add_local("Local copy key, count", node, nbytes)
-            else:
-                profile.add_net_at("Transfer key, count", node, nbytes)
         # The partition's cached distinct keys and counts, not copies.
         return side, node, distinct, counts
 

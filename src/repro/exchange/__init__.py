@@ -3,9 +3,9 @@
 The paper frames distributed joins as per-key transfer *schedules*
 executed by a small set of generic move primitives (Sections 2.2-2.5).
 This package makes those primitives first-class: each exchange operator
-encapsulates one communication pattern — the send-lane staging, the
-per-:class:`~repro.cluster.network.MessageClass` byte accounting, and
-the profile attribution that the operators previously each hand-rolled.
+encapsulates one communication pattern: which rows go where, under
+which :class:`~repro.cluster.network.MessageClass`, and the profile
+step names its sends are accounted under.
 
 =====================  =====================================================
 Operator               Pattern
@@ -27,7 +27,7 @@ deterministically at the barrier — ledgers, profiles, and arrival
 orders are bit-identical for any worker count.
 """
 
-from .base import account_transfer, send_rows, send_split
+from .base import send_rows
 from .broadcast import Broadcast, replicate_size
 from .gather import Gather, absorb_received, drain_category, drain_payloads, flush
 from .locations import LocationExchange
@@ -44,9 +44,7 @@ __all__ = [
     "ShardedMigrate",
     "LocationExchange",
     "Gather",
-    "account_transfer",
     "send_rows",
-    "send_split",
     "replicate_size",
     "drain_category",
     "drain_payloads",

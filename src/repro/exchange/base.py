@@ -6,27 +6,22 @@ handful of communication patterns — hash scatter, replication, directed
 in :mod:`repro.exchange` package those patterns as first-class
 *exchange operators*; this module holds what they share:
 
-- :func:`account_transfer` — the uniform profile attribution of one
-  send: local sends are "Local copy ..." steps, remote sends are
-  network-transfer steps (the paper separates the two in Tables 3-4);
 - :func:`send_rows` — ship one tuple batch with wire-size accounting
   (``rows × width``) under a :class:`~repro.cluster.network.MessageClass`;
-- :func:`send_split` — the per-destination batch list produced by
-  ``LocalPartition.split_by``/``hash_split`` sent as one message per
-  destination, with the accounting for each;
 - :func:`group_by_link` / :func:`matched_batches` — the directed
   exchanges' translation of (holder, destination, key) instruction
   pairs into per-destination batches of each holder's matching tuples.
 
-All sends go through :meth:`Network.send`, so inside an open cluster
-phase they are staged in the calling task's
-:class:`~repro.cluster.network.SendLane` and committed deterministically
-at the barrier — exchange operators never bypass the staging contract.
+All sends go through :meth:`Network.send`, which writes each send's bytes
+once: to the ledger and to the profile, as a network-transfer step or,
+for a node sending to itself, a "Local copy ..." step (the paper
+separates the two in Tables 3-4).  Inside an open cluster phase they are
+staged in the calling task's :class:`~repro.cluster.network.SendLane`
+and committed deterministically at the barrier — exchange operators
+never bypass the staging contract.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -38,27 +33,10 @@ from ..timing.profile import ExecutionProfile
 from ..util import group_bounded
 
 __all__ = [
-    "account_transfer",
     "send_rows",
-    "send_split",
     "group_by_link",
     "matched_batches",
 ]
-
-
-def account_transfer(
-    profile: ExecutionProfile,
-    src: int,
-    dst: int,
-    nbytes: float,
-    transfer_step: str,
-    local_step: str,
-) -> None:
-    """Attribute one send to the profile: local copy or network transfer."""
-    if src == dst:
-        profile.add_local(local_step, src, nbytes)
-    else:
-        profile.add_net_at(transfer_step, src, nbytes)
 
 
 def send_rows(
@@ -74,34 +52,11 @@ def send_rows(
 ) -> float:
     """Ship one batch of tuples; returns the accounted wire size."""
     nbytes = rows.num_rows * width
-    cluster.network.send(src, dst, category, nbytes, payload=rows)
-    account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
+    cluster.network.send(
+        src, dst, category, nbytes, payload=rows,
+        profile=profile, step=transfer_step, local_step=local_step,
+    )
     return nbytes
-
-
-def send_split(
-    cluster: Cluster,
-    profile: ExecutionProfile,
-    category: MessageClass,
-    src: int,
-    batches: Sequence[LocalPartition | None],
-    width: float,
-    transfer_step: str,
-    local_step: str,
-) -> list[tuple[int, float]]:
-    """Send one scatter's per-destination batch list, accounting each.
-
-    ``batches`` is indexed by destination node (the shape produced by
-    ``LocalPartition.split_by``); ``None`` entries are skipped.  Batches
-    travel zero-copy through
-    :meth:`~repro.cluster.network.Network.send_batches`.
-
-    Returns ``(dst, nbytes)`` per message, in destination order.
-    """
-    sent = cluster.network.send_batches(src, category, batches, width)
-    for dst, nbytes in sent:
-        account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
-    return sent
 
 
 def group_by_link(

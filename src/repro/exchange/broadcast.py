@@ -89,5 +89,4 @@ def replicate_size(
     for dst in range(cluster.num_nodes):
         if dst == src:
             continue
-        cluster.network.send(src, dst, category, nbytes, payload=None)
-        profile.add_net_at(transfer_step, src, nbytes)
+        cluster.network.send(src, dst, category, nbytes, profile=profile, step=transfer_step)

@@ -130,11 +130,10 @@ class LocationExchange:
                 self.location_width,
                 group_by_node=self.group_by_node,
             )
-            cluster.network.send(src, dst, MessageClass.KEYS_NODES, nbytes, payload=None)
-            if src == dst:
-                profile.add_local("Local copy keys, nodes", src, nbytes)
-            else:
-                profile.add_net_at(self.step, src, nbytes)
+            cluster.network.send(
+                src, dst, MessageClass.KEYS_NODES, nbytes,
+                profile=profile, step=self.step, local_step="Local copy keys, nodes",
+            )
             # Receivers merge the incoming pair lists before acting on
             # them.
             profile.add_cpu_at("Merge rec. keys, nodes", "merge", dst, nbytes)

@@ -20,7 +20,7 @@ from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
 from ..util import group_bounded
-from .base import group_by_link, matched_batches, send_split
+from .base import group_by_link, matched_batches
 
 __all__ = ["Migrate", "ShardedMigrate"]
 
@@ -75,9 +75,9 @@ class Migrate:
             keep = np.ones(local.num_rows, dtype=bool)
             keep[rows] = False
             holders[node] = local.take(np.flatnonzero(keep))
-            send_split(
-                cluster, profile, self.category, node, batches, self.width,
-                self.transfer_step, self.copy_step,
+            cluster.network.send_batches(
+                node, self.category, batches, self.width,
+                profile=profile, step=self.transfer_step, local_step=self.copy_step,
             )
 
         # Crash recovery must know which node each task simulates: this
@@ -149,9 +149,9 @@ class ShardedMigrate:
             keep[rows] = False
             batches = local.split_by(destinations, cluster.num_nodes, rows=rows)
             holders[node] = local.take(np.flatnonzero(keep))
-            send_split(
-                cluster, profile, self.category, node, batches, self.width,
-                self.transfer_step, self.copy_step,
+            cluster.network.send_batches(
+                node, self.category, batches, self.width,
+                profile=profile, step=self.transfer_step, local_step=self.copy_step,
             )
 
         cluster.run_phase(

@@ -19,7 +19,7 @@ from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import matched_batches, send_split
+from .base import matched_batches
 
 __all__ = ["SelectiveBroadcast"]
 
@@ -80,9 +80,9 @@ class SelectiveBroadcast:
                 num_pairs * self.match_width + len(local_rows) * self.width,
             )
             if batches is not None:
-                send_split(
-                    cluster, profile, self.category, src, batches, self.width,
-                    self.transfer_step, self.copy_step,
+                cluster.network.send_batches(
+                    src, self.category, batches, self.width,
+                    profile=profile, step=self.transfer_step, local_step=self.copy_step,
                 )
 
         cluster.run_phase(broadcast_holder, profile=profile)

@@ -24,7 +24,6 @@ from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import send_split
 from .gather import Gather
 
 __all__ = ["Shuffle", "KeyShuffle"]
@@ -72,9 +71,9 @@ class Shuffle:
                 fragment.num_rows * self.width,
             )
             batches = fragment.hash_split(cluster.num_nodes, self.hash_seed)
-            send_split(
-                cluster, profile, self.category, src, batches, self.width,
-                transfer_step, local_step,
+            cluster.network.send_batches(
+                src, self.category, batches, self.width,
+                profile=profile, step=transfer_step, local_step=local_step,
             )
 
         cluster.run_phase(scatter_node, profile=profile)
@@ -139,12 +138,10 @@ class KeyShuffle:
                         "pos": rows.astype(np.int64),
                     },
                 )
-                nbytes = len(rows) * self.key_width
-                cluster.network.send(src, dst, self.category, nbytes, payload=payload)
-                if src == dst:
-                    profile.add_local(local_step, src, nbytes)
-                else:
-                    profile.add_net_at(transfer_step, src, nbytes)
+                cluster.network.send(
+                    src, dst, self.category, len(rows) * self.key_width, payload,
+                    profile=profile, step=transfer_step, local_step=local_step,
+                )
 
         cluster.run_phase(scatter_node, profile=profile)
 

@@ -94,23 +94,6 @@ class JoinResult:
         """Traffic in GB, optionally scaled up to paper-size cardinality."""
         return self.network_bytes * scale / 1e9
 
-    def node_balance(self) -> dict[str, float]:
-        """Send/receive imbalance diagnostics (Section 5 future work)."""
-        sent = self.traffic.sent_by_node
-        received = self.traffic.received_by_node
-        max_sent = max(sent.values(), default=0.0)
-        mean_sent = (sum(sent.values()) / len(sent)) if sent else 0.0
-        max_recv = max(received.values(), default=0.0)
-        mean_recv = (sum(received.values()) / len(received)) if received else 0.0
-        return {
-            "max_sent": max_sent,
-            "mean_sent": mean_sent,
-            "send_skew": (max_sent / mean_sent) if mean_sent else 1.0,
-            "max_received": max_recv,
-            "mean_received": mean_recv,
-            "receive_skew": (max_recv / mean_recv) if mean_recv else 1.0,
-        }
-
     def gathered_output(self) -> LocalPartition:
         """All output rows as one partition (verification aid)."""
         if self.output is None:

@@ -129,23 +129,14 @@ class LateMaterializationHashJoin(DistributedJoin):
                     sel = np.flatnonzero(origin == src)
                     # Fetch request: one rid per output tuple.
                     cluster.network.send(
-                        node, int(src), MessageClass.RIDS, len(sel) * rid_bytes
+                        node, int(src), MessageClass.RIDS, len(sel) * rid_bytes,
+                        profile=profile, step=f"Fetch {side.upper()} payloads",
                     )
                     # Response: the payload columns, in request order.
                     cluster.network.send(
-                        int(src), node, category, len(sel) * payload_width
+                        int(src), node, category, len(sel) * payload_width,
+                        profile=profile, step=f"Return {side.upper()} payloads",
                     )
-                    if int(src) != node:
-                        profile.add_net_at(
-                            f"Fetch {side.upper()} payloads",
-                            node,
-                            len(sel) * rid_bytes,
-                        )
-                        profile.add_net_at(
-                            f"Return {side.upper()} payloads",
-                            int(src),
-                            len(sel) * payload_width,
-                        )
                     rows = table.partitions[int(src)].take(pos[sel])
                     for name, values in rows.columns.items():
                         fetched[name][sel] = values
@@ -218,20 +209,21 @@ class TrackingAwareHashJoin(DistributedJoin):
             for src in np.unique(unique_send[:, 0]):
                 sel = unique_send[unique_send[:, 0] == src]
                 # Instruction to the narrow node: (local rid, destination).
-                nbytes = len(sel) * (rid_narrow + spec.location_width)
-                cluster.network.send(t_node, int(src), MessageClass.RIDS, nbytes)
-                if int(src) != t_node:
-                    profile.add_net_at("Send narrow rids", t_node, nbytes)
+                cluster.network.send(
+                    t_node, int(src), MessageClass.RIDS,
+                    len(sel) * (rid_narrow + spec.location_width),
+                    profile=profile, step="Send narrow rids",
+                )
                 jobs.append((int(src), t_node, sel[:, 1], sel[:, 2]))
             combo_w = np.stack([w_node, w_pos], axis=1)
             unique_wide = np.unique(combo_w, axis=0)
             for dst in np.unique(unique_wide[:, 0]):
                 sel = unique_wide[unique_wide[:, 0] == dst]
                 # The wide node learns which of its rids participate.
-                nbytes = len(sel) * rid_wide
-                cluster.network.send(t_node, int(dst), MessageClass.RIDS, nbytes)
-                if int(dst) != t_node:
-                    profile.add_net_at("Send wide rids", t_node, nbytes)
+                cluster.network.send(
+                    t_node, int(dst), MessageClass.RIDS, len(sel) * rid_wide,
+                    profile=profile, step="Send wide rids",
+                )
                 wides.append((int(dst), sel[:, 1]))
             return jobs, wides
 

@@ -14,13 +14,14 @@ scatters, merge-joins, tracking dedup) as one *task*; a
     The hot kernels are GIL-releasing numpy (sorts, gathers, bincounts),
     so threads give real parallelism without pickling any state.
 
-Phase tasks are closures over cluster state (network lanes, profile
-lanes, partitions), so phases run inline or on threads only.
+Phase tasks are closures over cluster state (send lanes, partitions),
+so phases run inline or on threads only.
 
 Determinism does not depend on the executor: :func:`run_phase` gives
-every task its own network send lane and profile lane, and commits
-them in task order at the phase barrier, so ledgers, inbox ordering,
-and profiles are bit-identical for any worker count or interleaving.
+every task its own send lane — staged messages, their ledger and the
+task's profile steps — and commits the lanes in task order at the phase
+barrier, so ledgers, inbox ordering, and profiles are bit-identical for
+any worker count or interleaving.
 """
 
 from __future__ import annotations
@@ -224,11 +225,11 @@ def run_phase(
 
     ``fn(i)`` is invoked once per task index.  ``tasks`` is either a task
     count, an explicit index sequence, or ``None`` for one task per
-    cluster node.  Every task is bound to its own network
-    :class:`~repro.cluster.network.SendLane` (and, when ``profile`` is
-    given, its own profile lane); lanes are committed in task order at
-    the closing barrier, so traffic ledgers, inbox ordering, and
-    profiles never depend on the worker count or thread interleaving.
+    cluster node.  Every task is bound to its own
+    :class:`~repro.cluster.network.SendLane`, which also collects the
+    task's recordings into ``profile``; lanes are committed in task
+    order at the closing barrier, so traffic ledgers, inbox ordering,
+    and profiles never depend on the worker count or thread interleaving.
     Messages sent inside the phase become visible to ``deliver`` only
     after the barrier, matching the paper's non-pipelined phase model.
 
@@ -331,8 +332,7 @@ def _run_phase_group(
     entry_time = wall_clock()
     starts = [0.0] * count
     ends = [0.0] * count
-    lanes = network.begin_phase(count)
-    profile_lanes = profile.begin_phase(count) if profile is not None else None
+    lanes = network.begin_phase(count, profile)
 
     def position_stage(position: int) -> int:
         stage = len(stage_offsets) - 1
@@ -347,10 +347,7 @@ def _run_phase_group(
         starts[position] = wall_clock()
         try:
             with network.bind_lane(lanes[position]):
-                if profile_lanes is None:
-                    return fn(index)
-                with profile.bind_lane(profile_lanes[position]):
-                    return fn(index)
+                return fn(index)
         finally:
             ends[position] = wall_clock()
 
@@ -400,12 +397,8 @@ def _run_phase_group(
                 results[position] = result
         commit_start = wall_clock()
         network.end_phase()
-        if profile is not None:
-            profile.end_phase()
     except BaseException:
         network.abort_phase()
-        if profile is not None:
-            profile.abort_phase()
         raise
     exit_time = wall_clock()
     if profile is not None:

@@ -17,7 +17,6 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass, TrafficLedger
 from ..errors import ReproError
-from ..exchange.base import send_split
 from ..storage.schema import Column, Schema
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -146,10 +145,11 @@ def run_aggregation(
         if partials.num_rows == 0:
             continue
         destinations = hash_partition(partials.keys, cluster.num_nodes, spec.hash_seed)
-        send_split(
-            cluster, profile, MessageClass.AGGREGATES, node,
+        cluster.network.send_batches(
+            node, MessageClass.AGGREGATES,
             partials.split_by(destinations, cluster.num_nodes), partial_width,
-            "Transfer partial aggregates", "Local copy partial aggregates",
+            profile=profile, step="Transfer partial aggregates",
+            local_step="Local copy partial aggregates",
         )
 
     partitions = []

@@ -123,19 +123,6 @@ class LocalPartition:
             },
         )
 
-    def copy(self) -> "LocalPartition":
-        """Deep copy with freshly owned arrays.
-
-        Used by :meth:`repro.cluster.network.Network.send_batches` with
-        ``copy=True`` to snapshot a payload whose backing buffers the
-        sender intends to mutate after the send (the copy-on-conflict
-        rule of the zero-copy transport).
-        """
-        return LocalPartition(
-            keys=self.keys.copy(),
-            columns={name: values.copy() for name, values in self.columns.items()},
-        )
-
     # -- cached key index and scatter plans -----------------------------
 
     def invalidate_caches(self) -> None:
@@ -274,7 +261,7 @@ class LocalPartition:
 
         Bucket ``b`` is rows ``bounds[b]:bounds[b + 1]`` (no copy);
         ``None`` marks an empty bucket — the batch-list shape
-        :func:`repro.exchange.base.send_split` sends.
+        :meth:`repro.cluster.network.Network.send_batches` sends.
         """
         return [
             self._slice(lo, hi) if hi > lo else None

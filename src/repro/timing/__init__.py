@@ -6,10 +6,11 @@ from .hardware import (
     paper_cluster_2014,
     scaled_network,
 )
-from .profile import CPU, LOCAL, NET, ExecutionProfile, Step
+from .profile import CPU, LOCAL, NET, ExecutionProfile, NodeLoad, Step
 
 __all__ = [
     "ExecutionProfile",
+    "NodeLoad",
     "Step",
     "HardwareModel",
     "StepTiming",

@@ -15,19 +15,24 @@ Steps are recorded in execution order and keep the paper's step names
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from ..errors import ValidationError
 
 import numpy as np
 
-__all__ = ["Step", "ExecutionProfile", "CPU", "NET", "LOCAL"]
+__all__ = ["Step", "NodeLoad", "ExecutionProfile", "CPU", "NET", "LOCAL", "lane_slot"]
 
 #: Step kinds.  ``LOCAL`` marks node-local memory copies, which the paper
 #: separates from real network transfers ("Local copy tuples").
 CPU = "cpu"
 NET = "net"
 LOCAL = "local"
+
+#: The send lane each thread's phase task runs in, if any: set by
+#: :meth:`repro.cluster.network.Network.bind_lane`.  The network stages
+#: the thread's sends in it, and a profile records the thread's steps
+#: into the lane's step list when the lane commits into that profile.
+lane_slot = threading.local()
 
 
 @dataclass
@@ -46,13 +51,20 @@ class Step:
         "merge", "aggregate", "schedule", "copy", "transfer").
     per_node_bytes:
         Work per node.  CPU time is driven by the most loaded node
-        (nodes run in parallel); network time by the total volume.
+        (nodes run in parallel); network time by the total volume.  A
+        NET step counts the bytes each node sent.
+    per_node_received:
+        NET steps only (``None`` otherwise): the bytes each node
+        received, from the messages :meth:`ExecutionProfile.record_send`
+        records.  A NET step built by hand with ``add_net``/``add_net_at``
+        knows only its senders, so this stays zero.
     """
 
     name: str
     kind: str
     rate_class: str
     per_node_bytes: np.ndarray
+    per_node_received: np.ndarray | None = None
 
     @property
     def total_bytes(self) -> float:
@@ -65,15 +77,65 @@ class Step:
         return float(self.per_node_bytes.max()) if len(self.per_node_bytes) else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class NodeLoad:
+    """Goodput bytes each node sent and received over one run.
+
+    The skew metric of Section 5: minimal total traffic can still
+    concentrate transfers on one node.  Means are over every node of the
+    cluster, idle ones included, so a skew of ``N`` on ``N`` nodes says
+    one node carried all the traffic.
+    """
+
+    sent: np.ndarray
+    received: np.ndarray
+
+    @classmethod
+    def from_links(cls, by_link: dict[tuple[int, int], float], num_nodes: int) -> "NodeLoad":
+        """Sum per-link bytes (``TrafficLedger.by_link``) per sender and receiver."""
+        sent = np.zeros(num_nodes)
+        received = np.zeros(num_nodes)
+        for (src, dst), nbytes in by_link.items():
+            sent[src] += nbytes
+            received[dst] += nbytes
+        return cls(sent, received)
+
+    @property
+    def max_sent(self) -> float:
+        return float(self.sent.max(initial=0.0))
+
+    @property
+    def mean_sent(self) -> float:
+        return float(self.sent.mean()) if len(self.sent) else 0.0
+
+    @property
+    def send_skew(self) -> float:
+        """Most loaded sender over the mean; 1.0 when nothing was sent."""
+        return self.max_sent / self.mean_sent if self.mean_sent else 1.0
+
+    @property
+    def max_received(self) -> float:
+        return float(self.received.max(initial=0.0))
+
+    @property
+    def mean_received(self) -> float:
+        return float(self.received.mean()) if len(self.received) else 0.0
+
+    @property
+    def receive_skew(self) -> float:
+        """Most loaded receiver over the mean; 1.0 when nothing was received."""
+        return self.max_received / self.mean_received if self.mean_received else 1.0
+
+
 class ExecutionProfile:
     """Ordered collection of the steps one join execution performed.
 
-    The profile is phase-aware for the parallel engine: while a phase is
-    open (:meth:`begin_phase`), a worker thread bound to a lane profile
-    (:meth:`bind_lane`) records into that private lane instead of the
-    shared step list, and :meth:`end_phase` merges lanes back in task
-    order.  Step lists and per-node sums are therefore bit-identical for
-    every worker count and thread interleaving.
+    Inside a phase, a task's recordings go to the step list of the send
+    lane bound to its thread (see :data:`lane_slot`) when that lane
+    commits into this profile; the phase barrier merges the lanes' step
+    lists back in task order.  Step lists and per-node sums are
+    therefore bit-identical for every worker count and thread
+    interleaving.
     """
 
     def __init__(self, num_nodes: int):
@@ -87,77 +149,41 @@ class ExecutionProfile:
         #: timings — non-deterministic by nature — so they are excluded
         #: from lane merging, golden comparisons, and :meth:`merge`.
         self.phase_timings: list[dict] = []
-        #: Per-node network load summary recorded from the traffic
-        #: ledger when the join finishes (``max_received_bytes``,
-        #: ``max_sent_bytes``, ``mean_received_bytes``).  Like
-        #: ``phase_timings`` it is a run-level annotation, excluded from
-        #: lane merging and :meth:`merge`.
-        self.network_load: dict[str, float] = {}
-        self._phase_lanes: list["ExecutionProfile"] | None = None
-        self._tls = threading.local()
+        #: Per-node goodput of the run, snapshotted from the traffic
+        #: ledger when the join finishes (:meth:`record_network_load`);
+        #: ``None`` before that.  Excluded from :meth:`merge`.
+        self.node_load: NodeLoad | None = None
 
     def record_network_load(self, ledger) -> None:
-        """Snapshot the ledger's per-node load extremes into the profile.
+        """Snapshot the ledger's per-node goodput into :attr:`node_load`.
 
         Called once per join, right before the cluster's ledger is
         detached from the run; keeps the skew metrics available from
         the profile after the ledger moves on.
         """
-        received = ledger.received_by_node
-        self.network_load = {
-            "max_received_bytes": ledger.max_received_bytes,
-            "max_sent_bytes": ledger.max_sent_bytes,
-            "mean_received_bytes": (
-                float(sum(received.values()) / self.num_nodes)
-                if self.num_nodes
-                else 0.0
-            ),
-        }
-
-    # -- phases and lanes ------------------------------------------------
-
-    def begin_phase(self, num_lanes: int) -> list["ExecutionProfile"]:
-        """Open a phase with one private lane profile per task."""
-        if self._phase_lanes is not None:
-            raise ValidationError("a profile phase is already open (missing barrier?)")
-        self._phase_lanes = [ExecutionProfile(self.num_nodes) for _ in range(num_lanes)]
-        return self._phase_lanes
-
-    @contextmanager
-    def bind_lane(self, lane: "ExecutionProfile"):
-        """Route this thread's recordings into ``lane`` for the duration."""
-        previous = getattr(self._tls, "lane", None)
-        self._tls.lane = lane
-        try:
-            yield lane
-        finally:
-            self._tls.lane = previous
-
-    def end_phase(self) -> None:
-        """Barrier: merge all lane profiles back, in task order."""
-        lanes = self._phase_lanes
-        if lanes is None:
-            raise ValidationError("no profile phase is open")
-        self._phase_lanes = None
-        for lane in lanes:
-            self.merge(lane)
-
-    def abort_phase(self) -> None:
-        """Discard all lane profiles (error path)."""
-        self._phase_lanes = None
+        self.node_load = NodeLoad.from_links(ledger.by_link, self.num_nodes)
 
     def merge(self, other: "ExecutionProfile") -> "ExecutionProfile":
         """Accumulate another profile's steps into this one, in step order."""
         for step in other.steps:
-            self._accumulate(step.name, step.kind, step.rate_class, step.per_node_bytes)
+            merged = self._accumulate(
+                step.name, step.kind, step.rate_class, step.per_node_bytes
+            )
+            if step.per_node_received is not None:
+                merged.per_node_received += step.per_node_received
         return self
 
     # -- recording -------------------------------------------------------
 
+    def _recorder(self) -> "ExecutionProfile":
+        """The step list this thread records into: the bound lane's, when
+        the lane commits into this profile, else this profile's own."""
+        lane = getattr(lane_slot, "lane", None)
+        if lane is not None and lane.profile is self:
+            return lane.steps
+        return self
+
     def _accumulate(self, name: str, kind: str, rate_class: str, per_node) -> Step:
-        lane: "ExecutionProfile | None" = getattr(self._tls, "lane", None)
-        if lane is not None:
-            return lane._accumulate(name, kind, rate_class, per_node)
         per_node = np.asarray(per_node, dtype=np.float64)
         if per_node.shape != (self.num_nodes,):
             raise ValidationError(
@@ -167,9 +193,10 @@ class ExecutionProfile:
         # Merge with an existing step of the same name so loops over nodes
         # can record incrementally.  A new step owns a copy, so later
         # in-place adds never write into a caller's array.
-        step = self._step_index.get((name, kind))
+        recorder = self._recorder()
+        step = recorder._step_index.get((name, kind))
         if step is None:
-            return self._new_step(name, kind, rate_class, per_node.copy())
+            return recorder._new_step(name, kind, rate_class, per_node.copy())
         step.per_node_bytes += per_node
         return step
 
@@ -177,20 +204,32 @@ class ExecutionProfile:
         self, name: str, kind: str, rate_class: str, node: int, nbytes: float
     ) -> Step:
         """Add one node's work to a step without a per-call array."""
-        lane: "ExecutionProfile | None" = getattr(self._tls, "lane", None)
-        if lane is not None:
-            return lane._accumulate_at(name, kind, rate_class, node, nbytes)
-        step = self._step_index.get((name, kind))
+        recorder = self._recorder()
+        step = recorder._step_index.get((name, kind))
         if step is None:
-            step = self._new_step(name, kind, rate_class, np.zeros(self.num_nodes))
+            step = recorder._new_step(name, kind, rate_class, np.zeros(self.num_nodes))
         step.per_node_bytes[node] += nbytes
         return step
 
     def _new_step(self, name: str, kind: str, rate_class: str, per_node) -> Step:
-        step = Step(name=name, kind=kind, rate_class=rate_class, per_node_bytes=per_node)
+        received = np.zeros(self.num_nodes) if kind == NET else None
+        step = Step(name, kind, rate_class, per_node, received)
         self.steps.append(step)
         self._step_index[(name, kind)] = step
         return step
+
+    def record_send(self, msg) -> None:
+        """Attribute one sent message to its step, ``msg.step``.
+
+        A message between two nodes is a NET step: its bytes count as
+        sent by ``msg.src`` and received by ``msg.dst``.  A message to
+        itself is a LOCAL copy at its node.
+        """
+        if msg.src == msg.dst:
+            self._accumulate_at(msg.step, LOCAL, "copy", msg.src, msg.nbytes)
+            return
+        step = self._accumulate_at(msg.step, NET, "transfer", msg.src, msg.nbytes)
+        step.per_node_received[msg.dst] += msg.nbytes
 
     def add_cpu(self, name: str, rate_class: str, per_node_bytes) -> Step:
         """Record per-node CPU work for a named step."""

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import Cluster
+from repro import Cluster, GraceHashJoin, JoinSpec
 from repro.analysis import sanitizer_disable, sanitizer_enable
 from repro.core.tracking import TrackingTable
 from repro.testing import assert_same_output, canonical_output, scatter_tables
@@ -22,6 +22,7 @@ __all__ = [
     "assert_same_output",
     "canonical_output",
     "make_tables",
+    "one_key_hash_join",
     "tracking_from_dicts",
     "transient_peak",
 ]
@@ -64,6 +65,14 @@ def make_tables(
         payload_bits_s=payload_bits_s,
         seed=seed,
     )
+
+
+def one_key_hash_join(workers: int = 1):
+    """HJ over 400 R and 400 S tuples of the single key 7 on four nodes:
+    every remote tuple travels to that key's one hash node."""
+    cluster = Cluster(4, workers=workers)
+    table_r, table_s = make_tables(cluster, np.full(400, 7), np.full(400, 7))
+    return GraceHashJoin().run(cluster, table_r, table_s, JoinSpec(materialize=False))
 
 
 def tracking_from_dicts(per_key, t_nodes, widths=(1.0, 1.0)):

@@ -7,7 +7,7 @@ import pytest
 
 from repro import Cluster, JoinSpec, Schema, TrackJoin
 
-from conftest import assert_same_output, make_tables
+from conftest import assert_same_output, make_tables, one_key_hash_join
 
 
 def skewed_locality_tables(cluster, num_keys=300, repeats=4, hot_node=0, seed=3):
@@ -65,8 +65,8 @@ class TestTrafficAndBalance:
         balanced = TrackJoin("4TJ-bal").run(cluster, table_r, table_s, spec)
         assert_same_output(optimal, balanced)
         assert (
-            balanced.node_balance()["receive_skew"]
-            <= optimal.node_balance()["receive_skew"] + 1e-9
+            balanced.profile.node_load.receive_skew
+            <= optimal.profile.node_load.receive_skew + 1e-9
         )
 
     def test_deterministic_given_seed(self, small_cluster, small_tables):
@@ -76,3 +76,16 @@ class TestTrafficAndBalance:
         b = TrackJoin("4TJ-bal").run(small_cluster, table_r, table_s)
         assert a.network_bytes == b.network_bytes
         assert a.traffic.by_link == b.traffic.by_link
+
+
+class TestNodeLoad:
+    def test_means_count_every_node(self):
+        """One of four nodes receives every byte, so the receive skew is 4:
+        means are over all the cluster's nodes, not only those that sent
+        or received."""
+        load = one_key_hash_join().profile.node_load
+        assert load.received.tolist() == [0.0, 0.0, 0.0, 9368.0]
+        assert load.mean_received == 2342.0
+        assert load.receive_skew == 4.0
+        assert load.mean_sent == load.sent.sum() / 4
+        assert load.send_skew == load.max_sent / load.mean_sent

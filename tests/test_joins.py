@@ -314,6 +314,6 @@ class TestJoinConfig:
     def test_node_balance_diagnostics(self, small_cluster, small_tables):
         table_r, table_s = small_tables
         result = GraceHashJoin().run(small_cluster, table_r, table_s)
-        balance = result.node_balance()
-        assert balance["send_skew"] >= 1.0
-        assert balance["max_sent"] >= balance["mean_sent"]
+        load = result.profile.node_load
+        assert load.send_skew >= 1.0
+        assert load.max_sent >= load.mean_sent

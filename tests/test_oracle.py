@@ -3,10 +3,10 @@
 - :class:`TestOracle`: every registry operator and the two Sec. 3.2
   rid-based joins return exactly the rows of a numpy sort-merge join
   over the gathered inputs (:func:`sort_merge_join`, which imports
-  nothing from ``repro``), and every node's NET profile steps add up to
-  the bytes the traffic ledger says it sent.
-- :class:`TestByteOracle`: HJ's and 2TJ-R's per-class ledgers equal the
-  bytes :func:`byte_oracle` counts from key placement and widths alone.
+  nothing from ``repro``).
+- :class:`TestByteOracle`: HJ's and 2TJ-R's per-class and per-link
+  ledgers equal the bytes :func:`byte_oracle` counts from key placement
+  and widths alone.
 - :class:`TestSplitPrimitives`: ``split_by`` / ``hash_split`` buckets
   equal a boolean-mask selection of the rows.
 - :class:`TestTrackingMergeEquivalence`: the packed tracking merge, the
@@ -29,7 +29,7 @@ from repro.joins.tracking_aware import LateMaterializationHashJoin, TrackingAwar
 from repro.parallel.chunks import kernel_config
 from repro.storage.schema import Schema
 from repro.storage.table import LocalPartition
-from repro.timing.profile import NET, ExecutionProfile
+from repro.timing.profile import ExecutionProfile
 from repro.util import hash_partition, segment_boundaries
 
 from conftest import canonical_output, make_tables
@@ -93,9 +93,9 @@ def assert_matches_oracle(operators, instance):
 
 
 def assert_tables_match_oracle(operators, num_nodes, place):
-    """Rows equal the oracle's and per-node NET profile equals ledger sends,
-    as configured and over two kernel workers with two-row chunks.
-    ``place(cluster)`` returns the two tables on a fresh cluster."""
+    """Rows equal the oracle's, as configured and over two kernel workers
+    with two-row chunks.  ``place(cluster)`` returns the two tables on a
+    fresh cluster."""
     for (name, factory), kernels in itertools.product(operators, [{}, CHUNKED]):
         cluster = Cluster(num_nodes)
         table_r, table_s = place(cluster)
@@ -106,15 +106,6 @@ def assert_tables_match_oracle(operators, num_nodes, place):
         with kernel_config(**kernels):
             result = factory().run(cluster, table_r, table_s)
         assert np.array_equal(canonical_output(result), expected), (name, kernels)
-
-        sent = np.zeros(num_nodes)
-        for (src, _dst), nbytes in result.traffic.by_link.items():
-            sent[src] += nbytes
-        profiled = sum(
-            (step.per_node_bytes for step in result.profile.steps if step.kind == NET),
-            np.zeros(num_nodes),
-        )
-        assert np.array_equal(profiled, sent), (name, kernels)
 
 
 class TestOracle:
@@ -131,20 +122,29 @@ class TestOracle:
 
 
 def byte_oracle(name, num_nodes, placed_r, placed_s, widths, seed):
-    """Per-class network bytes of ``HJ`` or ``2TJ-R`` by Sec. 2.1's count.
+    """Per-class, per-link network bytes of ``HJ`` or ``2TJ-R`` by Sec. 2.1's
+    count: one ``(sender, receiver)`` byte matrix per message class.
 
     ``placed_r`` / ``placed_s`` are ``(keys, nodes)`` arrays of every
     tuple; ``widths`` holds ``key``, ``R`` and ``S`` tuple and ``location``
     (node id) bytes.  A message from a node to itself is a local copy and
-    costs nothing.  Only :func:`repro.util.hash_partition`, the key hash
-    both operators place work with, comes from ``repro``.
+    costs nothing, so every diagonal is zero.  Only
+    :func:`repro.util.hash_partition`, the key hash both operators place
+    work with, comes from ``repro``.
     """
     (keys_r, nodes_r), (keys_s, nodes_s) = placed_r, placed_s
+
+    def links(senders, receivers, nbytes):
+        matrix = np.zeros((num_nodes, num_nodes))
+        np.add.at(matrix, (senders, receivers), nbytes)
+        np.fill_diagonal(matrix, 0.0)
+        return matrix
+
     if name == "HJ":
         # Every tuple goes to its key's hash node.
         return {
-            "r_tuples": widths["R"] * np.sum(hash_partition(keys_r, num_nodes, seed) != nodes_r),
-            "s_tuples": widths["S"] * np.sum(hash_partition(keys_s, num_nodes, seed) != nodes_s),
+            "r_tuples": links(nodes_r, hash_partition(keys_r, num_nodes, seed), widths["R"]),
+            "s_tuples": links(nodes_s, hash_partition(keys_s, num_nodes, seed), widths["S"]),
         }
     # 2TJ-R, per distinct key k: each node holding k in R, and again each
     # node holding k in S, sends k to k's tracker t; t sends every R holder
@@ -156,49 +156,74 @@ def byte_oracle(name, num_nodes, placed_r, placed_s, widths, seed):
     np.add.at(counts[1], (inverse[len(keys_r) :], nodes_s), 1)
     has_r, has_s = counts > 0
     trackers = hash_partition(distinct, num_nodes, seed)
-    off_tracker = np.arange(num_nodes) != trackers[:, None]
-    s_holders = has_s.sum(axis=1)
+    held = np.nonzero(counts > 0)  # (side, key, holder) of every tracked entry
+    key_r, holder_r = np.nonzero(has_r)
     return {
-        "keys_counts": widths["key"] * np.sum((counts > 0) & off_tracker),
-        "keys_nodes": (widths["key"] + widths["location"])
-        * np.sum((has_r & off_tracker).sum(axis=1) * s_holders),
-        "r_tuples": widths["R"] * np.sum(counts[0] * (s_holders[:, None] - has_s)),
+        "keys_counts": links(held[2], trackers[held[1]], widths["key"]),
+        "keys_nodes": links(
+            trackers[key_r], holder_r,
+            (widths["key"] + widths["location"]) * has_s.sum(axis=1)[key_r],
+        ),
+        "r_tuples": links(
+            *np.indices((num_nodes, num_nodes)).reshape(2, -1),
+            (widths["R"] * counts[0].T.astype(float) @ has_s).ravel(),
+        ),
     }
 
 
+def byte_oracle_runs(name, instance):
+    """``(kernels, result, expected)`` for ``name`` run serially and under
+    :data:`CHUNKED` on ``instance``, against :func:`byte_oracle`."""
+    num_nodes, keys_r, keys_s, seed = instance
+    spec = JoinSpec()
+    for kernels in ({}, CHUNKED):
+        cluster = Cluster(num_nodes)
+        table_r, table_s = make_tables(
+            cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
+            seed=seed,
+        )
+        widths = {
+            "key": table_r.schema.key_width(spec.encoding),
+            "R": table_r.schema.tuple_width(spec.encoding),
+            "S": table_s.schema.tuple_width(spec.encoding),
+            "location": spec.location_width,
+        }
+        placed = [
+            (
+                gathered(table, None),
+                np.repeat(np.arange(num_nodes), [p.num_rows for p in table.partitions]),
+            )
+            for table in (table_r, table_s)
+        ]
+        expected = byte_oracle(name, num_nodes, *placed, widths, spec.hash_seed)
+        with kernel_config(**kernels):
+            result = create(name).run(cluster, table_r, table_s, spec)
+        yield kernels, result, expected
+
+
 class TestByteOracle:
-    """HJ's and 2TJ-R's per-class ledgers equal :func:`byte_oracle`."""
+    """HJ's and 2TJ-R's per-class and per-link ledgers equal
+    :func:`byte_oracle`."""
 
     @pytest.mark.parametrize("name", ["HJ", "2TJ-R"])
     @settings(max_examples=40, deadline=None)
     @given(instance=join_instance())
     def test_class_bytes_match_the_count(self, name, instance):
-        num_nodes, keys_r, keys_s, seed = instance
-        spec = JoinSpec()
-        for kernels in ({}, CHUNKED):
-            cluster = Cluster(num_nodes)
-            table_r, table_s = make_tables(
-                cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
-                seed=seed,
-            )
-            widths = {
-                "key": table_r.schema.key_width(spec.encoding),
-                "R": table_r.schema.tuple_width(spec.encoding),
-                "S": table_s.schema.tuple_width(spec.encoding),
-                "location": spec.location_width,
-            }
-            placed = [
-                (
-                    gathered(table, None),
-                    np.repeat(np.arange(num_nodes), [p.num_rows for p in table.partitions]),
-                )
-                for table in (table_r, table_s)
-            ]
-            expected = byte_oracle(name, num_nodes, *placed, widths, spec.hash_seed)
-            with kernel_config(**kernels):
-                result = create(name).run(cluster, table_r, table_s, spec)
+        for kernels, result, expected in byte_oracle_runs(name, instance):
             ledger = {cls.value: nbytes for cls, nbytes in result.traffic.by_class.items()}
+            expected = {cls: links.sum() for cls, links in expected.items()}
             assert ledger == {cls: b for cls, b in expected.items() if b}, kernels
+
+    @pytest.mark.parametrize("name", ["HJ", "2TJ-R"])
+    @settings(max_examples=40, deadline=None)
+    @given(instance=join_instance())
+    def test_link_bytes_match_the_count(self, name, instance):
+        for kernels, result, expected in byte_oracle_runs(name, instance):
+            total = sum(expected.values())
+            ledger = {link: nbytes for link, nbytes in result.traffic.by_link.items() if nbytes}
+            assert ledger == {
+                (int(src), int(dst)): total[src, dst] for src, dst in zip(*np.nonzero(total))
+            }, kernels
 
 
 NARROWED = tuple(

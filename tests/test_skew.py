@@ -370,9 +370,9 @@ class TestLoadMetrics:
         cluster = Cluster(4)
         table_r, table_s = hot_tables(cluster)
         result = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
-        load = result.profile.network_load
-        assert load["max_received_bytes"] == result.traffic.max_received_bytes
-        assert load["max_sent_bytes"] == result.traffic.max_sent_bytes
-        assert load["mean_received_bytes"] == pytest.approx(
+        load = result.profile.node_load
+        assert load.max_received == result.traffic.max_received_bytes
+        assert load.max_sent == result.traffic.max_sent_bytes
+        assert load.mean_received == pytest.approx(
             sum(result.traffic.received_by_node.values()) / cluster.num_nodes
         )

@@ -14,6 +14,9 @@ from repro.timing import (
     paper_cluster_2014,
     scaled_network,
 )
+from repro.util import hash_partition
+
+from conftest import one_key_hash_join
 
 
 class TestExecutionProfile:
@@ -161,3 +164,29 @@ class TestBottleneckSeconds:
         assert max(balanced.traffic.by_link.values()) <= max(
             optimal.traffic.by_link.values()
         ) * 1.05
+
+
+class TestReceivedBytes:
+    """NET steps carry the bytes each node received, from the sends."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_byte_lands_on_the_hash_node(self, workers):
+        result = one_key_hash_join(workers)
+        hash_node = int(hash_partition(np.array([7]), 4, 0)[0])
+        step = result.profile.step_named("Transfer R tuples")
+        expected = np.zeros(4)
+        expected[hash_node] = step.total_bytes
+        assert step.total_bytes > 0
+        assert np.array_equal(step.per_node_received, expected)
+        net_steps = [step for step in result.profile.steps if step.kind == NET]
+        assert len(net_steps) == 2
+        for step in net_steps:
+            assert step.per_node_received.sum() == step.total_bytes
+        received = sum(step.per_node_received for step in net_steps)
+        assert np.array_equal(received, result.profile.node_load.received)
+
+    def test_hand_built_steps_know_only_senders(self):
+        profile = ExecutionProfile(2)
+        step = profile.add_net_at("T", 0, 10)
+        assert step.per_node_received.tolist() == [0.0, 0.0]
+        assert profile.add_cpu_at("C", "sort", 0, 1).per_node_received is None
