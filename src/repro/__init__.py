@@ -69,10 +69,10 @@ from .faults import (
     StragglerEvent,
 )
 from .parallel import (
+    ExecConfig,
     SerialExecutor,
     ThreadExecutor,
     resolve_executor,
-    set_default_workers,
 )
 from .storage import (
     Column,
@@ -98,7 +98,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "resolve_executor",
-    "set_default_workers",
+    "ExecConfig",
     "Schema",
     "Column",
     "DistributedTable",

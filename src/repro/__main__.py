@@ -17,8 +17,12 @@ Options after the experiment id are forwarded as ``key=value`` pairs,
 e.g. ``python -m repro fig3 scaled_tuples=50000``; any other trailing
 argument, and any option the experiment does not take, is an error
 (exit code 2; ``list`` and ``all`` take none).  The special
-``workers=N`` option sets the default worker count for phase execution
-(equivalent to the ``REPRO_WORKERS`` environment variable).
+``workers=N`` option sets the phase and kernel worker count of every
+cluster the command builds: it binds ``replace(current(), workers=N)``
+(see :class:`repro.parallel.ExecConfig`) for the command's duration
+only.  Without it, clusters take the process default, resolved once
+from ``REPRO_WORKERS``, ``REPRO_KERNEL_CHUNK_ROWS`` and
+``REPRO_PIPELINE``.
 
 ``lint`` instead treats bare arguments as files/directories to scan
 (default ``src/repro``) and accepts ``--dataflow`` and ``--format
@@ -29,9 +33,11 @@ from __future__ import annotations
 
 import inspect
 import sys
+from dataclasses import replace
 
 from .errors import ValidationError
 from .experiments import EXPERIMENTS, render, render_bars, run_experiment
+from .parallel.config import current, use
 
 #: Every non-experiment subcommand with its one-line description, in
 #: help order.  Experiment ids (``python -m repro list``) are accepted
@@ -226,31 +232,31 @@ def main(argv: list[str] | None = None) -> int:
     kwargs = dict(pair.split("=", 1) for pair in argv[1:])
     kwargs = {key: _parse_value(value) for key, value in kwargs.items()}
     try:
+        config = current()
         if "workers" in kwargs:
-            from .parallel import set_default_workers
-
-            set_default_workers(kwargs.pop("workers"))
+            config = replace(config, workers=kwargs.pop("workers"))
         _check_options(command, kwargs)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if command == "list":
-        for experiment_id in EXPERIMENTS:
-            print(experiment_id)
+    with use(config):
+        if command == "list":
+            for experiment_id in EXPERIMENTS:
+                print(experiment_id)
+            return 0
+        if command == "all":
+            for experiment_id in EXPERIMENTS:
+                print(render(run_experiment(experiment_id)))
+                print()
+            return 0
+        as_bars = bool(kwargs.pop("bars", False))
+        try:
+            result = run_experiment(command, **kwargs)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
+            return 2
+        print(render_bars(result) if as_bars else render(result))
         return 0
-    if command == "all":
-        for experiment_id in EXPERIMENTS:
-            print(render(run_experiment(experiment_id)))
-            print()
-        return 0
-    as_bars = bool(kwargs.pop("bars", False))
-    try:
-        result = run_experiment(command, **kwargs)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(render_bars(result) if as_bars else render(result))
-    return 0
 
 
 if __name__ == "__main__":

@@ -3,22 +3,23 @@
 A :class:`Cluster` is the execution context every distributed join runs
 in.  It owns the :class:`~repro.cluster.network.Network` (and therefore
 the traffic ledger), a :class:`~repro.cluster.node.Node` per machine,
-and the :class:`~repro.parallel.executor.PhaseExecutor` that decides
-how each phase's per-node work is scheduled (serial by default, thread
-workers when ``workers > 1``).  Helper constructors build distributed
-tables directly onto the cluster.
+its fixed :class:`~repro.parallel.config.ExecConfig`, and the
+:class:`~repro.parallel.executor.PhaseExecutor` that decides how each
+phase's per-node work is scheduled (serial by default, thread workers
+when ``workers > 1``).  Helper constructors build distributed tables
+directly onto the cluster.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import JoinConfigError, ValidationError
+from ..parallel.config import ExecConfig, current, use
 from ..parallel.executor import (
     PhaseExecutor,
     resolve_executor,
@@ -31,50 +32,7 @@ from ..timing.profile import ExecutionProfile
 from .network import Network
 from .node import Node
 
-__all__ = ["Cluster", "default_pipeline_depth", "PIPELINE_ENV"]
-
-#: Environment variable consulted for the default pipeline depth.
-PIPELINE_ENV = "REPRO_PIPELINE"
-
-
-def default_pipeline_depth() -> int:
-    """Pipeline depth new clusters use when none is given.
-
-    Resolution: the ``REPRO_PIPELINE`` environment variable, else 1
-    (strict barriers — the reference the golden suites pin).  A
-    malformed or non-positive value falls back to 1 with a warning,
-    mirroring :func:`repro.parallel.default_workers`.
-    """
-    env = os.environ.get(PIPELINE_ENV, "").strip()
-    if not env:
-        return 1
-    try:
-        depth = int(env)
-    except ValueError:
-        warnings.warn(
-            f"{PIPELINE_ENV}={env!r} is not an integer; "
-            "falling back to strict (depth 1) barriers",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    if depth < 1:
-        warnings.warn(
-            f"{PIPELINE_ENV} must be >= 1, got {depth}; "
-            "falling back to strict (depth 1) barriers",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    return depth
-
-
-def _check_depth(depth) -> int:
-    if isinstance(depth, bool) or not isinstance(depth, int):
-        raise ValidationError(f"pipeline depth must be an integer, got {depth!r}")
-    if depth < 1:
-        raise ValidationError(f"pipeline depth must be >= 1, got {depth}")
-    return depth
+__all__ = ["Cluster"]
 
 
 class Cluster:
@@ -82,41 +40,44 @@ class Cluster:
 
     Parameters
     ----------
-    workers:
-        Worker count for phase execution.  ``None`` uses the process
-        default (:func:`repro.parallel.set_default_workers` or the
-        ``REPRO_WORKERS`` environment variable, else 1 = serial).
+    config:
+        The cluster's :class:`~repro.parallel.config.ExecConfig`: phase
+        and kernel workers, kernel chunk rows, and how many consecutive
+        exchange phases a :meth:`pipelined_phases` window may fuse.
+        ``None`` takes the config bound on this thread
+        (:func:`repro.parallel.use`), else the process default (the
+        ``REPRO_*`` environment, else serial, 64 Ki-row chunks and
+        strict barriers).  Depth 1 is the byte-exact reference mode;
+        higher depths keep ledger sums, inbox order, and join outputs
+        identical but may renumber message sequence ids and reorder
+        profile steps.
     executor:
-        Pre-built executor, overriding ``workers``.
+        Pre-built executor (a leased warm pool, say); the config's
+        ``workers`` becomes the executor's width.
     fault_plan:
         Optional seeded :class:`~repro.faults.plan.FaultPlan`; when
         given (and not null), every join on this cluster runs under
         deterministic fault injection with phase-level recovery.
-    pipeline_depth:
-        How many consecutive exchange phases a
-        :meth:`pipelined_phases` window may fuse under one barrier.
-        ``None`` uses :func:`default_pipeline_depth` (the
-        ``REPRO_PIPELINE`` environment variable, else 1 = strict
-        barriers).  Depth 1 is the byte-exact reference mode; higher
-        depths keep ledger sums, inbox order, and join outputs
-        identical but may renumber message sequence ids and reorder
-        profile steps.
     """
 
     def __init__(
         self,
         num_nodes: int,
-        workers: int | None = None,
+        config: ExecConfig | None = None,
         executor: PhaseExecutor | None = None,
         fault_plan=None,
-        pipeline_depth: int | None = None,
     ):
+        config = current() if config is None else config
+        if not isinstance(config, ExecConfig):
+            raise ValidationError(f"expected an ExecConfig, got {config!r}")
+        if executor is None:
+            executor = resolve_executor(config.workers)
+        elif executor.workers != config.workers:
+            config = replace(config, workers=executor.workers)
+        self.config = config
+        self.executor = executor
         self.network = Network(num_nodes)
         self.nodes = [Node(i) for i in range(num_nodes)]
-        self.executor = executor if executor is not None else resolve_executor(workers)
-        self.pipeline_depth = (
-            default_pipeline_depth() if pipeline_depth is None else _check_depth(pipeline_depth)
-        )
         self._deferred: list[tuple] | None = None
         if fault_plan is not None:
             self.network.set_fault_plan(fault_plan)
@@ -132,17 +93,26 @@ class Cluster:
 
     @property
     def workers(self) -> int:
-        """Worker count of the cluster's phase executor."""
-        return self.executor.workers
+        """Phase and kernel worker count."""
+        return self.config.workers
 
+    @property
+    def pipeline_depth(self) -> int:
+        """How many phases a :meth:`pipelined_phases` window may fuse."""
+        return self.config.pipeline_depth
+
+    # Kept only because benchmarks/e2e/measure.py still calls it.
     def set_workers(self, workers: int) -> None:
-        """Replace the phase executor with one of ``workers`` workers."""
+        """Replace the config's ``workers`` and the phase executor."""
+        config = replace(self.config, workers=workers)
         self.executor.close()
-        self.executor = resolve_executor(workers)
+        self.executor = resolve_executor(config.workers)
+        self.config = config
 
+    # Kept only because benchmarks/e2e/measure.py still calls it.
     def set_pipeline_depth(self, depth: int) -> None:
-        """Set how many phases a :meth:`pipelined_phases` window may fuse."""
-        self.pipeline_depth = _check_depth(depth)
+        """Replace the config's ``pipeline_depth``."""
+        self.config = replace(self.config, pipeline_depth=depth)
 
     def pipeline_active(self) -> bool:
         """True when pipelined windows actually fuse phases.
@@ -272,7 +242,9 @@ class Cluster:
         node_of_row: np.ndarray,
         columns: dict[str, np.ndarray] | None = None,
     ) -> DistributedTable:
-        """Scatter rows onto this cluster (see ``DistributedTable.from_assignment``)."""
-        return DistributedTable.from_assignment(
-            name, schema, keys, node_of_row, self.num_nodes, columns=columns
-        )
+        """Scatter rows onto this cluster (see ``DistributedTable.from_assignment``),
+        with its config bound."""
+        with use(self.config):
+            return DistributedTable.from_assignment(
+                name, schema, keys, node_of_row, self.num_nodes, columns=columns
+            )

@@ -25,6 +25,7 @@ from ..cluster.network import TrafficLedger
 from ..errors import FaultError
 from ..joins.base import JoinResult, JoinSpec
 from ..joins.registry import algorithm_names, create
+from ..parallel.config import ExecConfig
 from ..testing import canonical_output, scatter_tables
 from .plan import CrashEvent, FaultPlan, StragglerEvent
 
@@ -83,7 +84,7 @@ def _run_baselines(
     spec: JoinSpec,
 ) -> dict[str, tuple[np.ndarray, tuple]]:
     """Fault-free serial reference runs, one per algorithm."""
-    cluster = Cluster(num_nodes, workers=1)
+    cluster = Cluster(num_nodes, config=ExecConfig())
     table_r, table_s = scatter_tables(cluster, keys_r, keys_s)
     baselines: dict[str, tuple[np.ndarray, tuple]] = {}
     for name in names:
@@ -124,7 +125,7 @@ def run_chaos(
     for seed in seeds:
         plan = default_plan(seed, num_nodes)
         for workers in worker_counts:
-            cluster = Cluster(num_nodes, workers=workers, fault_plan=plan)
+            cluster = Cluster(num_nodes, config=ExecConfig(workers=workers), fault_plan=plan)
             table_r, table_s = scatter_tables(cluster, keys_r, keys_s)
             for name in names:
                 cell = {"seed": int(seed), "workers": int(workers), "algorithm": name}

@@ -17,6 +17,7 @@ from ..cluster.network import MessageClass, TrafficLedger
 from ..encoding.base import Encoding
 from ..encoding.dictionary import DictionaryEncoding
 from ..errors import JoinConfigError
+from ..parallel.config import use
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from .local import JoinCount
@@ -119,14 +120,17 @@ class DistributedJoin(abc.ABC):
         """Execute the join on ``cluster`` and return its result.
 
         The cluster's scratch state and traffic ledger are reset first,
-        so the returned ledger contains exactly this join's traffic.
+        so the returned ledger contains exactly this join's traffic.  The
+        join runs with the cluster's
+        :class:`~repro.parallel.config.ExecConfig` bound on this thread.
         """
         spec = spec or JoinSpec()
         cluster.check_table(table_r)
         cluster.check_table(table_s)
         cluster.reset()
         profile = ExecutionProfile(cluster.num_nodes)
-        output = self._execute(cluster, table_r, table_s, spec, profile)
+        with use(cluster.config):
+            output = self._execute(cluster, table_r, table_s, spec, profile)
         if cluster.network.pending_messages():
             raise JoinConfigError(
                 f"{self.name}: {cluster.network.pending_messages()} messages "

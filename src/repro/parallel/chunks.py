@@ -10,7 +10,7 @@ serial kernel:
 
 1. **Chunk boundaries are a function of data size only.**
    :func:`chunk_bounds` derives the boundaries from the row count and
-   the ``REPRO_KERNEL_CHUNK_ROWS`` knob — never from the worker count —
+   the config's ``chunk_rows`` — never from the worker count —
    so the same input always decomposes into the same chunks no matter
    how many threads execute them.
 
@@ -20,29 +20,25 @@ serial kernel:
    counting merges, pairwise sorted merges) is a pure function of the
    per-chunk results.
 
-Worker resolution: :func:`set_kernel_workers`, then the
-``REPRO_KERNEL_WORKERS`` environment variable, then the phase engine's
-:func:`~repro.parallel.executor.default_workers` — so ``REPRO_WORKERS=4``
-lifts kernel parallelism together with phase parallelism.  Chunk
-subtasks run on a dedicated thread pool (numpy sorts, gathers, and
-bincounts release the GIL); a thread already executing a chunk subtask
-runs nested chunk work inline, so kernels composed of kernels can never
-deadlock the pool.
+Both knobs come from the :class:`~repro.parallel.config.ExecConfig` in
+scope (:func:`~repro.parallel.config.current`): kernel width is its
+``workers`` and chunk size its ``chunk_rows``.  Joins and phase tasks
+bind their cluster's config, so a kernel follows the cluster it works
+for.  Chunk subtasks run on a thread pool per width (numpy sorts,
+gathers, and bincounts release the GIL); a thread already executing a
+chunk subtask runs nested chunk work inline, so kernels composed of
+kernels can never deadlock a pool.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from typing import Callable, Iterable
 
 import numpy as np
 
-from ..errors import ValidationError
-from .executor import _check_workers, default_workers
+from .config import check_count, current
 
 __all__ = [
     "chunk_bounds",
@@ -52,28 +48,14 @@ __all__ = [
     "chunked_argsort_bounded",
     "chunked_sort_unique",
     "kernel_chunk_rows",
-    "set_kernel_chunk_rows",
     "kernel_workers",
-    "set_kernel_workers",
-    "kernel_config",
     "run_chunks",
 ]
 
-#: Environment variable fixing the rows per kernel chunk.
-CHUNK_ROWS_ENV = "REPRO_KERNEL_CHUNK_ROWS"
-#: Environment variable overriding the kernel worker count.
-KERNEL_WORKERS_ENV = "REPRO_KERNEL_WORKERS"
-#: Default rows per chunk: large enough that per-chunk numpy calls
-#: amortize dispatch, small enough that typical bench partitions split
-#: into several chunks per worker for load balancing.
-DEFAULT_CHUNK_ROWS = 1 << 16
-
-_kernel_workers: int | None = None
-_chunk_rows: int | None = None
-
+#: One kernel pool per width, never shut down: a thread whose width
+#: differs from another's gets its own pool instead of closing theirs.
+_pools: dict[int, ThreadPoolExecutor] = {}
 _pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
 
 #: Nested-execution guard: a thread already running a chunk subtask must
 #: not submit to (and then block on) the pool it occupies.
@@ -81,123 +63,30 @@ _tls = threading.local()
 
 
 def kernel_chunk_rows() -> int:
-    """Rows per kernel chunk (override, then env, then the default).
-
-    A malformed or non-positive ``REPRO_KERNEL_CHUNK_ROWS`` falls back
-    to the default with a warning, mirroring ``REPRO_WORKERS`` handling.
-    """
-    if _chunk_rows is not None:
-        return _chunk_rows
-    env = os.environ.get(CHUNK_ROWS_ENV, "").strip()
-    if env:
-        try:
-            rows = int(env)
-        except ValueError:
-            warnings.warn(
-                f"{CHUNK_ROWS_ENV}={env!r} is not an integer; "
-                f"using the default of {DEFAULT_CHUNK_ROWS}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return DEFAULT_CHUNK_ROWS
-        if rows < 1:
-            warnings.warn(
-                f"{CHUNK_ROWS_ENV} must be >= 1, got {rows}; "
-                f"using the default of {DEFAULT_CHUNK_ROWS}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return DEFAULT_CHUNK_ROWS
-        return rows
-    return DEFAULT_CHUNK_ROWS
-
-
-def set_kernel_chunk_rows(rows: int | None) -> int | None:
-    """Set the process-wide chunk size; returns the previous override.
-
-    ``None`` restores environment/default resolution.  Chunk size
-    affects only how work is decomposed, never the results.
-    """
-    global _chunk_rows
-    if rows is not None:
-        if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-            raise ValidationError(f"chunk rows must be an integer >= 1, got {rows!r}")
-    previous = _chunk_rows
-    _chunk_rows = rows
-    return previous
+    """Rows per kernel chunk: the ``chunk_rows`` of the config in scope."""
+    return current().chunk_rows
 
 
 def kernel_workers() -> int:
-    """Worker count for chunked kernels.
-
-    Resolution: :func:`set_kernel_workers`, the ``REPRO_KERNEL_WORKERS``
-    environment variable, then the phase engine's default
-    (:func:`~repro.parallel.executor.default_workers`).
-    """
-    if _kernel_workers is not None:
-        return _kernel_workers
-    env = os.environ.get(KERNEL_WORKERS_ENV, "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            warnings.warn(
-                f"{KERNEL_WORKERS_ENV}={env!r} is not an integer; "
-                "falling back to serial kernels",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
-        if workers < 1:
-            warnings.warn(
-                f"{KERNEL_WORKERS_ENV} must be >= 1, got {workers}; "
-                "falling back to serial kernels",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
-        return workers
-    return default_workers()
+    """Worker count for chunked kernels: the ``workers`` of the config in scope."""
+    return current().workers
 
 
-def set_kernel_workers(workers: int | None) -> int | None:
-    """Set the process-wide kernel worker count; returns the previous value.
-
-    ``None`` restores environment/default resolution.
-    """
-    global _kernel_workers
+def set_kernel_workers(workers: int | None) -> None:
+    """Validate ``workers``; kernel width is the cluster's ``workers``."""
+    # Kept only because benchmarks/e2e/measure.py still calls it.
     if workers is not None:
-        workers = _check_workers(workers)
-    previous = _kernel_workers
-    _kernel_workers = workers
-    return previous
-
-
-@contextmanager
-def kernel_config(workers: int | None = None, chunk_rows: int | None = None):
-    """Scoped kernel-parallelism configuration (tests and benches)."""
-    previous_workers = set_kernel_workers(workers) if workers is not None else None
-    previous_rows = set_kernel_chunk_rows(chunk_rows) if chunk_rows is not None else None
-    try:
-        yield
-    finally:
-        if workers is not None:
-            set_kernel_workers(previous_workers)
-        if chunk_rows is not None:
-            set_kernel_chunk_rows(previous_rows)
+        check_count(workers, "worker count")
 
 
 def _kernel_pool(workers: int) -> ThreadPoolExecutor:
-    global _pool, _pool_size
     with _pool_lock:
-        if _pool is None or _pool_size != workers:
-            if _pool is not None:
-                _pool.shutdown(wait=True)
-            _pool = ThreadPoolExecutor(
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = _pools[workers] = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-kernel"
             )
-            _pool_size = workers
-        return _pool
+        return pool
 
 
 def run_chunks(fn: Callable, items: Iterable) -> list:

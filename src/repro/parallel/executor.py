@@ -27,98 +27,21 @@ any worker count or interleaving.
 from __future__ import annotations
 
 import abc
-import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
-from ..errors import FaultExhaustedError, NodeCrashError, ParallelError, ValidationError
+from ..errors import FaultExhaustedError, NodeCrashError, ParallelError
 from ..timing.clock import wall_clock
+from .config import check_count, use
 
 __all__ = [
     "PhaseExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "default_workers",
-    "set_default_workers",
     "resolve_executor",
     "run_phase",
     "run_fused_phases",
 ]
-
-#: Environment variable consulted for the default worker count.
-WORKERS_ENV = "REPRO_WORKERS"
-
-_default_workers: int | None = None
-
-
-def _check_workers(workers) -> int:
-    """Validate an explicit worker count; raises :class:`ValidationError`.
-
-    Accepts integers (and integer-valued floats a CLI parser may
-    produce); anything malformed or non-positive raises a clear,
-    typed error instead of a bare ``ValueError`` escaping a parser.
-    """
-    if isinstance(workers, bool) or not isinstance(workers, (int, float)):
-        raise ValidationError(
-            f"worker count must be an integer, got {workers!r}"
-        )
-    if isinstance(workers, float):
-        if not workers.is_integer():
-            raise ValidationError(f"worker count must be an integer, got {workers!r}")
-        workers = int(workers)
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def default_workers() -> int:
-    """The worker count new clusters use when none is given.
-
-    Resolution order: :func:`set_default_workers`, the ``REPRO_WORKERS``
-    environment variable, then 1 (serial).  A malformed or non-positive
-    ``REPRO_WORKERS`` never aborts the process: it falls back to serial
-    with a warning (the environment is ambient configuration, unlike an
-    explicit ``workers=`` argument, which raises
-    :class:`~repro.errors.ValidationError`).
-    """
-    if _default_workers is not None:
-        return _default_workers
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            warnings.warn(
-                f"{WORKERS_ENV}={env!r} is not an integer; "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
-        if workers < 1:
-            warnings.warn(
-                f"{WORKERS_ENV} must be >= 1, got {workers}; "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
-        return workers
-    return 1
-
-
-def set_default_workers(workers: int | None) -> int | None:
-    """Set the process-wide default worker count; returns the previous value.
-
-    ``None`` restores environment/serial resolution.
-    """
-    global _default_workers
-    if workers is not None:
-        workers = _check_workers(workers)
-    previous = _default_workers
-    _default_workers = workers
-    return previous
 
 
 class PhaseExecutor(abc.ABC):
@@ -155,7 +78,7 @@ class ThreadExecutor(PhaseExecutor):
     """Thread-pool execution for GIL-releasing numpy task bodies."""
 
     def __init__(self, workers: int):
-        self.workers = _check_workers(workers)
+        self.workers = check_count(workers, "worker count")
         self._pool: ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -174,16 +97,13 @@ class ThreadExecutor(PhaseExecutor):
             self._pool = None
 
 
-def resolve_executor(workers: int | None = None) -> PhaseExecutor:
-    """Build the executor for ``workers`` (default: :func:`default_workers`).
+def resolve_executor(workers: int) -> PhaseExecutor:
+    """Build the executor for ``workers``: inline at 1, threads above.
 
-    One worker resolves to :class:`SerialExecutor`, more workers to
-    :class:`ThreadExecutor`.  A malformed or non-positive explicit
-    ``workers`` raises :class:`~repro.errors.ValidationError`.
+    A malformed or non-positive ``workers`` raises
+    :class:`~repro.errors.ValidationError`.
     """
-    if workers is None:
-        workers = default_workers()
-    workers = _check_workers(workers)
+    workers = check_count(workers, "worker count")
     if workers == 1:
         return SerialExecutor()
     return ThreadExecutor(workers)
@@ -230,6 +150,9 @@ def run_phase(
     task's recordings into ``profile``; lanes are committed in task
     order at the closing barrier, so traffic ledgers, inbox ordering,
     and profiles never depend on the worker count or thread interleaving.
+    Each task runs with the cluster's
+    :class:`~repro.parallel.config.ExecConfig` bound on its thread, so
+    its kernels use that cluster's width and chunk size.
     Messages sent inside the phase become visible to ``deliver`` only
     after the barrier, matching the paper's non-pipelined phase model.
 
@@ -294,6 +217,7 @@ def _run_phase_group(
     executor: PhaseExecutor | None = None,
 ) -> list[list]:
     executor = executor or cluster.executor
+    config = cluster.config
     network = cluster.network
     injector = getattr(network, "faults", None)
     if injector is not None and len(stages) > 1:
@@ -346,7 +270,7 @@ def _run_phase_group(
         index = stage_indices[stage][position - stage_offsets[stage]]
         starts[position] = wall_clock()
         try:
-            with network.bind_lane(lanes[position]):
+            with use(config), network.bind_lane(lanes[position]):
                 return fn(index)
         finally:
             ends[position] = wall_clock()

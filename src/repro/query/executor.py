@@ -36,7 +36,7 @@ from ..errors import FaultExhaustedError, QueryTimeoutError, ReproError
 from ..joins.base import JoinResult, JoinSpec
 from ..joins.registry import algorithm, algorithm_names, create
 from ..joins.semijoin import SemiJoinFilteredJoin
-from ..parallel.executor import PhaseExecutor
+from ..parallel.config import use
 from ..storage.schema import Column, Schema
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.clock import wall_clock
@@ -271,10 +271,6 @@ class RunContext:
     A cached :class:`PhysicalPlan` is re-executed many times; this
     object carries what later runs can skip re-deriving:
 
-    - ``executor`` — a warm :class:`~repro.parallel.executor.PhaseExecutor`
-      (typically leased from a :class:`repro.serve.WarmExecutorPool`)
-      installed on the cluster for the duration of the run, so no run
-      ever re-resolves or respawns a worker pool;
     - ``join_stats`` — measured per-operator :class:`JoinStats`, shared
       across runs so a cached-plan rerun skips the full-table statistics
       pass.  The dict is invalidated automatically whenever any scanned
@@ -283,7 +279,6 @@ class RunContext:
       cross-run; the owner sets it before each run).
     """
 
-    executor: PhaseExecutor | None = None
     join_stats: dict[int, JoinStats] = field(default_factory=dict)
     deadline: float | None = None
     #: Epoch of every scanned table when ``join_stats`` was measured;
@@ -527,7 +522,6 @@ class PhysicalPlan:
         cluster: Cluster,
         spec: JoinSpec | None = None,
         operator_retries: int = 0,
-        pipeline_depth: int | None = None,
         context: RunContext | None = None,
     ) -> QueryResult:
         """Drive every operator through plan → execute → account.
@@ -541,15 +535,11 @@ class PhysicalPlan:
         nothing — ``execute`` raises before ``account`` folds traffic
         or stats into the context — so retries never double-count.
 
-        ``pipeline_depth`` overrides the cluster's exchange pipelining
-        for the duration of this query (restored afterwards); ``None``
-        leaves the cluster's configured depth untouched.  Pipelining
-        stays disabled while a fault plan is installed regardless.
+        Every operator runs with the cluster's
+        :class:`~repro.parallel.config.ExecConfig` bound on this thread.
 
         ``context`` threads reusable cross-run state through the run
-        (see :class:`RunContext`): a warm executor is installed on the
-        cluster for the duration of the run instead of the cluster's
-        own (restored afterwards), cached ``join_stats`` let reruns
+        (see :class:`RunContext`): cached ``join_stats`` let reruns
         skip the statistics pass (cleared automatically when a scanned
         table's statistics epoch has moved), and a ``deadline`` is
         enforced at every operator boundary with
@@ -564,7 +554,6 @@ class PhysicalPlan:
             )
         join_stats: dict[int, JoinStats] | None = None
         deadline: float | None = None
-        previous_executor = None
         if context is not None:
             epoch_signature = tuple(
                 stats_epoch(name) for name in self.table_names
@@ -574,16 +563,7 @@ class PhysicalPlan:
                 context.epoch_signature = epoch_signature
             join_stats = context.join_stats
             deadline = context.deadline
-            if (
-                context.executor is not None
-                and context.executor is not cluster.executor
-            ):
-                previous_executor = cluster.executor
-                cluster.executor = context.executor
-        previous_depth = cluster.pipeline_depth
-        if pipeline_depth is not None:
-            cluster.set_pipeline_depth(pipeline_depth)
-        try:
+        with use(cluster.config):
             ctx = ExecutionContext(cluster=cluster, spec=spec, deadline=deadline)
             if join_stats is not None:
                 ctx.join_stats = join_stats
@@ -613,11 +593,6 @@ class PhysicalPlan:
                 operators=ctx.operators,
                 profiles=ctx.profiles,
             )
-        finally:
-            if pipeline_depth is not None:
-                cluster.set_pipeline_depth(previous_depth)
-            if previous_executor is not None:
-                cluster.executor = previous_executor
 
 
 def _children(node: PlanNode) -> tuple[PlanNode, ...]:

@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 
 from ..analysis.sanitizer import shared_key, track_shared
 from ..errors import ParallelError
+from ..parallel.config import current
 from ..parallel.executor import PhaseExecutor, resolve_executor
 
 __all__ = ["SharedExecutor", "WarmExecutorPool"]
@@ -78,8 +79,8 @@ class WarmExecutorPool:
     Parameters
     ----------
     workers:
-        Worker count, resolved exactly like a cluster's (``None`` uses
-        the process default / ``REPRO_WORKERS``).  More than one worker
+        Worker count; ``None`` takes the ``workers`` of the config in
+        scope (:func:`repro.parallel.current`).  More than one worker
         is a thread pool, spawned at construction so the first query
         never pays pool start-up.  One worker resolves to the inline
         serial executor: queries then run their phases inline on
@@ -92,7 +93,7 @@ class WarmExecutorPool:
     """
 
     def __init__(self, workers: int | None = None):
-        self._inner = resolve_executor(workers)
+        self._inner = resolve_executor(current().workers if workers is None else workers)
         self.executor = SharedExecutor(self._inner)
         self._lease_lock = threading.Lock()
         self._track = shared_key("serve.pool.leases")

@@ -43,6 +43,7 @@ from ..analysis.sanitizer import shared_key, track_shared
 from ..cluster.cluster import Cluster
 from ..errors import AdmissionError, QueryTimeoutError, ValidationError
 from ..joins.base import JoinSpec
+from ..parallel.config import current
 from ..query.executor import QueryResult, RunContext
 from ..query.plan import PlanNode
 from ..storage.table import DistributedTable
@@ -144,7 +145,8 @@ class QueryService:
         Optional resident tables to register by name (convenience for
         :meth:`table`; plans reference table objects directly).
     workers:
-        Warm pool size (see :class:`WarmExecutorPool`).  With one
+        Warm pool size (see :class:`WarmExecutorPool`); every query's
+        cluster otherwise takes the config in scope at construction.  With one
         worker, queries run their phases inline on the driver threads;
         inter-query concurrency then comes from ``max_inflight`` alone.
     backend:
@@ -183,6 +185,9 @@ class QueryService:
         self.tables = dict(tables or {})
         self.max_inflight = max_inflight
         self.max_queue = max_queue
+        #: Config of every query's cluster: the one in scope here, since
+        #: queries run on the driver threads, with the pool's width.
+        self.config = current()
         self.pool = WarmExecutorPool(workers)
         self.cache = PlanCache(cache_capacity)
         self._counters = _ServiceCounters()
@@ -316,12 +321,8 @@ class QueryService:
             )
         entry, hit = self.cache.get_or_compile(request.plan)
         num_nodes = self._num_nodes(request.plan)
-        cluster = Cluster(num_nodes, executor=self.pool.lease())
-        context = RunContext(
-            executor=cluster.executor,
-            join_stats=entry.context.join_stats,
-            deadline=deadline,
-        )
+        cluster = Cluster(num_nodes, config=self.config, executor=self.pool.lease())
+        context = RunContext(join_stats=entry.context.join_stats, deadline=deadline)
         context.epoch_signature = entry.context.epoch_signature
         try:
             result = entry.physical.run(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ import pytest
 from repro import Cluster, GraceHashJoin, JoinSpec
 from repro.analysis import sanitizer_disable, sanitizer_enable
 from repro.core.tracking import TrackingTable
+from repro.parallel import current, use
 from repro.testing import assert_same_output, canonical_output, scatter_tables
 from repro.util import count_dtype, node_dtype, segment_boundaries
 
 __all__ = [
     "assert_same_output",
     "canonical_output",
+    "exec_scope",
     "make_tables",
     "one_key_hash_join",
     "tracking_from_dicts",
@@ -67,10 +70,19 @@ def make_tables(
     )
 
 
+def exec_scope(**fields):
+    """Bind the config in scope with ``fields`` replaced (``None`` keeps one).
+
+    Clusters built inside the block, and kernels run outside any join,
+    take this config."""
+    return use(replace(current(), **{k: v for k, v in fields.items() if v is not None}))
+
+
 def one_key_hash_join(workers: int = 1):
     """HJ over 400 R and 400 S tuples of the single key 7 on four nodes:
     every remote tuple travels to that key's one hash node."""
-    cluster = Cluster(4, workers=workers)
+    with exec_scope(workers=workers):
+        cluster = Cluster(4)
     table_r, table_s = make_tables(cluster, np.full(400, 7), np.full(400, 7))
     return GraceHashJoin().run(cluster, table_r, table_s, JoinSpec(materialize=False))
 

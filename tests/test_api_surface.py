@@ -221,3 +221,49 @@ class TestGroupingIdiom:
             for path in root.rglob("*.py")
         }
         assert {name: hits for name, hits in found.items() if hits} == self.ALLOWED
+
+
+class TestProcessState:
+    """Run settings live in one ``ExecConfig``: only its module reads the
+    environment, and no module rebinds globals outside two known owners."""
+
+    CONFIG_MODULE = "parallel/config.py"
+    GLOBAL_OWNERS = {"analysis/sanitizer.py", "costmodel/stats.py"}
+
+    @staticmethod
+    def _sources():
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+    def test_only_the_config_module_reads_the_environment(self):
+        import ast
+
+        readers = set()
+        for name, tree in self._sources():
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "os"
+                    and {alias.name for alias in node.names} & {"environ", "getenv"}
+                ):
+                    readers.add(name)
+        assert readers == {self.CONFIG_MODULE}
+
+    def test_globals_are_rebound_only_by_their_owners(self):
+        import ast
+
+        rebinders = {
+            name
+            for name, tree in self._sources()
+            if any(isinstance(node, ast.Global) for node in ast.walk(tree))
+        }
+        assert rebinders <= self.GLOBAL_OWNERS, sorted(rebinders - self.GLOBAL_OWNERS)

@@ -9,6 +9,8 @@ worker counts, query-layer graceful degradation, and plan validation.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,13 @@ from repro.errors import FaultExhaustedError, ReproError, ValidationError
 from repro.faults import CrashEvent, FaultPlan, FaultRates, StragglerEvent
 from repro.faults.chaos import default_plan, run_chaos
 from repro.joins.registry import create
+from repro.parallel import current
 from repro.query import Join, Scan, compile_plan
 from repro.testing import canonical_output, scatter_tables
 
 
 def _make_cluster(plan=None, num_nodes=4, workers=1):
-    cluster = Cluster(num_nodes, workers=workers, fault_plan=plan)
+    cluster = Cluster(num_nodes, config=replace(current(), workers=workers), fault_plan=plan)
     rng = np.random.default_rng(5)
     table_r, table_s = scatter_tables(
         cluster, rng.integers(0, 40, 120), rng.integers(0, 40, 180)

@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
 from repro.joins.local import join_indices, local_join
-from repro.parallel import chunks
+from repro.parallel import ExecConfig, chunks
 from repro.storage.table import LocalPartition
 from repro.util import stable_sort_with_order
+
+from conftest import exec_scope
 
 
 def arrays_equal(a, b):
@@ -41,7 +43,7 @@ def partitions_equal(a, b):
 
 def serial():
     """Kernel config that forces the single-chunk (reference) path."""
-    return chunks.kernel_config(workers=1, chunk_rows=1 << 30)
+    return exec_scope(workers=1, chunk_rows=1 << 30)
 
 
 @st.composite
@@ -65,24 +67,24 @@ def partition_case(draw):
 
 class TestChunkBounds:
     def test_pure_function_of_size_and_knob(self):
-        with chunks.kernel_config(workers=2, chunk_rows=100):
+        with exec_scope(workers=2, chunk_rows=100):
             two = chunks.chunk_bounds(250)
-        with chunks.kernel_config(workers=7, chunk_rows=100):
+        with exec_scope(workers=7, chunk_rows=100):
             seven = chunks.chunk_bounds(250)
         arrays_equal(two, seven)
         assert list(two) == [0, 100, 200, 250]
 
     def test_degenerate_sizes(self):
-        with chunks.kernel_config(workers=3, chunk_rows=64):
+        with exec_scope(workers=3, chunk_rows=64):
             assert list(chunks.chunk_bounds(0)) == [0]
             assert list(chunks.chunk_bounds(1)) == [0, 1]
             assert list(chunks.chunk_bounds(64)) == [0, 64]
 
     def test_bad_knobs_raise(self):
         with pytest.raises(ValidationError):
-            chunks.set_kernel_chunk_rows(0)
+            ExecConfig(chunk_rows=0)
         with pytest.raises(ValidationError):
-            chunks.set_kernel_workers(0)
+            ExecConfig(workers=0)
 
 
 class TestChunkedSplitKernels:
@@ -93,7 +95,7 @@ class TestChunkedSplitKernels:
         destinations = np.mod(part.keys, num_buckets).astype(np.int64)
         with serial():
             reference = part.split_by(destinations, num_buckets)
-        with chunks.kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             chunked = part.split_by(destinations, num_buckets)
         assert len(reference) == len(chunked)
         for ref, got in zip(reference, chunked):
@@ -106,7 +108,7 @@ class TestChunkedSplitKernels:
         with serial():
             part.invalidate_caches()
             reference = part.hash_split(num_buckets, seed=3)
-        with chunks.kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             part.invalidate_caches()
             chunked = part.hash_split(num_buckets, seed=3)
         for ref, got in zip(reference, chunked):
@@ -119,7 +121,7 @@ class TestChunkedSplitKernels:
         with serial():
             part.invalidate_caches()
             reference = part.key_index()
-        with chunks.kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             part.invalidate_caches()
             chunked = part.key_index()
         arrays_equal(reference.order, chunked.order)
@@ -131,7 +133,7 @@ class TestChunkedSplitKernels:
         part, chunk_rows, workers, _ = case
         with serial():
             ref_sorted, ref_order = stable_sort_with_order(part.keys)
-        with chunks.kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             got_sorted, got_order = stable_sort_with_order(part.keys)
         arrays_equal(ref_sorted, got_sorted)
         arrays_equal(ref_order, got_order)
@@ -168,7 +170,7 @@ class TestChunkedJoinIndices:
         keys_left, keys_right, chunk_rows, workers = case
         with serial():
             ref_left, ref_right = join_indices(keys_left, keys_right)
-        with chunks.kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             got_left, got_right = join_indices(keys_left, keys_right)
         arrays_equal(ref_left, got_left)
         arrays_equal(ref_right, got_right)
@@ -180,7 +182,7 @@ class TestChunkedJoinIndices:
         part = LocalPartition(keys=keys_right, columns={})
         with serial():
             ref = join_indices(keys_left, keys_right)
-        with chunks.kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             part.invalidate_caches()
             via_index = join_indices(
                 keys_left,
@@ -211,7 +213,7 @@ class TestChunkedJoinIndices:
         with serial():
             left.invalidate_caches(), right.invalidate_caches()
             reference = local_join(left, right)
-        with chunks.kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             left.invalidate_caches(), right.invalidate_caches()
             chunked = local_join(left, right)
         partitions_equal(reference, chunked)

@@ -30,9 +30,10 @@ from repro.exchange import (
     send_rows,
 )
 from repro.exchange.base import group_by_link
-from repro.parallel import kernel_config
 from repro.storage import LocalPartition
 from repro.timing.profile import ExecutionProfile
+
+from conftest import exec_scope
 
 
 def _part(*keys):
@@ -306,7 +307,7 @@ def kernel_mode(request):
     if request.param is None:
         yield
     else:
-        with kernel_config(workers=request.param[0], chunk_rows=request.param[1]):
+        with exec_scope(workers=request.param[0], chunk_rows=request.param[1]):
             yield
 
 

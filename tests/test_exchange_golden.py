@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.joins.broadcast import BroadcastJoin
 from repro.joins.grace_hash import GraceHashJoin
 from repro.joins.semijoin import SemiJoinFilteredJoin
 from repro.joins.tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin
+from repro.parallel import current
 from repro.storage.schema import Column, Schema
 from repro.storage.table import LocalPartition
 
@@ -167,7 +169,9 @@ CASES = {
 
 
 def _run_case(name: str, workers: int) -> dict:
-    cluster = Cluster(NUM_NODES, workers=workers)
+    # The golden pins strict-barrier profiles; chunk rows stay ambient.
+    config = replace(current(), workers=workers, pipeline_depth=1)
+    cluster = Cluster(NUM_NODES, config=config)
     try:
         return CASES[name](cluster)
     finally:

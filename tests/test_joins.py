@@ -8,6 +8,7 @@ multisets must be identical on every input.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -254,14 +255,9 @@ class TestJoinConfig:
         for label, (cluster, table_r, table_s, expected_rows) in inputs.items():
             for name, make in operators.items():
                 for workers in (1, 4) if name in ("HJ", "4TJ") else (1,):
-                    cluster.set_workers(workers)
-                    try:
-                        full = make().run(cluster, table_r, table_s)
-                        lean = make().run(
-                            cluster, table_r, table_s, JoinSpec(materialize=False)
-                        )
-                    finally:
-                        cluster.set_workers(1)
+                    on = Cluster(cluster.num_nodes, config=replace(cluster.config, workers=workers))
+                    full = make().run(on, table_r, table_s)
+                    lean = make().run(on, table_r, table_s, JoinSpec(materialize=False))
                     context = f"{name} on {label}, {workers} worker(s)"
                     assert lean.output is None, context
                     assert fingerprint(lean) == fingerprint(full), context

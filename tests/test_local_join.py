@@ -12,8 +12,9 @@ from repro.joins.local import (
     join_cardinality,
     local_join,
 )
-from repro.parallel.chunks import kernel_config
 from repro.storage import LocalPartition
+
+from conftest import exec_scope
 
 
 def brute_force_pairs(keys_left, keys_right):
@@ -123,7 +124,7 @@ class TestCountingKernel:
         assert join_cardinality(keys["left"], keys["right"]) == expected
         assert count("left", "right") == expected
         assert count("right", "left") == expected
-        with kernel_config(workers=2, chunk_rows=2):
+        with exec_scope(workers=2, chunk_rows=2):
             assert count("left", "right") == expected
             assert count("right", "left") == expected
 

@@ -26,13 +26,12 @@ from repro.core import tracking as tracking_module
 from repro.core.tracking import _merge_lexsort, merge_streams, run_tracking_phase
 from repro.joins.registry import algorithm_names, create
 from repro.joins.tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin
-from repro.parallel.chunks import kernel_config
 from repro.storage.schema import Schema
 from repro.storage.table import LocalPartition
 from repro.timing.profile import ExecutionProfile
 from repro.util import hash_partition, segment_boundaries
 
-from conftest import canonical_output, make_tables
+from conftest import canonical_output, exec_scope, make_tables
 
 
 def sort_merge_join(keys_r, rids_r, keys_s, rids_s) -> np.ndarray:
@@ -93,18 +92,18 @@ def assert_matches_oracle(operators, instance):
 
 
 def assert_tables_match_oracle(operators, num_nodes, place):
-    """Rows equal the oracle's, as configured and over two kernel workers
-    with two-row chunks.  ``place(cluster)`` returns the two tables on a
+    """Rows equal the oracle's, as configured and on a cluster of two
+    workers with two-row kernel chunks.  ``place(cluster)`` returns the two tables on a
     fresh cluster."""
     for (name, factory), kernels in itertools.product(operators, [{}, CHUNKED]):
-        cluster = Cluster(num_nodes)
+        with exec_scope(**kernels):
+            cluster = Cluster(num_nodes)
         table_r, table_s = place(cluster)
         expected = sort_merge_join(
             gathered(table_r, None), gathered(table_r, "rid"),
             gathered(table_s, None), gathered(table_s, "rid"),
         )
-        with kernel_config(**kernels):
-            result = factory().run(cluster, table_r, table_s)
+        result = factory().run(cluster, table_r, table_s)
         assert np.array_equal(canonical_output(result), expected), (name, kernels)
 
 
@@ -177,7 +176,8 @@ def byte_oracle_runs(name, instance):
     num_nodes, keys_r, keys_s, seed = instance
     spec = JoinSpec()
     for kernels in ({}, CHUNKED):
-        cluster = Cluster(num_nodes)
+        with exec_scope(**kernels):
+            cluster = Cluster(num_nodes)
         table_r, table_s = make_tables(
             cluster, np.array(keys_r, dtype=np.int64), np.array(keys_s, dtype=np.int64),
             seed=seed,
@@ -196,8 +196,7 @@ def byte_oracle_runs(name, instance):
             for table in (table_r, table_s)
         ]
         expected = byte_oracle(name, num_nodes, *placed, widths, spec.hash_seed)
-        with kernel_config(**kernels):
-            result = create(name).run(cluster, table_r, table_s, spec)
+        result = create(name).run(cluster, table_r, table_s, spec)
         yield kernels, result, expected
 
 
@@ -441,7 +440,7 @@ class TestTrackingMergeEquivalence:
         """The blocked pack-sort merge is the lexsort merge, field for field."""
         reference = _merge_lexsort(*instance, hash_seed)
         assert_same_table(reference, dict_union_table(*instance, hash_seed))
-        with kernel_config(workers=workers, chunk_rows=chunk_rows):
+        with exec_scope(workers=workers, chunk_rows=chunk_rows):
             merged = merge_streams(*instance, hash_seed)
         assert_same_table(merged, reference)
 
@@ -471,7 +470,7 @@ class TestTrackingMergeEquivalence:
                 num_nodes,
                 1,
             )
-            with kernel_config(workers=2, chunk_rows=4):
+            with exec_scope(workers=2, chunk_rows=4):
                 merged = merge_streams(*args)
             assert bool(packed_sorts) is packs
             assert_same_table(merged, dict_union_table(*args))

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin
-from repro.cluster.cluster import default_pipeline_depth
 from repro.errors import ParallelError, ValidationError
 from repro.faults import FaultPlan
-from repro.parallel import run_fused_phases
+from repro.parallel import ExecConfig, run_fused_phases
 from repro.timing.profile import ExecutionProfile
 
 from conftest import assert_same_output, make_tables
@@ -34,9 +33,8 @@ ALGORITHMS = [
 
 
 def run_join(algorithm, workers, depth, num_nodes=4, fault_plan=None):
-    cluster = Cluster(
-        num_nodes, workers=workers, pipeline_depth=depth, fault_plan=fault_plan
-    )
+    config = ExecConfig(workers=workers, pipeline_depth=depth)
+    cluster = Cluster(num_nodes, config=config, fault_plan=fault_plan)
     rng = np.random.default_rng(13)
     table_r, table_s = make_tables(
         cluster, rng.integers(0, 700, 2500), rng.integers(300, 1000, 3000)
@@ -92,7 +90,7 @@ class TestPipelinedIdentity:
 class TestFaultFallback:
     def test_fault_plan_forces_strict_barriers(self):
         plan = FaultPlan(seed=5, drop=0.05, max_retries=8)
-        cluster = Cluster(4, pipeline_depth=4, fault_plan=plan)
+        cluster = Cluster(4, config=ExecConfig(pipeline_depth=4), fault_plan=plan)
         assert cluster.pipeline_depth == 4
         assert not cluster.pipeline_active()
 
@@ -116,7 +114,7 @@ class TestFaultFallback:
 
 class TestWindowSemantics:
     def test_run_phase_returns_none_inside_window(self):
-        cluster = Cluster(2, pipeline_depth=2)
+        cluster = Cluster(2, config=ExecConfig(pipeline_depth=2))
         seen = []
         with cluster.pipelined_phases():
             assert cluster.run_phase(lambda node: seen.append(node)) is None
@@ -124,13 +122,13 @@ class TestWindowSemantics:
         assert sorted(seen) == [0, 1]
 
     def test_window_noop_at_depth_one(self):
-        cluster = Cluster(2, pipeline_depth=1)
+        cluster = Cluster(2, config=ExecConfig(pipeline_depth=1))
         with cluster.pipelined_phases():
             results = cluster.run_phase(lambda node: node)
         assert results == [0, 1]
 
     def test_exception_discards_window(self):
-        cluster = Cluster(2, pipeline_depth=2)
+        cluster = Cluster(2, config=ExecConfig(pipeline_depth=2))
         with pytest.raises(RuntimeError):
             with cluster.pipelined_phases():
                 cluster.run_phase(lambda node: node)
@@ -140,21 +138,17 @@ class TestWindowSemantics:
 
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
-            Cluster(2, pipeline_depth=0)
+            ExecConfig(pipeline_depth=0)
         with pytest.raises(ValidationError):
             Cluster(2).set_pipeline_depth("2")
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "3")
-        assert default_pipeline_depth() == 3
-        monkeypatch.setenv("REPRO_PIPELINE", "bogus")
+    def test_env_default(self):
+        assert ExecConfig.from_env({"REPRO_PIPELINE": "3"}).pipeline_depth == 3
         with pytest.warns(RuntimeWarning):
-            assert default_pipeline_depth() == 1
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
+            assert ExecConfig.from_env({"REPRO_PIPELINE": "bogus"}).pipeline_depth == 1
         with pytest.warns(RuntimeWarning):
-            assert default_pipeline_depth() == 1
-        monkeypatch.delenv("REPRO_PIPELINE")
-        assert default_pipeline_depth() == 1
+            assert ExecConfig.from_env({"REPRO_PIPELINE": "0"}).pipeline_depth == 1
+        assert ExecConfig.from_env({}).pipeline_depth == 1
 
 
 class TestPhaseTimings:
@@ -196,17 +190,22 @@ class TestQueryPipelineKnob:
             cluster, rng.integers(0, 400, 2000), rng.integers(0, 400, 2000)
         )
 
-    def test_physical_plan_depth_override_and_restore(self):
+    def test_physical_plan_runs_at_its_cluster_depth(self):
         from repro.query import Join, Scan, compile_plan
 
-        cluster = Cluster(4, workers=2)
-        table_r, table_s = self._tables(cluster)
+        def run(depth):
+            cluster = Cluster(4, config=ExecConfig(workers=2, pipeline_depth=depth))
+            result = plan.run(cluster, JoinSpec(materialize=True))
+            fused = any(
+                timing["stages"] > 1
+                for profile in result.profiles
+                for timing in profile.phase_timings
+            )
+            return result, fused
+
+        table_r, table_s = self._tables(Cluster(4))
         plan = compile_plan(Join(Scan(table_r), Scan(table_s), algorithm="4TJ"))
-        strict = plan.run(cluster, JoinSpec(materialize=True))
-        assert cluster.pipeline_depth == 1
-        pipelined = plan.run(
-            cluster, JoinSpec(materialize=True), pipeline_depth=2
-        )
-        assert cluster.pipeline_depth == 1  # restored
+        (strict, strict_fused), (pipelined, fused) = run(1), run(2)
+        assert not strict_fused and fused
         assert strict.output_rows == pipelined.output_rows
         assert strict.network_bytes == pipelined.network_bytes

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.__main__
+from repro import Cluster
 from repro.__main__ import main as cli_main
+from repro.parallel import current
 from repro.experiments.report import ExperimentResult, Group, Row, render
 
 
@@ -80,6 +83,21 @@ class TestCli:
         assert cli_main(["fig1-fig2"]) == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out
+
+    def test_workers_option_binds_for_the_command_only(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_run(command, **kwargs):
+            seen.append(current().workers)
+            return sample_result()
+
+        monkeypatch.setattr(repro.__main__, "run_experiment", fake_run)
+        ambient = current().workers
+        assert cli_main(["fig3", f"workers={ambient + 2}"]) == 0
+        assert cli_main(["list", f"workers={ambient + 2}"]) == 0
+        assert seen == [ambient + 2]
+        assert Cluster(2).workers == ambient
+        assert cli_main(["list", "workers=0"]) == 2
 
     def test_kwarg_parsing(self, capsys):
         # scaled-down fig4 with a parsed integer kwarg

@@ -21,9 +21,8 @@ from repro.core.schedule import (
 )
 from repro.core.tracking import TrackingTable
 from repro.errors import ScheduleError
-from repro.parallel.chunks import kernel_config
 
-from conftest import tracking_from_dicts
+from conftest import exec_scope, tracking_from_dicts
 
 
 class TestPaperExamples:
@@ -329,7 +328,7 @@ class TestVectorizedAgainstScalar:
         """
         sides, t_nodes = draw_keys(data, max_entries)
         tracking = tracking_from_dicts(sides, t_nodes)
-        with kernel_config(workers=2, chunk_rows=2):
+        with exec_scope(workers=2, chunk_rows=2):
             gated = generate_schedules(tracking, location_width, allow_migration, forced)
             (cost_rs, _, _), (cost_sr, _, _) = both_direction_plans(
                 tracking, location_width, allow_migration
@@ -421,7 +420,7 @@ def assert_paired_equals_generic(tracking, location_width, allow_migration, chun
     """Costs, migration masks and destinations of both directions, bitwise;
     the paired path runs over two kernel workers."""
     generic = _both_direction_costs_generic(tracking, location_width, allow_migration)
-    with kernel_config(workers=2, chunk_rows=chunk_rows):
+    with exec_scope(workers=2, chunk_rows=chunk_rows):
         paired = _both_direction_costs_paired(tracking, location_width, allow_migration)
     for got, want in zip(paired, generic):
         for a, b in zip(got, want):

@@ -364,14 +364,12 @@ class TestRunContextReuse:
         physical.run(Cluster(NUM_NODES), context=context)
         assert calls["n"] == 2
 
-    def test_warm_executor_used_and_restored(self, tables):
+    def test_warm_executor_leased_by_cluster(self, tables):
         with WarmExecutorPool(workers=2) as pool:
-            cluster = Cluster(NUM_NODES)
-            original = cluster.executor
-            context = RunContext(executor=pool.lease())
+            cluster = Cluster(NUM_NODES, executor=pool.lease())
+            assert cluster.workers == 2
             physical = compile_plan(self._auto_join(tables))
-            physical.run(cluster, context=context)
-            assert cluster.executor is original
+            physical.run(cluster, context=RunContext())
             assert pool.stats()["dispatches"] > 0
 
 

@@ -8,6 +8,8 @@ flattening the per-node received-byte peak.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from repro.core.tracking import TrackingTable, run_tracking_phase
 from repro.errors import ValidationError
 from repro.exchange import absorb_received
 from repro.exchange.migrate import ShardedMigrate
+from repro.parallel import current
 from repro.storage import LocalPartition
 from repro.timing.profile import ExecutionProfile
 from repro.util import segment_ids
@@ -234,7 +237,7 @@ class TestSkewedExecution:
         reference_cluster = Cluster(6)
         table_r, table_s = hot_tables(reference_cluster)
         reference = TrackJoin("4TJ").run(reference_cluster, table_r, table_s)
-        cluster = Cluster(6, workers=workers)
+        cluster = Cluster(6, config=replace(current(), workers=workers))
         table_r, table_s = hot_tables(cluster)
         result = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
         assert_same_output(reference, result)

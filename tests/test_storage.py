@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.encoding import DictionaryEncoding, FixedByteEncoding, VarByteEncoding
 from repro.errors import PlacementError, SchemaError
-from repro.parallel.chunks import kernel_config
 from repro.storage import (
     Column,
     DistributedTable,
@@ -20,6 +19,8 @@ from repro.storage import (
     round_robin,
     shuffled,
 )
+
+from conftest import exec_scope
 
 #: Placement runs inline and over two kernel workers in two-row chunks.
 CHUNKED = {"workers": 2, "chunk_rows": 2}
@@ -157,7 +158,7 @@ class TestDistributedTable:
             "b": rng.integers(0, 2, num_rows).astype(bool),
         }
         given_columns = dict(columns)
-        with kernel_config(**kernels):
+        with exec_scope(**kernels):
             table = DistributedTable.from_assignment(
                 "T", Schema.with_widths(32, 32), keys, node_of_row, num_nodes,
                 columns=columns,
@@ -177,7 +178,7 @@ class TestDistributedTable:
     @pytest.mark.parametrize("kernels", [{}, CHUNKED], ids=["serial", "chunked"])
     def test_synthesized_rid_follows_rows(self, kernels):
         node_of_row = np.array([2, 0, 2, 1, 0])
-        with kernel_config(**kernels):
+        with exec_scope(**kernels):
             table = DistributedTable.from_assignment(
                 "T", Schema.with_widths(32, 32), np.arange(5) + 10, node_of_row, 4
             )

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
-from repro.parallel import kernel_config
 from repro.util import (
     group_bounded,
     hash_partition,
@@ -17,6 +16,8 @@ from repro.util import (
     segment_ids,
     segmented_cartesian,
 )
+
+from conftest import exec_scope
 
 
 class TestMix64:
@@ -78,7 +79,7 @@ class TestGroupBounded:
         if one_bucket:
             values[:] = upper - 1
         if chunked:
-            with kernel_config(workers=2, chunk_rows=2):
+            with exec_scope(workers=2, chunk_rows=2):
                 order, bounds = group_bounded(values, upper)
         else:
             order, bounds = group_bounded(values, upper)
