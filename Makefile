@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-exchange test-chaos examples lint bench bench-e2e-smoke
+.PHONY: test test-exchange test-schedule test-chaos examples lint bench bench-e2e-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,6 +19,17 @@ test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
 	$(PYTHON) -m pytest $(EXCHANGE_TESTS) -q
 	REPRO_WORKERS=2 REPRO_KERNEL_CHUNK_ROWS=64 $(PYTHON) -m pytest $(EXCHANGE_TESTS) -q
+
+# Schedule gate: the holder-column schedule kernel against its frozen
+# segmented reference and the scalar oracle, and every operator that
+# schedules — once as is, once with 2 workers over 64-row kernel
+# chunks, so tables this small split into schedule blocks that pad to
+# different holder widths.
+SCHEDULE_TESTS = tests/test_schedule.py tests/test_track_join.py tests/test_skew.py \
+	tests/test_balance.py tests/test_oracle.py
+test-schedule:
+	$(PYTHON) -m pytest $(SCHEDULE_TESTS) -q
+	REPRO_WORKERS=2 REPRO_KERNEL_CHUNK_ROWS=64 $(PYTHON) -m pytest $(SCHEDULE_TESTS) -q
 
 # Chaos gate: the fault-injection unit suite, then the full matrix —
 # every registry operator, a small seed set, serial and threaded —

@@ -82,6 +82,21 @@ class Cluster:
         if fault_plan is not None:
             self.network.set_fault_plan(fault_plan)
 
+    def close(self) -> None:
+        """Release the phase executor's worker threads.
+
+        A leased executor (a warm pool's ``SharedExecutor``) stays up:
+        its pool outlives the cluster.  A thread executor reopens its
+        pool if the cluster runs again.
+        """
+        self.executor.close()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def set_fault_plan(self, fault_plan) -> None:
         """Install (or clear, with ``None``) a fault-injection plan."""
         self.network.set_fault_plan(fault_plan)

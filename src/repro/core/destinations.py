@@ -24,13 +24,12 @@ cost-equivalent as a destination and instead pick the least-loaded one
 (:func:`least_loaded`), or split a heavy key's migrating tuples over
 several destinations (:func:`rank_by_load`).
 
-This module is the single implementation of those rules.  The three
-entry points share the decision logic across the three data layouts the
-schedulers use: one key at a time (:func:`scalar_consolidation`),
-segmented entry arrays (:func:`segmented_consolidation`), and the
-two-holders-per-key fast path (:func:`paired_consolidation`).  The
-arithmetic is arranged so each form is bit-identical to the others on
-the shapes they share — the schedule golden suites pin that.
+This module is the single implementation of those rules, in two data
+layouts: one key at a time (:func:`scalar_consolidation`, the oracle)
+and a block of keys as holder columns (:func:`column_consolidation`,
+what :func:`repro.core.schedule.both_direction_plans` runs).  Both take
+the same forced stay and migrating set; the schedule tests compare
+them key by key.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ import numpy as np
 __all__ = [
     "migration_delta",
     "scalar_consolidation",
-    "segmented_consolidation",
-    "paired_consolidation",
+    "column_sum",
+    "column_consolidation",
     "least_loaded",
     "rank_by_load",
 ]
@@ -96,57 +95,57 @@ def scalar_consolidation(
     return forced_stay, migrating
 
 
-def segmented_consolidation(
-    seg: np.ndarray,
-    starts: np.ndarray,
-    nodes: np.ndarray,
-    delta: np.ndarray,
-    has_target: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized consolidation choice over segmented per-entry arrays.
+def column_sum(columns: list[np.ndarray]) -> np.ndarray:
+    """Per key: ``col0 + (col1 + ... + colk-1)`` over holder columns.
 
-    ``delta`` and ``has_target`` are per entry; ``seg``/``starts``
-    delimit the per-key segments.  Returns ``(migrate, stay, dest,
-    savings)``: the per-entry migration mask, the per-entry forced-stay
-    marker, the per-key default destination (``-1`` when nothing
-    migrates), and the per-key summed negative deltas to add onto the
+    That association is the one ``np.add.reduceat`` uses over a segment
+    of at most eight entries, so column sums equal a segmented
+    reduction's bit for bit there; wider keys agree whenever their
+    values are exact sums (integer byte widths make them so).  Phantom
+    columns hold ``+0.0``, which adds nothing.
+    """
+    if len(columns) == 1:
+        return columns[0]
+    tail = columns[1]
+    for column in columns[2:]:
+        tail = tail + column
+    return columns[0] + tail
+
+
+def column_consolidation(
+    delta: list[np.ndarray], has_target: list[np.ndarray], nodes: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Vectorized consolidation choice over a block of holder columns.
+
+    Each argument holds one per-key array per column: column ``j`` is
+    every key's ``j``-th tracking entry, so columns run in node order
+    within a key.  A phantom column entry (the key has fewer entries)
+    has no target.  Every key must have a target-side holder.  Returns
+    ``(migrate, dest, savings)``: the per-column migration masks, the
+    per-key default destination (``-1`` when nothing migrates), and the
+    per-key summed negative deltas (:func:`column_sum`) to add onto the
     no-migration base cost.
     """
-    num_entries = len(seg)
-    stay_score = np.where(has_target, delta, -np.inf)
-    maxima = np.maximum.reduceat(stay_score, starts)
-    is_max = stay_score == maxima[seg]
-    positions = np.arange(num_entries, dtype=np.int64)
-    first_pos = np.minimum.reduceat(np.where(is_max, positions, num_entries), starts)
-    stay = np.zeros(num_entries, dtype=bool)
-    stay[first_pos] = True
-    migrate = has_target & ~stay & (delta < 0)
-    savings = np.add.reduceat(np.where(migrate, delta, 0.0), starts)
-    any_migration = np.logical_or.reduceat(migrate, starts)
-    dest = np.where(any_migration, nodes[first_pos], -1)
-    return migrate, stay, dest, savings
-
-
-def paired_consolidation(
-    delta_a: np.ndarray,
-    delta_b: np.ndarray,
-    nodes_a: np.ndarray,
-    nodes_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Consolidation choice for keys whose two entries both hold targets.
-
-    The inputs are per-key arrays for the two entries ``a`` and ``b``
-    (``a`` first in node order).  Returns ``(migrate_a, migrate_b,
-    dest)`` — the same decisions :func:`segmented_consolidation` makes
-    on two-holder segments, without materializing segment ids.  Keys
-    with fewer target-side holders never reach this function: their
-    only holder is the forced stay, so nothing can migrate.
-    """
-    stay_is_a = delta_a >= delta_b
-    migrate_a = ~stay_is_a & (delta_a < 0)
-    migrate_b = stay_is_a & (delta_b < 0)
-    dest = np.where(migrate_a | migrate_b, np.where(stay_is_a, nodes_a, nodes_b), -1)
-    return migrate_a, migrate_b, dest
+    score = [np.where(has, d, -np.inf) for d, has in zip(delta, has_target)]
+    best = score[0]
+    for column in score[1:]:
+        best = np.maximum(best, column)
+    # The forced stay is the first column holding the maximal score, so
+    # ties go to the lowest node.  It is a target holder, so
+    # ``has > stay`` is "a target holder other than the stay".
+    migrate, stay_node = [], nodes[0].copy()
+    for j, (column, has) in enumerate(zip(score, has_target)):
+        at_max = column == best
+        stay = at_max if j == 0 else at_max > seen
+        seen = at_max if j == 0 else seen | at_max
+        if j:
+            np.copyto(stay_node, nodes[j], where=stay)
+        migrate.append((column < 0) & (has > stay))
+    savings = column_sum([np.where(m, d, 0.0) for m, d in zip(migrate, delta)])
+    # Migrating deltas are negative, so their sum is exactly when any
+    # holder migrates.
+    dest = np.where(savings < 0, stay_node, -1)
+    return migrate, dest, savings
 
 
 def least_loaded(candidates: np.ndarray, load: np.ndarray) -> int:

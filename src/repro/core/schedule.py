@@ -11,9 +11,12 @@ This module implements that optimization twice:
   tests against brute-force enumeration.
 
 * A **vectorized** form (:func:`generate_schedules`) operating on a full
-  :class:`~repro.core.tracking.TrackingTable` with segmented numpy
-  reductions, which is what the join operators execute.  Python-level
-  loops over millions of keys would dominate runtime otherwise.
+  :class:`~repro.core.tracking.TrackingTable`, which is what the join
+  operators execute.  One holder-column kernel
+  (:func:`both_direction_plans`) views each block of keys as one
+  per-key column per tracking entry and evaluates every key with a few
+  elementwise numpy passes per column.  Python-level loops over
+  millions of keys would dominate runtime otherwise.
 
 Terminology: for the ``R -> S`` direction, R tuples are *selectively
 broadcast* to the nodes holding matching S tuples, optionally after
@@ -32,10 +35,10 @@ import numpy as np
 from ..errors import ScheduleError
 from ..parallel.chunks import chunk_bounds, kernel_chunk_rows, run_chunks
 from .destinations import (
+    column_consolidation,
+    column_sum,
     migration_delta,
-    paired_consolidation,
     scalar_consolidation,
-    segmented_consolidation,
 )
 from .tracking import TrackingTable
 
@@ -228,164 +231,26 @@ class ScheduleSet:
         return self.shard_dests[self.shard_offsets[key] : self.shard_offsets[key + 1]]
 
 
-#: Most keys per block in the paired schedule path.  The per-key
-#: pipeline touches ~25 temporaries, so blocks of 2^15 keys keep the
-#: whole working set (~6 MB) cache-resident instead of streaming every
-#: operand through memory 100 times.  Measured optimum on the bench
-#: box (smaller blocks pay python overhead, larger spill the cache).
-_PAIRED_BLOCK = 1 << 15
+#: Most keys per schedule block.  A block's working set is a few dozen
+#: per-key temporaries per holder column, so blocks of 2^15 keys stay
+#: cache-resident instead of streaming every operand through memory
+#: over and over.  Measured optimum on the bench box at two holder
+#: columns (smaller blocks pay python overhead, larger spill the
+#: cache); at three to sixteen columns 2^13 to 2^16 measure alike.
+_SCHEDULE_BLOCK = 1 << 15
 
 
-def _both_direction_costs_paired(
-    tracking: TrackingTable, location_width: float, allow_migration: bool
-) -> tuple[tuple, tuple]:
-    """Both directions when every key has at most two tracking entries.
+def _tally_dtype(width: int) -> np.dtype:
+    """Narrowest integer dtype for holder tallies of keys ``width`` wide.
 
-    The dominant real shape (a key lives on one R node and one S node)
-    makes every segment reduction a single add/max of the segment's
-    first and optional second entry, so the whole optimization runs on
-    per-key arrays with no ``reduceat`` calls at all.  Phantom second
-    entries of single-entry keys are zero-masked, which is bit-exact
-    because every affected sum is non-negative or starts from the first
-    entry (``x + 0.0 == x`` away from ``-0.0``).
-
-    Every operation is elementwise per key, so the keys are processed in
-    cache-sized blocks on the kernel pool: each block writes its own
-    slices of the outputs, and block boundaries (a function of the key
-    count and the kernel chunk rows) cannot change any result.
+    A cost term multiplies two tallies, so the dtype must hold
+    ``width ** 2``; the float64 cost terms the tallies promote to are
+    the same whatever the integer width.
     """
-    starts, counts = tracking.key_starts, tracking.entries_per_key
-    nodes, t_nodes = tracking.nodes, tracking.t_nodes
-    num_keys = len(starts)
-    lw = location_width
-    cost_rs = np.empty(num_keys, dtype=np.float64)
-    cost_sr = np.empty(num_keys, dtype=np.float64)
-    mig_rs = np.zeros(tracking.num_entries, dtype=bool)
-    mig_sr = np.zeros(tracking.num_entries, dtype=bool)
-    dest_rs = np.full(num_keys, -1, dtype=nodes.dtype)
-    dest_sr = np.full(num_keys, -1, dtype=nodes.dtype)
-
-    def cost_block(bounds: tuple[int, int]) -> None:
-        lo, hi = bounds
-        two = counts[lo:hi] == 2
-        a = starts[lo:hi]
-        b = a + two
-        tn = t_nodes[lo:hi]
-
-        size_r_a, size_s_a = tracking.size_r(a), tracking.size_s(a)
-        # Sizes are count x width — finite and >= 0 — so masking by
-        # multiplication equals np.where(mask, x, 0.0) bit for bit
-        # (x * 1.0 == x, x * 0.0 == +0.0) without its select pass.
-        size_r_b = tracking.size_r(b) * two
-        size_s_b = tracking.size_s(b) * two
-        has_r_a, has_s_a = size_r_a > 0, size_s_a > 0
-        has_r_b, has_s_b = size_r_b > 0, size_s_b > 0
-        nodes_a, nodes_b = nodes[a], nodes[b]
-        ns_a = nodes_a != tn
-        ns_b = nodes_b != tn
-
-        r_all = size_r_a + size_r_b
-        s_all = size_s_a + size_s_b
-        # Holder/node tallies are at most 2; int8 keeps them a byte wide
-        # and promotes to the identical float64 values in the cost terms.
-        r_holders = has_r_a.astype(np.int8) + has_r_b
-        s_holders = has_s_a.astype(np.int8) + has_s_b
-        r_nodes = (has_r_a & ns_a).astype(np.int8) + (has_r_b & ns_b)
-        s_nodes = (has_s_a & ns_a).astype(np.int8) + (has_s_b & ns_b)
-        r_local = size_r_a * has_s_a + size_r_b * has_s_b
-        s_local = size_s_a * has_r_a + size_s_b * has_r_b
-        cost_rs[lo:hi] = r_all * s_holders - r_local + r_nodes * s_holders * lw
-        cost_sr[lo:hi] = s_all * r_holders - s_local + s_nodes * r_holders * lw
-        if not allow_migration:
-            return
-
-        def consolidate(b_all, b_nodes, t_holders, cost, mig, dest):
-            # Only keys with two target-side holders can migrate one;
-            # everywhere else the base cost above already stands.
-            sel = np.flatnonzero(t_holders == 2)
-            if len(sel) == 0:
-                return
-            b_all, bn_lw = b_all[sel], b_nodes[sel] * lw
-            delta_a = size_r_a[sel] + size_s_a[sel] - b_all - bn_lw + np.where(ns_a[sel], lw, 0.0)
-            delta_b = size_r_b[sel] + size_s_b[sel] - b_all - bn_lw + np.where(ns_b[sel], lw, 0.0)
-            mig_a, mig_b, dest_sel = paired_consolidation(
-                delta_a, delta_b, nodes_a[sel], nodes_b[sel]
-            )
-            cost[lo + sel] += np.where(mig_a, delta_a, 0.0) + np.where(mig_b, delta_b, 0.0)
-            dest[lo + sel] = dest_sel
-            mig[a[sel]] = mig_a
-            mig[b[sel]] = mig_b
-
-        consolidate(r_all, r_nodes, s_holders, cost_rs, mig_rs, dest_rs)
-        consolidate(s_all, s_nodes, r_holders, cost_sr, mig_sr, dest_sr)
-
-    edges = chunk_bounds(num_keys, min(_PAIRED_BLOCK, kernel_chunk_rows()))
-    run_chunks(cost_block, pairwise(edges.tolist()))
-    return (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr)
-
-
-def _both_direction_costs_generic(
-    tracking: TrackingTable, location_width: float, allow_migration: bool
-) -> tuple[tuple, tuple]:
-    """Both directions' costs and migration plans, any holders per key.
-
-    Segmented ``reduceat`` sums shared by the two directions.
-    Consolidation is evaluated only over the keys with at least two
-    target-side holders in that direction: with fewer the only holder
-    is the forced stay, nothing migrates and the cost is the base cost.
-    """
-    counts = tracking.entries_per_key
-    seg, starts, nodes = tracking.seg, tracking.key_starts, tracking.nodes
-    size_r, size_s = tracking.size_r(), tracking.size_s()
-    has_r = size_r > 0
-    has_s = size_s > 0
-    not_scheduler = nodes != tracking.t_nodes[seg]
-    r_all = np.add.reduceat(size_r, starts)
-    s_all = np.add.reduceat(size_s, starts)
-    r_holders = np.add.reduceat(has_r, starts, dtype=np.int64)
-    s_holders = np.add.reduceat(has_s, starts, dtype=np.int64)
-    r_nodes = np.add.reduceat(has_r & not_scheduler, starts, dtype=np.int64)
-    s_nodes = np.add.reduceat(has_s & not_scheduler, starts, dtype=np.int64)
-    r_local = np.add.reduceat(np.where(has_s, size_r, 0.0), starts)
-    s_local = np.add.reduceat(np.where(has_r, size_s, 0.0), starts)
-    base_rs = r_all * s_holders - r_local + r_nodes * s_holders * location_width
-    base_sr = s_all * r_holders - s_local + s_nodes * r_holders * location_width
-
-    def one_direction(cost, b_all, b_nodes, has_t, t_holders):
-        migrate = np.zeros(len(seg), dtype=bool)
-        dest = np.full(len(starts), -1, dtype=nodes.dtype)
-        if not allow_migration:
-            return cost, migrate, dest
-        multi = t_holders >= 2
-        keys = np.flatnonzero(multi)
-        if len(keys) == 0:
-            return cost, migrate, dest
-        if len(keys) == len(starts):
-            entries, seg_c, starts_c = slice(None), seg, starts
-        else:
-            # Compress to the entries of the multi-holder keys, numbered
-            # densely so the segmented core runs unchanged.
-            entries = np.flatnonzero(multi[seg])
-            counts_c = counts[keys]
-            starts_c = np.cumsum(counts_c) - counts_c
-            seg_c = np.repeat(np.arange(len(keys)), counts_c)
-        seg_e = seg[entries]
-        delta = (
-            (size_r[entries] + size_s[entries])
-            - b_all[seg_e]
-            - (b_nodes * location_width)[seg_e]
-            + np.where(not_scheduler[entries], location_width, 0.0)
-        )
-        migrate[entries], _, dest[keys], savings = segmented_consolidation(
-            seg_c, starts_c, nodes[entries], delta, has_t[entries]
-        )
-        cost[keys] += savings
-        return cost, migrate, dest
-
-    return (
-        one_direction(base_rs, r_all, r_nodes, has_s, s_holders),
-        one_direction(base_sr, s_all, s_nodes, has_r, r_holders),
-    )
+    for dtype in (np.int8, np.int16, np.int32):
+        if width * width <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def both_direction_plans(
@@ -402,12 +267,99 @@ def both_direction_plans(
     (:mod:`repro.core.balance`, :mod:`repro.core.skew`), which differ
     only in how they pick a direction and destination from these plans.
 
-    Tables with at most two entries per key take the paired path, which
-    is bit-identical to the generic one on such tables.
+    One holder-column kernel serves every key.  Keys run in blocks on
+    the kernel pool; a block of keys at most ``k`` entries wide is
+    ``k`` per-key columns, column ``j`` being each key's entry
+    ``start + j``, or a phantom with zero sizes (hence no holder) when
+    the key has ``j`` entries or fewer.  Sums, holder tallies, both
+    directions' costs and the Theorem 1 consolidation are then ``k``
+    elementwise passes per block — no segment ids, no ``reduceat``.
+    Each block writes its own slices of the outputs, and block bounds
+    (a function of the key count and the kernel chunk rows) change no
+    result.
     """
-    if int(tracking.entries_per_key.max()) <= 2:
-        return _both_direction_costs_paired(tracking, location_width, allow_migration)
-    return _both_direction_costs_generic(tracking, location_width, allow_migration)
+    starts, counts = tracking.key_starts, tracking.entries_per_key
+    nodes, t_nodes = tracking.nodes, tracking.t_nodes
+    num_keys = len(starts)
+    lw = location_width
+    cost_rs = np.empty(num_keys, dtype=np.float64)
+    cost_sr = np.empty(num_keys, dtype=np.float64)
+    mig_rs = np.zeros(tracking.num_entries, dtype=bool)
+    mig_sr = np.zeros(tracking.num_entries, dtype=bool)
+    dest_rs = np.full(num_keys, -1, dtype=nodes.dtype)
+    dest_sr = np.full(num_keys, -1, dtype=nodes.dtype)
+
+    def plan_block(bounds: tuple[int, int]) -> None:
+        lo, hi = bounds
+        first, width = starts[lo:hi], counts[lo:hi]
+        tn = t_nodes[lo:hi]
+        rows, size_r, size_s = [first], [tracking.size_r(first)], [tracking.size_s(first)]
+        for j in range(1, int(width.max())):
+            # A phantom re-reads the key's last entry; multiplying its
+            # finite, non-negative sizes by False makes them +0.0 bit
+            # for bit.
+            present = width > j
+            row = rows[-1] + present
+            rows.append(row)
+            size_r.append(tracking.size_r(row) * present)
+            size_s.append(tracking.size_s(row) * present)
+        has_r = [size > 0 for size in size_r]
+        has_s = [size > 0 for size in size_s]
+        not_t = [nodes[row] != tn for row in rows]
+
+        tally = _tally_dtype(len(rows))
+        r_all, s_all = column_sum(size_r), column_sum(size_s)
+        r_holders, s_holders = _tally(has_r, tally), _tally(has_s, tally)
+        r_nodes = _tally([h & n for h, n in zip(has_r, not_t)], tally)
+        s_nodes = _tally([h & n for h, n in zip(has_s, not_t)], tally)
+        r_local = column_sum([r * h for r, h in zip(size_r, has_s)])
+        s_local = column_sum([s * h for s, h in zip(size_s, has_r)])
+        cost_rs[lo:hi] = r_all * s_holders - r_local + r_nodes * s_holders * lw
+        cost_sr[lo:hi] = s_all * r_holders - s_local + s_nodes * r_holders * lw
+        if not allow_migration:
+            return
+        # Only keys with two or more target-side holders can migrate
+        # one; everywhere else the base cost above already stands.
+        gate_rs = np.flatnonzero(s_holders >= 2)
+        gate_sr = np.flatnonzero(r_holders >= 2)
+        if len(gate_rs) == 0 and len(gate_sr) == 0:
+            return
+        # Both directions' deltas share each column's holder bytes and
+        # migration instruction charge.
+        held = [r + s for r, s in zip(size_r, size_s)]
+        instruct = [np.where(n, lw, 0.0) for n in not_t]
+
+        def consolidate(sel, b_all, b_nodes, has_t, cost, mig, dest):
+            if len(sel) == 0:
+                return
+            keys = lo + sel
+            if len(sel) == hi - lo:
+                sel, keys = slice(None), slice(lo, hi)
+            b_all, bn_lw = b_all[sel], b_nodes[sel] * lw
+            delta = [h[sel] - b_all - bn_lw + m[sel] for h, m in zip(held, instruct)]
+            migrate, dest[keys], savings = column_consolidation(
+                delta, [h[sel] for h in has_t], [nodes[row[sel]] for row in rows]
+            )
+            cost[keys] += savings
+            # Last column first: a phantom re-reads its key's last real
+            # entry, whose own (later) write then overwrites the phantom's.
+            for row, moves in zip(rows[::-1], migrate[::-1]):
+                mig[row[sel]] = moves
+
+        consolidate(gate_rs, r_all, r_nodes, has_s, cost_rs, mig_rs, dest_rs)
+        consolidate(gate_sr, s_all, s_nodes, has_r, cost_sr, mig_sr, dest_sr)
+
+    edges = chunk_bounds(num_keys, min(_SCHEDULE_BLOCK, kernel_chunk_rows()))
+    run_chunks(plan_block, pairwise(edges.tolist()))
+    return (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr)
+
+
+def _tally(flags: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    """Per key: how many of the columns' ``flags`` are set."""
+    total = flags[0].astype(dtype)
+    for flag in flags[1:]:
+        total += flag
+    return total
 
 
 def empty_schedule_set(tracking: TrackingTable) -> ScheduleSet:

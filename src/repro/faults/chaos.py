@@ -125,34 +125,34 @@ def run_chaos(
     for seed in seeds:
         plan = default_plan(seed, num_nodes)
         for workers in worker_counts:
-            cluster = Cluster(num_nodes, config=ExecConfig(workers=workers), fault_plan=plan)
-            table_r, table_s = scatter_tables(cluster, keys_r, keys_s)
-            for name in names:
-                cell = {"seed": int(seed), "workers": int(workers), "algorithm": name}
-                runs += 1
-                try:
-                    result = create(name).run(cluster, table_r, table_s, spec)
-                except FaultError as error:
-                    failures.append(
-                        dict(cell, reason=f"{type(error).__name__}: {error}")
-                    )
-                    cluster.reset()
-                    continue
-                retransmit_bytes += result.traffic.retransmit_bytes
-                baseline_output, baseline_goodput = baselines[name]
-                if not np.array_equal(canonical_output(result), baseline_output):
-                    failures.append(
-                        dict(cell, reason="output differs from fault-free run")
-                    )
-                if _goodput_fingerprint(result.traffic) != baseline_goodput:
-                    failures.append(
-                        dict(cell, reason="goodput ledger differs from fault-free run")
-                    )
-            # The injector's stats survive per-join resets; fold this
-            # cluster's cumulative counters into the matrix totals.
-            for key, value in cluster.network.faults.stats.as_dict().items():
-                faults[key] = faults.get(key, 0) + value
-            cluster.executor.close()
+            config = ExecConfig(workers=workers)
+            with Cluster(num_nodes, config=config, fault_plan=plan) as cluster:
+                table_r, table_s = scatter_tables(cluster, keys_r, keys_s)
+                for name in names:
+                    cell = {"seed": int(seed), "workers": int(workers), "algorithm": name}
+                    runs += 1
+                    try:
+                        result = create(name).run(cluster, table_r, table_s, spec)
+                    except FaultError as error:
+                        failures.append(
+                            dict(cell, reason=f"{type(error).__name__}: {error}")
+                        )
+                        cluster.reset()
+                        continue
+                    retransmit_bytes += result.traffic.retransmit_bytes
+                    baseline_output, baseline_goodput = baselines[name]
+                    if not np.array_equal(canonical_output(result), baseline_output):
+                        failures.append(
+                            dict(cell, reason="output differs from fault-free run")
+                        )
+                    if _goodput_fingerprint(result.traffic) != baseline_goodput:
+                        failures.append(
+                            dict(cell, reason="goodput ledger differs from fault-free run")
+                        )
+                # The injector's stats survive per-join resets; fold this
+                # cluster's cumulative counters into the matrix totals.
+                for key, value in cluster.network.faults.stats.as_dict().items():
+                    faults[key] = faults.get(key, 0) + value
 
     return {
         "seeds": [int(seed) for seed in seeds],

@@ -168,8 +168,35 @@ def _dense_unique_join(
         lookup[shifted_right] = -1
 
 
+def _expand_runs(
+    lo: np.ndarray, counts: np.ndarray, order_right: np.ndarray, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of a probe chunk whose left key ``i`` matches the
+    sorted-right run ``lo[i] : lo[i] + counts[i]``.
+
+    Left ids ascend (offset by the chunk's ``start``) and each run is
+    enumerated in sorted-right order.  Output pair ``p`` of left key
+    ``i`` is run position ``p - (cumsum(counts) - counts)[i]``, so one
+    per-key shift gathered by the expanded left id, plus ``arange``,
+    addresses every matched right row: one ``repeat`` and one gather
+    proportional to the output.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    left_local = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    positions = (lo - (np.cumsum(counts) - counts))[left_local]
+    positions += np.arange(total, dtype=np.int64)
+    left_local += start
+    return left_local, order_right[positions]
+
+
 def _dense_indexed_join(
-    keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray
+    keys_left: np.ndarray,
+    order_right: np.ndarray,
+    sorted_right: np.ndarray,
+    runs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Direct-address probe against a sorted right index with duplicates.
 
@@ -179,15 +206,22 @@ def _dense_indexed_join(
     searchsorted path exactly: for a present key the tables hold the
     ``lo`` offset and ``hi - lo`` count that path would compute, and the
     expansion enumerates the run in the same sorted-right order.
+    ``runs`` are the right side's distinct keys and counts when already
+    known; the runs are found by a scan of ``sorted_right`` otherwise.
     Returns ``None`` when the right keys are too sparse.
     """
     base = int(sorted_right[0])
     span = _dense_span(base, int(sorted_right[-1]), len(sorted_right))
     if span is None:
         return None
-    run_starts = segment_boundaries(sorted_right)
-    run_counts = segment_count(run_starts, len(sorted_right))
-    distinct_shifted = sorted_right[run_starts] - base
+    if runs is None:
+        run_starts = segment_boundaries(sorted_right)
+        run_counts = segment_count(run_starts, len(sorted_right))
+        distinct_shifted = sorted_right[run_starts] - base
+    else:
+        distinct, run_counts = runs
+        run_starts = np.cumsum(run_counts) - run_counts
+        distinct_shifted = distinct - base
     start_table = _scratch("run_starts", span, 0, np.int64)
     count_table = _scratch("run_counts", span, 0, np.int64)
     start_table[distinct_shifted] = run_starts
@@ -199,16 +233,7 @@ def _dense_indexed_join(
         in_range = (shifted >= 0) & (shifted < span)
         safe = np.where(in_range, shifted, 0)
         counts = np.where(in_range, count_table[safe], 0)
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        left_local = np.repeat(np.arange(len(chunk), dtype=np.int64), counts)
-        offsets = np.arange(total, dtype=np.int64) - (
-            np.cumsum(counts) - counts
-        )[left_local]
-        right_idx = order_right[start_table[safe][left_local] + offsets]
-        return left_local + start, right_idx
+        return _expand_runs(start_table[safe], counts, order_right, start)
 
     try:
         return _probe_in_chunks(probe, len(keys_left))
@@ -238,30 +263,13 @@ def _probe_unique_sorted(
 def _probe_general_sorted(
     keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """General sorted-probe path with per-key cartesian expansion.
-
-    The expansion uses one ``repeat`` plus gathers by the expanded left
-    id instead of three ``repeat`` calls: ``repeat(lo, counts) ==
-    lo[left_local]`` and ``repeat(cumsum(counts) - counts, counts) ==
-    (cumsum(counts) - counts)[left_local]``, so the emitted pairs are bit-identical while
-    the two widest materializations become cache-friendly gathers.
-    """
+    """General sorted-probe path with per-key cartesian expansion."""
 
     def probe(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         chunk = keys_left[start:stop]
         lo = np.searchsorted(sorted_right, chunk, side="left")
         hi = np.searchsorted(sorted_right, chunk, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        left_local = np.repeat(np.arange(len(chunk), dtype=np.int64), counts)
-        offsets = np.arange(total, dtype=np.int64) - (
-            np.cumsum(counts) - counts
-        )[left_local]
-        right_idx = order_right[lo[left_local] + offsets]
-        return left_local + start, right_idx
+        return _expand_runs(lo, hi - lo, order_right, start)
 
     return _probe_in_chunks(probe, len(keys_left))
 
@@ -287,7 +295,8 @@ def join_indices(
     right_partition:
         Optional partition owning ``keys_right``; direct addressing is
         tried first, and only then is the partition's key index built
-        (and cached).
+        (and cached).  Its cached distinct keys, when present, skip the
+        duplicate-free table for repeating keys and give the key runs.
 
     Returns
     -------
@@ -299,10 +308,16 @@ def join_indices(
     if len(keys_left) == 0 or len(keys_right) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    # Distinct keys a partition already caches tell whether its keys
+    # repeat, and where their runs start, without touching the keys.
+    runs = None if right_partition is None else right_partition.cached_distinct()
     if right_index is None:
-        dense = _dense_unique_join(keys_left, keys_right)
-        if dense is not None:
-            return dense
+        # Repeating keys would only be scattered into the duplicate-free
+        # table and read back to find the duplicate: skip that attempt.
+        if runs is None or len(runs[0]) == len(keys_right):
+            dense = _dense_unique_join(keys_left, keys_right)
+            if dense is not None:
+                return dense
         if right_partition is not None:
             right_index = right_partition.key_index()
     if right_index is not None:
@@ -317,7 +332,7 @@ def join_indices(
         )
     if right_unique:
         return _probe_unique_sorted(keys_left, order_right, sorted_right)
-    dense = _dense_indexed_join(keys_left, order_right, sorted_right)
+    dense = _dense_indexed_join(keys_left, order_right, sorted_right, runs)
     if dense is not None:
         return dense
     return _probe_general_sorted(keys_left, order_right, sorted_right)

@@ -151,6 +151,16 @@ class LocalPartition:
         self._fresh_caches()
         return self._distinct is not None or self._key_index is not None
 
+    def cached_distinct(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cached :meth:`distinct_with_counts`, or ``None`` if not built.
+
+        A probe against this partition reads its key runs from here
+        when tracking already counted them, and never computes them
+        just to probe.
+        """
+        self._fresh_caches()
+        return self._distinct
+
     def key_index(self) -> KeyIndex:
         """The partition's sorted-key index, built once and cached.
 

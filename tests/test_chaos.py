@@ -158,7 +158,8 @@ class TestDeterminism:
         snapshots = []
         for workers in (1, 4):
             cluster, table_r, table_s = _make_cluster(plan, workers=workers)
-            result = create("3TJ").run(cluster, table_r, table_s)
+            with cluster:
+                result = create("3TJ").run(cluster, table_r, table_s)
             snapshots.append(
                 (
                     cluster.network.faults.stats.as_dict(),
@@ -166,7 +167,6 @@ class TestDeterminism:
                     canonical_output(result).tobytes(),
                 )
             )
-            cluster.executor.close()
         assert snapshots[0] == snapshots[1]
 
     def test_virtual_clock_advances_without_wall_time(self):

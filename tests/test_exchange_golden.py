@@ -171,11 +171,8 @@ CASES = {
 def _run_case(name: str, workers: int) -> dict:
     # The golden pins strict-barrier profiles; chunk rows stay ambient.
     config = replace(current(), workers=workers, pipeline_depth=1)
-    cluster = Cluster(NUM_NODES, config=config)
-    try:
+    with Cluster(NUM_NODES, config=config) as cluster:
         return CASES[name](cluster)
-    finally:
-        cluster.executor.close()
 
 
 # ---------------------------------------------------------------------------

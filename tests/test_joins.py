@@ -31,6 +31,7 @@ from repro.joins import (
     TrackingAwareHashJoin,
 )
 from repro.joins.registry import algorithm_names, create
+from repro.parallel import ExecConfig, use
 from repro.workloads import hot_key_workload, unique_keys_workload
 
 from conftest import assert_same_output, canonical_output, make_tables, transient_peak
@@ -255,9 +256,10 @@ class TestJoinConfig:
         for label, (cluster, table_r, table_s, expected_rows) in inputs.items():
             for name, make in operators.items():
                 for workers in (1, 4) if name in ("HJ", "4TJ") else (1,):
-                    on = Cluster(cluster.num_nodes, config=replace(cluster.config, workers=workers))
-                    full = make().run(on, table_r, table_s)
-                    lean = make().run(on, table_r, table_s, JoinSpec(materialize=False))
+                    config = replace(cluster.config, workers=workers)
+                    with Cluster(cluster.num_nodes, config=config) as on:
+                        full = make().run(on, table_r, table_s)
+                        lean = make().run(on, table_r, table_s, JoinSpec(materialize=False))
                     context = f"{name} on {label}, {workers} worker(s)"
                     assert lean.output is None, context
                     assert fingerprint(lean) == fingerprint(full), context
@@ -286,10 +288,17 @@ class TestJoinConfig:
         """Tracking stores counts, node ids are narrow and pair blocks are
         written in place, so a warmed 2TJ-R / 3TJ / 4TJ / 4TJ-shard run on
         unique keys allocates at most 2.5x its input arrays on top of
-        them; hash join, which ships every tuple, at most 1.6x."""
-        workload = unique_keys_workload(
-            16, scaled_tuples=200_000, row_bytes_r=20, row_bytes_s=60, seed=1
-        )
+        them; hash join, which ships every tuple, at most 1.6x.
+
+        The bounds are the serial engine's, so the cluster is serial
+        whatever the environment selects: tracemalloc counts every
+        thread's allocations, and with phase and kernel workers running
+        at once the peak depends on how their temporaries interleave."""
+        with use(ExecConfig()):
+            workload = unique_keys_workload(
+                16, scaled_tuples=200_000, row_bytes_r=20, row_bytes_s=60, seed=1
+            )
+        assert workload.cluster.config == ExecConfig()
         input_bytes = sum(
             part.keys.nbytes + sum(values.nbytes for values in part.columns.values())
             for table in (workload.table_r, workload.table_s)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.joins import local
 from repro.joins.local import (
     JoinCount,
     distinct_with_counts,
@@ -127,6 +129,40 @@ class TestCountingKernel:
         with exec_scope(workers=2, chunk_rows=2):
             assert count("left", "right") == expected
             assert count("right", "left") == expected
+
+
+class TestProbeReusesCachedRuns:
+    @settings(max_examples=150, deadline=None)
+    @given(key_sides(), st.sampled_from([None, 2]))
+    def test_cached_repeating_keys_skip_the_duplicate_free_table(self, sides, chunk_rows):
+        """A partition whose cached distinct keys repeat never reaches
+        ``_dense_unique_join``, and probes to the same pairs, in the same
+        order, as an uncached copy of it that does."""
+        keys_left, keys_right = sides
+        assume(len(keys_left) > 0 and len(keys_right) > 0)
+        keys_right = np.concatenate([keys_right, keys_right[:1]])
+        cached = LocalPartition(keys=keys_right)
+        cached.distinct_with_counts()
+        calls = []
+        unique_join = local._dense_unique_join
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return unique_join(*args)
+
+        with pytest.MonkeyPatch.context() as patch, exec_scope(workers=2, chunk_rows=chunk_rows):
+            patch.setattr(local, "_dense_unique_join", counted)
+            got = join_indices(keys_left, keys_right, right_partition=cached)
+            assert calls == []
+            want = join_indices(
+                keys_left, keys_right, right_partition=LocalPartition(keys=keys_right.copy())
+            )
+            assert calls == [len(keys_right)]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert sorted(zip(*(side.tolist() for side in got))) == brute_force_pairs(
+            keys_left, keys_right
+        )
 
 
 class TestLocalJoin:

@@ -31,6 +31,7 @@ from repro.parallel import (
     use,
 )
 from repro.parallel.chunks import run_chunks
+from repro.serve.pool import WarmExecutorPool
 
 from conftest import canonical_output, make_tables
 
@@ -142,6 +143,30 @@ class TestClusterPhases:
         cluster.set_workers(1)
         assert cluster.workers == 1
 
+    def test_closed_cluster_leaves_no_pool_thread(self):
+        """Closing a 2-worker cluster joins every phase worker it started."""
+        before = set(threading.enumerate())
+        with Cluster(4, config=ExecConfig(workers=2)) as cluster:
+            table_r, table_s = make_tables(cluster, np.arange(64), np.arange(32, 96))
+            TrackJoin("4TJ").run(cluster, table_r, table_s)
+            started = [
+                thread
+                for thread in threading.enumerate()
+                if thread not in before and thread.name.startswith("repro-worker")
+            ]
+            assert started
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_closing_a_leased_cluster_keeps_the_pool(self):
+        """A warm pool's lease outlives the cluster that borrowed it."""
+        before = set(threading.enumerate())
+        with WarmExecutorPool(workers=2) as pool:
+            with Cluster(2, executor=pool.lease()) as cluster:
+                assert cluster.run_phase(lambda node: node) == [0, 1]
+            pooled = [thread for thread in threading.enumerate() if thread not in before]
+            assert pooled and all(thread.is_alive() for thread in pooled)
+        assert not any(thread.is_alive() for thread in pooled)
+
 
 # -- one config per cluster ----------------------------------------------
 
@@ -186,10 +211,9 @@ class TestExecConfig:
     def test_phase_task_sees_its_cluster_kernel_width(self):
         """Tasks on pool threads read the cluster's config, not the
         caller's scope or the process default."""
-        cluster = Cluster(3, config=ExecConfig(workers=2, chunk_rows=7))
-        with use(ExecConfig(workers=5, chunk_rows=11)):
-            assert cluster.run_phase(_kernel_knobs) == [(2, 7)] * 3
-        cluster.executor.close()
+        with Cluster(3, config=ExecConfig(workers=2, chunk_rows=7)) as cluster:
+            with use(ExecConfig(workers=5, chunk_rows=11)):
+                assert cluster.run_phase(_kernel_knobs) == [(2, 7)] * 3
 
     def test_join_binds_its_cluster_config_on_the_caller(self):
         cluster = Cluster(2, config=ExecConfig(chunk_rows=7))
@@ -266,8 +290,8 @@ def test_join_deterministic_across_worker_counts(algorithm):
     )
     reference = None
     for workers in (1, 2, 4, 8):
-        cluster = Cluster(8, config=replace(current(), workers=workers))
-        result = algorithm.run(cluster, table_r, table_s)
+        with Cluster(8, config=replace(current(), workers=workers)) as cluster:
+            result = algorithm.run(cluster, table_r, table_s)
         fingerprint = (
             _ledger_fingerprint(result),
             canonical_output(result).tobytes(),
@@ -289,8 +313,8 @@ def test_profile_deterministic_across_worker_counts():
     )
 
     def profile_steps(workers):
-        cluster = Cluster(8, config=replace(current(), workers=workers))
-        result = TrackJoin("4TJ").run(cluster, table_r, table_s)
+        with Cluster(8, config=replace(current(), workers=workers)) as cluster:
+            result = TrackJoin("4TJ").run(cluster, table_r, table_s)
         return [
             (step.name, step.kind, step.rate_class, step.per_node_bytes.tobytes())
             for step in result.profile.steps

@@ -34,12 +34,12 @@ ALGORITHMS = [
 
 def run_join(algorithm, workers, depth, num_nodes=4, fault_plan=None):
     config = ExecConfig(workers=workers, pipeline_depth=depth)
-    cluster = Cluster(num_nodes, config=config, fault_plan=fault_plan)
-    rng = np.random.default_rng(13)
-    table_r, table_s = make_tables(
-        cluster, rng.integers(0, 700, 2500), rng.integers(300, 1000, 3000)
-    )
-    return algorithm().run(cluster, table_r, table_s, JoinSpec(materialize=True))
+    with Cluster(num_nodes, config=config, fault_plan=fault_plan) as cluster:
+        rng = np.random.default_rng(13)
+        table_r, table_s = make_tables(
+            cluster, rng.integers(0, 700, 2500), rng.integers(300, 1000, 3000)
+        )
+        return algorithm().run(cluster, table_r, table_s, JoinSpec(materialize=True))
 
 
 def ledger_signature(traffic):
@@ -194,8 +194,8 @@ class TestQueryPipelineKnob:
         from repro.query import Join, Scan, compile_plan
 
         def run(depth):
-            cluster = Cluster(4, config=ExecConfig(workers=2, pipeline_depth=depth))
-            result = plan.run(cluster, JoinSpec(materialize=True))
+            with Cluster(4, config=ExecConfig(workers=2, pipeline_depth=depth)) as cluster:
+                result = plan.run(cluster, JoinSpec(materialize=True))
             fused = any(
                 timing["stages"] > 1
                 for profile in result.profiles

@@ -1,6 +1,6 @@
 """Tests for per-key schedule generation: paper examples, optimality
 (Theorems 1-2) against brute force, vectorized/scalar agreement, and
-the paired path against the generic one."""
+the holder-column kernel against a frozen segmented reduction."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schedule import (
-    _both_direction_costs_generic,
-    _both_direction_costs_paired,
     both_direction_plans,
     generate_schedules,
     migrate_and_broadcast,
@@ -384,7 +382,71 @@ class TestVectorizedAgainstScalar:
         assert schedules.num_keys == 0
 
 
+def reference_plans(tracking, location_width, allow_migration):
+    """Both directions' plans by segmented ``reduceat`` reductions.
+
+    The generic schedule kernel as it stood before the holder-column
+    kernel replaced it, frozen here as the reference: per-entry arrays,
+    one segment per key, the forced stay as the first maximal delta of
+    its segment.
+    """
+    counts = tracking.entries_per_key
+    seg, starts, nodes = tracking.seg, tracking.key_starts, tracking.nodes
+    size_r, size_s = tracking.size_r(), tracking.size_s()
+    has_r, has_s = size_r > 0, size_s > 0
+    not_scheduler = nodes != tracking.t_nodes[seg]
+    r_all = np.add.reduceat(size_r, starts)
+    s_all = np.add.reduceat(size_s, starts)
+    r_holders = np.add.reduceat(has_r, starts, dtype=np.int64)
+    s_holders = np.add.reduceat(has_s, starts, dtype=np.int64)
+    r_nodes = np.add.reduceat(has_r & not_scheduler, starts, dtype=np.int64)
+    s_nodes = np.add.reduceat(has_s & not_scheduler, starts, dtype=np.int64)
+    r_local = np.add.reduceat(np.where(has_s, size_r, 0.0), starts)
+    s_local = np.add.reduceat(np.where(has_r, size_s, 0.0), starts)
+    base_rs = r_all * s_holders - r_local + r_nodes * s_holders * location_width
+    base_sr = s_all * r_holders - s_local + s_nodes * r_holders * location_width
+
+    def one_direction(cost, b_all, b_nodes, has_t, t_holders):
+        migrate = np.zeros(len(seg), dtype=bool)
+        dest = np.full(len(starts), -1, dtype=nodes.dtype)
+        keys = np.flatnonzero(t_holders >= 2)
+        if not allow_migration or len(keys) == 0:
+            return cost, migrate, dest
+        entries = np.flatnonzero((t_holders >= 2)[seg])
+        counts_c = counts[keys]
+        starts_c = np.cumsum(counts_c) - counts_c
+        seg_c = np.repeat(np.arange(len(keys)), counts_c)
+        seg_e = seg[entries]
+        delta = (
+            (size_r[entries] + size_s[entries])
+            - b_all[seg_e]
+            - (b_nodes * location_width)[seg_e]
+            + np.where(not_scheduler[entries], location_width, 0.0)
+        )
+        target = has_t[entries]
+        score = np.where(target, delta, -np.inf)
+        is_max = score == np.maximum.reduceat(score, starts_c)[seg_c]
+        positions = np.arange(len(entries))
+        first_pos = np.minimum.reduceat(np.where(is_max, positions, len(entries)), starts_c)
+        stay = np.zeros(len(entries), dtype=bool)
+        stay[first_pos] = True
+        moves = target & ~stay & (delta < 0)
+        migrate[entries] = moves
+        dest[keys] = np.where(
+            np.logical_or.reduceat(moves, starts_c), nodes[entries][first_pos], -1
+        )
+        cost[keys] += np.add.reduceat(np.where(moves, delta, 0.0), starts_c)
+        return cost, migrate, dest
+
+    return (
+        one_direction(base_rs, r_all, r_nodes, has_s, s_holders),
+        one_direction(base_sr, s_all, s_nodes, has_r, r_holders),
+    )
+
+
 class TestScheduleEquivalence:
+    """The holder-column kernel against the frozen segmented reference."""
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.data(),
@@ -393,17 +455,49 @@ class TestScheduleEquivalence:
         st.booleans(),
         st.sampled_from([None, 2]),
     )
-    def test_paired_path_equals_generic(
+    def test_column_kernel_equals_segmented_reference(
         self, data, width, location_width, allow_migration, chunk_rows
     ):
-        """At <= 2 entries per key the paired path is the generic one, bitwise.
+        """One to five holders among five nodes: the column kernel is the
+        segmented reduction bitwise, in two-key blocks or in one."""
+        tracking = tracking_from_dicts(*draw_keys(data, 5), widths=(width, width))
+        assert_column_equals_reference(tracking, location_width, allow_migration, chunk_rows)
 
-        The paired path runs in two-key blocks or in one.
+    def test_blocks_pad_to_different_widths(self):
+        """1-, 2-, 3- and 16-holder keys on 16 nodes in two-key blocks.
+
+        Adjacent blocks pad to different widths, and the 16-holder keys
+        put a tally product at 16 x 16, past an int8's range.
         """
-        tracking = tracking_from_dicts(*draw_keys(data, 2), widths=(width, width))
-        assert_paired_equals_generic(tracking, location_width, allow_migration, chunk_rows)
+        rng = np.random.default_rng(11)
+        sides = []
+        for holders in (1, 16, 2, 3, 16, 1, 3, 2, 2, 16, 1, 1, 3):
+            nodes = sorted(rng.choice(16, size=holders, replace=False).tolist())
+            counts_r = {n: int(rng.integers(1, 9)) for n in nodes}
+            # Every node holds both sides, so tallies reach the width.
+            counts_s = {n: int(rng.integers(1, 9)) for n in nodes}
+            sides.append((counts_r, counts_s))
+        t_nodes = rng.integers(0, 16, len(sides)).tolist()
+        tracking = tracking_from_dicts(sides, t_nodes, widths=(3.0, 5.0))
+        assert int(tracking.entries_per_key.max()) == 16
+        for location_width, allow_migration in itertools.product((0.0, 1.0, 4.0), (False, True)):
+            assert_column_equals_reference(tracking, location_width, allow_migration, 2)
+        (_, mig_rs, _), (_, mig_sr, _) = both_direction_plans(tracking, 4.0)
+        assert mig_rs.any() and mig_sr.any()
 
-    def test_paired_shape_exercises_blocked_path(self):
+    def test_exact_tie_keeps_the_lowest_node(self):
+        """Holders 2 and 6 tie on the maximal delta: node 2 stays, and the
+        cheaper holder 4 migrates onto it."""
+        tracking = tracking_from_dicts([({0: 10}, {2: 5, 4: 1, 6: 5})], [0])
+        (cost_rs, mig_rs, dest_rs), _ = both_direction_plans(tracking, 0.0)
+        assert dest_rs[0] == 2
+        assert tracking.nodes[mig_rs].tolist() == [4, 6]
+        assert_column_equals_reference(tracking, 0.0, True, None)
+        plan = migrate_and_broadcast({0: 10.0}, {2: 5.0, 4: 1.0, 6: 5.0}, 0, 0.0)
+        assert (plan.destination, plan.migrating_nodes) == (2, (4, 6))
+        assert cost_rs[0] == plan.cost
+
+    def test_two_holder_shape_in_blocks(self):
         """300 keys of one or two holders among 4 nodes, in 64-key blocks:
         single-entry keys, local pairs and T nodes on a holder."""
         rng = np.random.default_rng(7)
@@ -413,15 +507,15 @@ class TestScheduleEquivalence:
             sides.append(tuple({n: float(rng.integers(low, 60)) for n in holders} for low in (1, 0)))
         tracking = tracking_from_dicts(sides, rng.integers(0, 4, 300).tolist())
         for location_width, allow_migration in itertools.product((0.0, 1.0, 3.75), (False, True)):
-            assert_paired_equals_generic(tracking, location_width, allow_migration, 64)
+            assert_column_equals_reference(tracking, location_width, allow_migration, 64)
 
 
-def assert_paired_equals_generic(tracking, location_width, allow_migration, chunk_rows):
-    """Costs, migration masks and destinations of both directions, bitwise;
-    the paired path runs over two kernel workers."""
-    generic = _both_direction_costs_generic(tracking, location_width, allow_migration)
+def assert_column_equals_reference(tracking, location_width, allow_migration, chunk_rows):
+    """Costs, migration masks and destinations of both directions, bitwise
+    and in the same dtypes; the column kernel runs over two kernel workers."""
+    want = reference_plans(tracking, location_width, allow_migration)
     with exec_scope(workers=2, chunk_rows=chunk_rows):
-        paired = _both_direction_costs_paired(tracking, location_width, allow_migration)
-    for got, want in zip(paired, generic):
-        for a, b in zip(got, want):
+        got = both_direction_plans(tracking, location_width, allow_migration)
+    for got_direction, want_direction in zip(got, want):
+        for a, b in zip(got_direction, want_direction):
             assert a.dtype == b.dtype and np.array_equal(a, b)

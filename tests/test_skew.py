@@ -237,9 +237,9 @@ class TestSkewedExecution:
         reference_cluster = Cluster(6)
         table_r, table_s = hot_tables(reference_cluster)
         reference = TrackJoin("4TJ").run(reference_cluster, table_r, table_s)
-        cluster = Cluster(6, config=replace(current(), workers=workers))
-        table_r, table_s = hot_tables(cluster)
-        result = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
+        with Cluster(6, config=replace(current(), workers=workers)) as cluster:
+            table_r, table_s = hot_tables(cluster)
+            result = TrackJoin("4TJ-shard").run(cluster, table_r, table_s)
         assert_same_output(reference, result)
 
     def test_flattens_max_received_on_zipf_workload(self):
