@@ -10,11 +10,14 @@ test:
 # their unit tests, the network and profile tests of the one path that
 # accounts every send, the placement/scatter tests, the
 # golden-equivalence suite that pins every operator's traffic ledger
-# byte-for-byte and the sort-merge oracle every operator's rows must
-# match — once as is, once with 2 workers over 64-row kernel chunks, so
-# the chunk-merged grouping runs on inputs this small.
+# byte-for-byte, the sort-merge oracle every operator's rows must
+# match, and the local join and counting kernels with the hash join
+# that drains into them — once as is, once with 2 workers over 64-row
+# kernel chunks, so the chunk-merged grouping and the chunked probes
+# run on inputs this small.
 EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test_storage.py \
-	tests/test_oracle.py tests/test_network.py tests/test_timing.py
+	tests/test_oracle.py tests/test_network.py tests/test_timing.py \
+	tests/test_local_join.py tests/test_grace_hash.py
 test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
 	$(PYTHON) -m pytest $(EXCHANGE_TESTS) -q

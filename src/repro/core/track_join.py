@@ -367,14 +367,9 @@ def _execute_schedules(
         for b_side, t_side in (("R", "S"), ("S", "R")):
             if not received[b_side]:
                 continue
-            if spec.materialize:
-                batch = LocalPartition.concat(received[b_side])
-            else:
-                # A count probes keys only; the payload columns stay
-                # where they arrived.
-                batch = LocalPartition(
-                    keys=np.concatenate([part.keys for part in received[b_side]])
-                )
+            # A count probes keys only; the payload columns stay where
+            # they arrived.
+            batch = LocalPartition.concat(received[b_side], not spec.materialize)
             resident = work[t_side][node]
             profile.add_cpu_at(
                 f"Merge rec. {b_side} → {t_side} tuples",

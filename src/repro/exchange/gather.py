@@ -9,7 +9,7 @@ here:
   the inbox via :meth:`~repro.cluster.network.Network.requeue` (the
   receiver-side contract of mixed-class inboxes);
 - :class:`Gather` — a full drain *phase*: one task per node, each
-  concatenating its arrivals into one partition;
+  concatenating its arrivals (or only their keys) into one partition;
 - :func:`absorb_received` — consolidation drains (post-migration): the
   arrivals of each class are appended to an existing per-node fragment
   list in place;
@@ -65,10 +65,14 @@ class Gather:
     empty_names:
         Payload column names of the zero-row partition produced for
         nodes that received nothing.
+    keys_only:
+        Concatenate the arrivals' keys alone, leaving every payload
+        column where it arrived (a join that only counts probes keys).
     """
 
     category: MessageClass | None
     empty_names: tuple[str, ...] = ()
+    keys_only: bool = False
 
     def drain_node(self, cluster: Cluster, node: int) -> list[LocalPartition]:
         """One node's arrivals (payload list), category-filtered."""
@@ -86,7 +90,7 @@ class Gather:
         def gather_node(node: int) -> LocalPartition:
             parts = self.drain_node(cluster, node)
             return (
-                LocalPartition.concat(parts)
+                LocalPartition.concat(parts, self.keys_only)
                 if parts
                 else LocalPartition.empty(self.empty_names)
             )

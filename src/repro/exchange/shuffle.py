@@ -84,10 +84,12 @@ class Shuffle:
         profile: ExecutionProfile,
         partitions: Sequence[LocalPartition],
         empty_names: tuple[str, ...] = (),
+        keys_only: bool = False,
     ) -> list[LocalPartition]:
-        """Scatter, then gather each node's arrivals into one partition."""
+        """Scatter, then gather each node's arrivals (or only their keys,
+        see :class:`Gather`) into one partition."""
         self.scatter(cluster, profile, partitions)
-        return Gather(self.category, empty_names).run(cluster, profile)
+        return Gather(self.category, empty_names, keys_only).run(cluster, profile)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 from .base import DistributedJoin, JoinResult, JoinSpec
 from .broadcast import BroadcastJoin
 from .grace_hash import GraceHashJoin
-from .local import JoinCount, distinct_with_counts, join_indices, local_join
+from .local import JoinCount, join_indices, local_join
 from .registry import ALGORITHMS, AlgorithmInfo, algorithm, algorithm_names, create
 from .semijoin import SemiJoinFilteredJoin
 from .tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin, rid_width
@@ -26,5 +26,4 @@ __all__ = [
     "JoinCount",
     "join_indices",
     "local_join",
-    "distinct_with_counts",
 ]

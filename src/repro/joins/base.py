@@ -45,10 +45,12 @@ class JoinSpec:
     materialize:
         When False, joins compute output cardinality but skip building
         output payload arrays (large-scale traffic runs): the final
-        local joins count their matches instead of pairing them, so
-        :attr:`JoinResult.output` is ``None``, ``output_rows`` is exact,
-        and memory stays proportional to the inputs however large the
-        output.  Traffic and profile accounting do not depend on it.
+        local joins count their matches instead of pairing them, and
+        read only the keys of the tuples they received (no payload
+        column is concatenated), so :attr:`JoinResult.output` is
+        ``None``, ``output_rows`` is exact, and memory stays
+        proportional to the inputs however large the output.  Traffic
+        and profile accounting do not depend on it.
     group_locations:
         Section 2.4 optimization: batch location messages by node so
         the node id is amortized over many keys instead of repeated

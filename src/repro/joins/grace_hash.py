@@ -41,6 +41,7 @@ class GraceHashJoin(DistributedJoin):
         spec: JoinSpec,
         profile: ExecutionProfile,
     ) -> list[LocalPartition] | list[JoinCount]:
+        keys_only = not spec.materialize  # a count drains keys alone
         if cluster.pipeline_active():
             # Pipelined mode fuses the two scatters under one barrier —
             # R's sends overlap S's hash-partitioning — then gathers
@@ -55,12 +56,12 @@ class GraceHashJoin(DistributedJoin):
                 self._shuffle(table_s, spec, MessageClass.S_TUPLES, "S tuples").scatter(
                     cluster, profile, table_s.partitions
                 )
-            received_r = Gather(MessageClass.R_TUPLES, table_r.payload_names).run(
-                cluster, profile
-            )
-            received_s = Gather(MessageClass.S_TUPLES, table_s.payload_names).run(
-                cluster, profile
-            )
+            received_r = Gather(
+                MessageClass.R_TUPLES, table_r.payload_names, keys_only
+            ).run(cluster, profile)
+            received_s = Gather(
+                MessageClass.S_TUPLES, table_s.payload_names, keys_only
+            ).run(cluster, profile)
         else:
             received_r = self._repartition(
                 cluster, table_r, spec, profile, MessageClass.R_TUPLES, "R tuples"
@@ -114,7 +115,8 @@ class GraceHashJoin(DistributedJoin):
         category: MessageClass,
         step: str,
     ) -> list[LocalPartition]:
-        """Hash-partition one table; returns the received fragments per node."""
+        """Hash-partition one table; returns the received fragments per node
+        (their keys alone when the join only counts)."""
         return self._shuffle(table, spec, category, step).run(
-            cluster, profile, table.partitions, empty_names=table.payload_names
+            cluster, profile, table.partitions, table.payload_names, not spec.materialize
         )

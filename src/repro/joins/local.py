@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..parallel import chunks
-from ..storage.table import KeyIndex, LocalPartition
+from ..storage.table import KeyIndex, LocalPartition, dense_key_counts
 from ..util import segment_boundaries, segment_count
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "join_indices",
     "local_join",
     "join_cardinality",
-    "distinct_with_counts",
 ]
 
 
@@ -75,9 +74,9 @@ def _scratch(name: str, span: int, fill, dtype) -> np.ndarray:
     """
     table = getattr(_dense_tls, name, None)
     if table is None or len(table) < span:
-        table = np.full(
-            max(span, 2 * len(table) if table is not None else 0), fill, dtype=dtype
-        )
+        # Doubling amortizes regrowth, but never past the cap.
+        grown = 0 if table is None else min(2 * len(table), _DENSE_SPAN_CAP)
+        table = np.full(max(span, grown), fill, dtype=dtype)
         setattr(_dense_tls, name, table)
     return table[:span]
 
@@ -391,14 +390,17 @@ def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
 
     The sum is symmetric, so the *build* side is whichever partition
     already caches its key index or distinct keys (the right one when
-    both or neither do) and the other side's keys probe it.  Path
-    choice mirrors :func:`join_indices`: an uncached build side first
-    tries the positional table over its raw keys, which costs a
-    duplicate-free input no distinct pass at all; otherwise the table
-    holds the build side's distinct keys and every hit weighs that
-    key's repeat count, with a binary search over the sorted distinct
-    keys when their span fails :func:`_dense_span`.  Pairs are never
-    enumerated, so pair order does not apply.
+    both or neither do) and the other side's keys probe it.  An uncached
+    build side over a dense key domain (:func:`dense_key_counts`) is
+    counted by one ``bincount`` and probed once: each in-range probe key
+    adds its key's count.  Otherwise path choice mirrors
+    :func:`join_indices`: an uncached build side tries the positional
+    table over its raw keys, which costs a duplicate-free input no
+    distinct pass at all; failing that the table holds the build side's
+    distinct keys and every hit weighs that key's repeat count, with a
+    binary search over the sorted distinct keys when their span fails
+    :func:`_dense_span`.  Pairs are never enumerated, so pair order does
+    not apply.
 
     The probe is chunk-parallel like the pair-building probes; partial
     counts are Python ints summed in chunk order, so the result does
@@ -409,6 +411,15 @@ def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
     build, keys_probe, cached = right, left.keys, right.has_key_cache()
     if not cached and left.has_key_cache():
         build, keys_probe, cached = left, right.keys, True
+    dense = None if cached else dense_key_counts(build.keys)
+    if dense is not None:
+        table, base = dense
+
+        def probe(start: int, stop: int) -> int:
+            shifted = keys_probe[start:stop] - base
+            return int(table[shifted[(shifted >= 0) & (shifted < len(table))]].sum())
+
+        return sum(_probe_chunks(probe, len(keys_probe)))
     counts = None
     built = None if cached else _dense_lookup(build.keys, build.num_rows)
     if built is None:
@@ -441,12 +452,3 @@ def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
         return sum(_probe_chunks(probe, len(keys_probe)))
     finally:
         lookup[slots] = -1
-
-
-def distinct_with_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys of a partition with their local repeat counts.
-
-    This is the tracking-phase projection: duplicates are redundant and
-    eliminated before keys are sent to the scheduling nodes.
-    """
-    return np.unique(np.asarray(keys, dtype=np.int64), return_counts=True)

@@ -30,11 +30,26 @@ from ..util import (
 )
 from .schema import Schema
 
-__all__ = ["KeyIndex", "ScatterPlan", "LocalPartition", "DistributedTable"]
+__all__ = ["KeyIndex", "ScatterPlan", "LocalPartition", "DistributedTable", "dense_key_counts"]
 
-#: ``distinct_with_counts`` switches to a sort-free bincount when the key
-#: span is at most this many times the row count (bounds the counts table).
+#: Keys count with a sort-free bincount when their span is at most this
+#: many times the row count, plus 1024 (bounds the counts table).
 _DISTINCT_DENSE_FACTOR = 4
+
+
+def dense_key_counts(keys: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Occurrences of every key of a dense domain, from one ``bincount``.
+
+    Returns ``(table, base)`` with ``table[k - base]`` the number of
+    times ``k`` occurs in the non-empty ``keys``, or ``None`` when their
+    span exceeds ``_DISTINCT_DENSE_FACTOR`` × rows + 1024.  This is the
+    one definition of a "dense" key domain for counting.
+    """
+    base = int(keys.min())
+    span = int(keys.max()) - base + 1
+    if span > _DISTINCT_DENSE_FACTOR * len(keys) + 1024:
+        return None
+    return np.bincount(keys - base, minlength=span), base
 
 
 class KeyIndex:
@@ -181,8 +196,8 @@ class LocalPartition:
         Picks the cheapest algorithm for the key distribution at hand:
 
         * an already-built :meth:`key_index` is reused (one boundary scan);
-        * dense key domains (span ≤ ``_DISTINCT_DENSE_FACTOR`` × rows)
-          count occurrences with one sort-free ``bincount`` pass;
+        * dense key domains count occurrences with one sort-free
+          ``bincount`` pass (:func:`dense_key_counts`);
         * otherwise ``np.unique``'s value-only sort runs — several times
           faster than an index sort plus gather, which is why this does
           NOT build the key index as a side effect.
@@ -202,13 +217,11 @@ class LocalPartition:
 
     def _distinct_uncached(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct keys + counts without (building) the key index."""
-        n = len(self.keys)
-        if n == 0:
+        if len(self.keys) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
-        base = int(self.keys.min())
-        span = int(self.keys.max()) - base + 1
-        if span <= _DISTINCT_DENSE_FACTOR * n + 1024:
-            counts = np.bincount(self.keys - base, minlength=span)
+        dense = dense_key_counts(self.keys)
+        if dense is not None:
+            counts, base = dense
             present = np.flatnonzero(counts)
             return (present + base).astype(np.int64), counts[present]
         distinct, counts = np.unique(self.keys, return_counts=True)
@@ -313,8 +326,12 @@ class LocalPartition:
         )
 
     @staticmethod
-    def concat(parts: list["LocalPartition"]) -> "LocalPartition":
-        """Concatenate several partitions with identical column sets."""
+    def concat(parts: list["LocalPartition"], keys_only: bool = False) -> "LocalPartition":
+        """Concatenate several partitions with identical column sets.
+
+        ``keys_only`` concatenates the keys alone and drops every payload
+        column: all that a join count probes.
+        """
         parts = [p for p in parts if p is not None]
         if not parts:
             return LocalPartition.empty()
@@ -322,6 +339,8 @@ class LocalPartition:
         for part in parts[1:]:
             if set(part.columns) != set(names):
                 raise SchemaError("cannot concatenate partitions with different columns")
+        if keys_only:
+            names = ()
         return LocalPartition(
             keys=np.concatenate([p.keys for p in parts]),
             columns={

@@ -19,6 +19,7 @@ from repro.cluster.network import MessageClass
 from repro.errors import FaultExhaustedError, ReproError, ValidationError
 from repro.faults import CrashEvent, FaultPlan, FaultRates, StragglerEvent
 from repro.faults.chaos import default_plan, run_chaos
+from repro.joins.base import JoinSpec
 from repro.joins.registry import create
 from repro.parallel import current
 from repro.query import Join, Scan, compile_plan
@@ -68,6 +69,22 @@ class TestChaosMatrix:
         assert report["faults"]["crashes"] > 0
         assert report["faults"]["stragglers"] > 0
         assert report["retransmit_bytes"] > 0
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("name", ["HJ", "4TJ"])
+    def test_counting_run_recovers(self, name, workers):
+        """A count drains keys only; under the default plan it still
+        returns the fault-free row count with identical goodput."""
+        spec = JoinSpec(materialize=False)
+        clean_cluster, table_r, table_s = _make_cluster()
+        clean = create(name).run(clean_cluster, table_r, table_s, spec)
+        cluster, table_r, table_s = _make_cluster(default_plan(0, 4), workers=workers)
+        with cluster:
+            faulty = create(name).run(cluster, table_r, table_s, spec)
+        assert faulty.output is None
+        assert faulty.output_rows == clean.output_rows > 0
+        assert _goodput(faulty.traffic) == _goodput(clean.traffic)
+        assert cluster.network.faults.stats.faults_injected > 0
 
     def test_default_plan_is_not_null(self):
         plan = default_plan(0, 4)

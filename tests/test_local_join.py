@@ -7,14 +7,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.joins import local
+from repro.joins.base import JoinSpec
 from repro.joins.local import (
     JoinCount,
-    distinct_with_counts,
     join_indices,
     join_cardinality,
     local_join,
 )
+from repro.joins.registry import create
 from repro.storage import LocalPartition
+from repro.storage.table import dense_key_counts
+from repro.workloads import PATTERN_PARTIAL, both_sides_pattern_workload
 
 from conftest import exec_scope
 
@@ -101,6 +104,14 @@ def numpy_cardinality(keys_left, keys_right):
     return int(np.dot(counts_l[in_l], counts_r[in_r]))
 
 
+def _at_dense_bound(past: int) -> np.ndarray:
+    """Four repeating keys whose span is the dense bound plus ``past``."""
+    return np.array([0, 0, 7, 4 * 4 + 1024 - 1 + past], dtype=np.int64)
+
+
+_BOUND_PROBE = np.array([0, 7, 7, 3, 1039, 1040, 1041], dtype=np.int64)
+
+
 class TestCountingKernel:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -110,6 +121,10 @@ class TestCountingKernel:
     )
     @example((np.empty(0, dtype=np.int64), np.array([1, 1, 2])), ("right",), "key_index")
     @example((np.empty(0, dtype=np.int64),) * 2, (), "key_index")
+    # Four repeating build keys spanning exactly 4 * 4 + 1024 (the dense
+    # bound: one bincount), then one past it (the positional tables).
+    @example((_BOUND_PROBE, _at_dense_bound(0)), (), "key_index")
+    @example((_BOUND_PROBE, _at_dense_bound(1)), (), "key_index")
     def test_count_matches_every_reference(self, sides, cached, cache_kind):
         keys = dict(zip(("left", "right"), sides))
 
@@ -181,8 +196,91 @@ class TestLocalJoin:
         assert local_join(left, right).num_rows == 6
 
 
-class TestHelpers:
-    def test_distinct_with_counts(self):
-        keys, counts = distinct_with_counts(np.array([3, 1, 3, 3, 1]))
-        assert np.array_equal(keys, [1, 3])
-        assert np.array_equal(counts, [2, 3])
+class TestCountingPaths:
+    """Which tables the counting kernel builds, observed through
+    monkeypatched counters."""
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_uncached_dense_build_side_is_one_bincount(self, past):
+        """Up to the dense bound an uncached build side with repeating
+        keys never reaches the positional table or a distinct pass;
+        one past it, it does."""
+        calls = []
+        dense_lookup = local._dense_lookup
+        distinct_uncached = LocalPartition._distinct_uncached
+
+        def counted_lookup(*args, **kwargs):
+            calls.append("_dense_lookup")
+            return dense_lookup(*args, **kwargs)
+
+        def counted_distinct(self):
+            calls.append("_distinct_uncached")
+            return distinct_uncached(self)
+
+        keys_right = _at_dense_bound(past)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(local, "_dense_lookup", counted_lookup)
+            patch.setattr(LocalPartition, "_distinct_uncached", counted_distinct)
+            got = join_cardinality(_BOUND_PROBE, keys_right)
+        assert got == numpy_cardinality(_BOUND_PROBE, keys_right)
+        assert (calls == []) == (past == 0), calls
+
+    def test_track_join_count_makes_no_failed_dense_lookup(self):
+        """Phase C's post-migration fragments repeat keys and carry no
+        key caches; counting them never scatters keys into the
+        duplicate-free table only to unwind."""
+        failed = []
+        dense_lookup = local._dense_lookup
+
+        def counted(*args, **kwargs):
+            built = dense_lookup(*args, **kwargs)
+            if built is None:
+                failed.append(len(args[0]))
+            return built
+
+        workload = both_sides_pattern_workload(
+            PATTERN_PARTIAL, True, num_nodes=4, scaled_keys=2_000
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(local, "_dense_lookup", counted)
+            result = create("4TJ").run(
+                workload.cluster,
+                workload.table_r,
+                workload.table_s,
+                JoinSpec(materialize=False),
+            )
+        assert result.output_rows == workload.expected_output_rows
+        assert failed == []
+
+    def test_scratch_growth_stops_at_the_cap(self):
+        """Doubling a scratch table never allocates past the span cap."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(local, "_DENSE_SPAN_CAP", 64)
+            assert len(local._scratch("cap_probe", 40, 0, np.int64)) == 40
+            assert len(local._scratch("cap_probe", 50, 0, np.int64)) == 50
+            assert len(local._dense_tls.cap_probe) == 64
+            del local._dense_tls.cap_probe
+
+
+class TestDistinctWithCounts:
+    def test_every_branch_equals_numpy_unique(self):
+        """The dense bincount, ``np.unique`` and the boundary scan of a
+        built key index all return ``np.unique``'s keys and counts."""
+        dense = np.random.default_rng(3).integers(-50, 50, 300)
+        for branch, keys in (
+            ("bincount", dense),
+            ("unique", dense * 10**9),
+            ("key_index", dense),
+        ):
+            part = LocalPartition(keys=keys)
+            assert (dense_key_counts(part.keys) is None) == (branch == "unique")
+            with pytest.MonkeyPatch.context() as patch:
+                if branch == "key_index":
+                    # A built index is scanned: no uncached branch runs.
+                    part.key_index()
+                    patch.delattr(LocalPartition, "_distinct_uncached")
+                distinct, counts = part.distinct_with_counts()
+            want_distinct, want_counts = np.unique(keys, return_counts=True)
+            assert distinct.dtype == np.int64, branch
+            assert np.array_equal(distinct, want_distinct), branch
+            assert np.array_equal(counts, want_counts), branch

@@ -32,14 +32,15 @@ ALGORITHMS = [
 ]
 
 
-def run_join(algorithm, workers, depth, num_nodes=4, fault_plan=None):
+def run_join(algorithm, workers, depth, num_nodes=4, fault_plan=None, materialize=True):
     config = ExecConfig(workers=workers, pipeline_depth=depth)
     with Cluster(num_nodes, config=config, fault_plan=fault_plan) as cluster:
         rng = np.random.default_rng(13)
         table_r, table_s = make_tables(
             cluster, rng.integers(0, 700, 2500), rng.integers(300, 1000, 3000)
         )
-        return algorithm().run(cluster, table_r, table_s, JoinSpec(materialize=True))
+        spec = JoinSpec(materialize=materialize)
+        return algorithm().run(cluster, table_r, table_s, spec)
 
 
 def ledger_signature(traffic):
@@ -62,6 +63,17 @@ class TestPipelinedIdentity:
             pipelined.traffic
         )
         assert_same_output(strict, pipelined)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_counting_run_identical_to_strict(self, algorithm):
+        """Counts drain keys only on the fused path as on the strict one."""
+        strict = run_join(algorithm, workers=1, depth=1, materialize=False)
+        pipelined = run_join(algorithm, workers=4, depth=2, materialize=False)
+        assert ledger_signature(strict.traffic) == ledger_signature(
+            pipelined.traffic
+        )
+        full = run_join(algorithm, workers=1, depth=1)
+        assert strict.output_rows == pipelined.output_rows == full.output_rows
 
     @pytest.mark.parametrize("depth", [2, 3, 8])
     def test_deeper_windows_identical(self, depth):
