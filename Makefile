@@ -11,13 +11,15 @@ test:
 # accounts every send, the placement/scatter tests, the
 # golden-equivalence suite that pins every operator's traffic ledger
 # byte-for-byte, the sort-merge oracle every operator's rows must
-# match, and the local join and counting kernels with the hash join
-# that drains into them — once as is, once with 2 workers over 64-row
-# kernel chunks, so the chunk-merged grouping and the chunked probes
-# run on inputs this small.
+# match, the local join and counting kernels with the hash join
+# that drains into them, and the aggregation, semi-join and
+# tracking-aware operators whose sends run in their own phase tasks —
+# once as is, once with 2 workers over 64-row kernel chunks, so the
+# chunk-merged grouping and the chunked probes run on inputs this small.
 EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test_storage.py \
 	tests/test_oracle.py tests/test_network.py tests/test_timing.py \
-	tests/test_local_join.py tests/test_grace_hash.py
+	tests/test_local_join.py tests/test_grace_hash.py tests/test_query.py \
+	tests/test_semijoin.py tests/test_tracking_aware.py
 test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
 	$(PYTHON) -m pytest $(EXCHANGE_TESTS) -q

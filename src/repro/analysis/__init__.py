@@ -4,7 +4,7 @@ The parallel engine (PR 3) promises bit-identical ledgers, inbox order,
 profiles, and outputs for any worker count; the kernel pool (PR 7) and
 the concurrent query service (PR 8) add the stronger promise that those
 bytes stay identical *under concurrency*.  This package enforces both
-mechanically, in three complementary layers:
+statically, in two layers:
 
 :mod:`repro.analysis.engine`
     A two-kind rule engine: per-file AST rules plus whole-package
@@ -18,7 +18,7 @@ mechanically, in three complementary layers:
     REP001    no unseeded randomness under ``src/repro/``
     REP002    no wall-clock reads outside ``repro/timing`` and no
               set-iteration feeding sends or ledgers
-    REP003    no network sends that can bypass ``SendLane`` staging
+    REP003    no access to the network's private inbox or lane spool
     REP004    no bare builtin exceptions in library code (use the
               :class:`~repro.errors.ReproError` hierarchy)
     REP005    no mutation of a numpy array after it was passed to a send
@@ -40,13 +40,12 @@ mechanically, in three complementary layers:
               another task
     ========  ==========================================================
 
-:mod:`repro.analysis.sanitizer`
-    The runtime half: payload arrays handed to a staged send are frozen
-    read-only until the phase barrier commits (REP005's dynamic
-    counterpart), and registered shared objects record accessing-thread
-    sets plus lock coverage, raising :class:`~repro.errors.RaceError`
-    on a cross-thread conflict with no common lock (REP007/REP009's
-    dynamic counterpart).
+:mod:`repro.cluster.sanitizer` is the runtime half, kept next to the
+network it patches: payload arrays handed to a send are frozen
+read-only until the phase barrier commits (REP005's dynamic
+counterpart), and registered shared objects raise
+:class:`~repro.errors.RaceError` on a cross-thread conflict with no
+common lock (REP007/REP009's dynamic counterpart).
 
 Run the static pass with ``python -m repro lint --dataflow`` or
 ``make lint``.
@@ -69,16 +68,6 @@ from .engine import (
     register_rule,
 )
 from .rules import DEFAULT_TARGET
-from .sanitizer import (
-    RaceTracker,
-    race_tracker,
-    sanitized,
-    sanitizer_disable,
-    sanitizer_enable,
-    sanitizer_enabled,
-    shared_key,
-    track_shared,
-)
 
 __all__ = [
     "DataflowRule",
@@ -94,12 +83,4 @@ __all__ = [
     "register_dataflow_rule",
     "register_rule",
     "DEFAULT_TARGET",
-    "RaceTracker",
-    "race_tracker",
-    "sanitized",
-    "sanitizer_enable",
-    "sanitizer_disable",
-    "sanitizer_enabled",
-    "shared_key",
-    "track_shared",
 ]

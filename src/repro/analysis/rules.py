@@ -241,85 +241,39 @@ class WallClockAndSetOrder(Rule):
 
 @register_rule
 class SendLaneBypass(Rule):
-    """REP003: sends must reach the network where lane staging can see them.
+    """REP003: only the network touches its private spool.
 
-    During an open phase, determinism rests on every task's sends being
-    staged in its bound :class:`~repro.cluster.network.SendLane` and
-    committed at the barrier in task order.  Two syntactic shapes defeat
-    that: (a) touching the network's private spool (``_inboxes``,
-    ``_phase_lanes``) from outside the network module, and (b) a closure
-    that calls ``.send``/``.send_batches`` inside an enclosing function
-    that never routes work through ``run_phase`` (or binds a lane
-    itself) — if such a closure ever runs on a pool thread while a phase
-    is open, its sends commit immediately and the barrier no longer
-    orders them.
+    Every send is staged in its phase task's
+    :class:`~repro.cluster.network.SendLane` and committed at the
+    barrier in task order; :meth:`~repro.cluster.network.Network.send`
+    raises outside a phase, so no send can skip staging at runtime.
+    What no runtime check can see is code that writes the spool itself:
+    touching the network's ``_inboxes`` or ``_phase_lanes`` from outside
+    the network module bypasses staging and the barrier.
     """
 
     code = "REP003"
-    summary = "network send can bypass SendLane staging"
+    summary = "network spool accessed outside the network"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        is_network_module = ctx.in_subtree("repro/cluster/network.py")
-        if not is_network_module:
-            for node in ast.walk(ctx.tree):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr in ("_inboxes", "_phase_lanes")
-                    # self._phase_lanes is a class managing its own lanes
-                    # (ExecutionProfile), not a bypass of the network's.
-                    and not (
-                        isinstance(node.value, ast.Name) and node.value.id == "self"
-                    )
-                ):
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        f"direct access to Network.{node.attr} bypasses "
-                        "SendLane staging and the phase barrier",
-                    )
-        yield from self._check_closures(ctx, ctx.tree, enclosing=[])
-
-    def _check_closures(
-        self, ctx: FileContext, node: ast.AST, enclosing: list[ast.AST]
-    ) -> Iterator[Diagnostic]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if len(enclosing) >= 1:  # nested def: a phase-task closure
-                    if not any(self._stages_lanes(outer) for outer in enclosing):
-                        for send in self._direct_sends(child):
-                            yield ctx.diagnostic(
-                                send,
-                                self.code,
-                                "closure sends without the enclosing function "
-                                "running it via run_phase/bind_lane; if this "
-                                "runs during an open phase the send skips "
-                                "SendLane staging",
-                            )
-                yield from self._check_closures(ctx, child, enclosing + [child])
-            else:
-                yield from self._check_closures(ctx, child, enclosing)
-
-    @staticmethod
-    def _stages_lanes(func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Attribute) and node.attr in (
-                "run_phase",
-                "bind_lane",
+        if ctx.in_subtree("repro/cluster/network.py"):
+            return
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("_inboxes", "_phase_lanes")
+                # self._phase_lanes is a class managing its own lanes
+                # (ExecutionProfile), not a bypass of the network's.
+                and not (
+                    isinstance(node.value, ast.Name) and node.value.id == "self"
+                )
             ):
-                return True
-            if isinstance(node, ast.Name) and node.id in ("run_phase", "bind_lane"):
-                return True
-        return False
-
-    @staticmethod
-    def _direct_sends(func: ast.AST) -> list[ast.Call]:
-        sends = []
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                if chain and chain[-1] in ("send", "send_batches"):
-                    sends.append(node)
-        return sends
+                yield ctx.diagnostic(
+                    node,
+                    self.code,
+                    f"direct access to Network.{node.attr} bypasses "
+                    "SendLane staging and the phase barrier",
+                )
 
 
 @register_rule
@@ -369,7 +323,7 @@ class WriteAfterSend(Rule):
     passed as a payload must not be mutated on a later line (subscript
     store, augmented assignment, in-place ndarray method, or ``out=``
     target) unless the name is first rebound to a fresh object.  The
-    runtime sanitizer (:mod:`repro.analysis.sanitizer`) covers the
+    runtime sanitizer (:mod:`repro.cluster.sanitizer`) covers the
     flow-sensitive cases this rule cannot see.
     """
 

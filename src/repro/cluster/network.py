@@ -4,8 +4,8 @@ The paper measures distributed joins primarily by the *network traffic*
 they generate, broken down by message class (Figures 3-11 stack the bars
 as "Keys & Counts", "Keys & Nodes", "R Tuples", "S Tuples").  This module
 provides the fabric those experiments run on: every transfer between two
-simulated nodes goes through :meth:`Network.send`, which delivers the
-payload to the destination inbox and records its encoded size in a
+simulated nodes goes through :meth:`Network.send`, which stages the
+payload for the destination inbox and records its encoded size in a
 :class:`TrafficLedger`.
 
 Local sends (``src == dst``) are delivered but accounted separately, the
@@ -20,21 +20,23 @@ profile, in that :class:`~repro.timing.profile.ExecutionProfile` (sent
 bytes per source node, received bytes per destination node, or a local
 copy).  Nothing else accounts a send's bytes.
 
-Concurrent senders
-------------------
-The parallel engine runs many nodes' phase work at once, so accounting
-must stay deterministic under arbitrary thread interleaving.  During an
-open *phase* (:meth:`Network.begin_phase`), each task binds its own
-:class:`SendLane`: sends are staged into the lane's private message list
-and ledger, and the task's profile steps into the lane's private step
-list, instead of touching shared state.  The phase barrier
-(:meth:`Network.end_phase`) commits lanes in task order — merging lane
-ledgers via :meth:`TrafficLedger.merge`, appending staged messages to
-the destination inboxes, and merging lane step lists into the profile —
-so byte totals, ``by_link`` entries, inbox ordering and profile steps
-are bit-identical for every worker count and interleaving.  Messages
-staged inside a phase only become visible to :meth:`deliver` after the
-barrier, which is exactly the paper's non-pipelined phase semantics.
+One send path
+-------------
+The paper's joins run in barrier-synchronised phases (Section 4.2), and
+so does every send here.  A phase (:meth:`Network.begin_phase`, opened
+by ``Cluster.run_phase``) gives each task its own :class:`SendLane`:
+sends from a thread bound to a lane are staged into the lane's private
+message list and ledger, and the task's profile steps into the lane's
+private step list, instead of touching shared state.  A send from a
+thread with no bound lane raises :class:`~repro.errors.NetworkError`.
+The phase barrier (:meth:`Network.end_phase`) commits lanes in task
+order — merging lane ledgers via :meth:`TrafficLedger.merge`, appending
+staged messages to the destination inboxes, and merging lane step lists
+into the profile — so byte totals, ``by_link`` entries, inbox ordering
+and profile steps are bit-identical for every worker count and
+interleaving.  Staged messages become visible to :meth:`deliver` only
+after the barrier, which is exactly the paper's non-pipelined phase
+semantics.
 
 Zero-copy payloads
 ------------------
@@ -116,12 +118,11 @@ class Message:
         copy-on-conflict rule.
     seq:
         Globally monotonic sequence number, assigned by the network in
-        deterministic commit order (immediate sends at send time, staged
-        sends at the barrier in lane order).  Fault-free inbox order is
-        always ascending in ``seq``, which is what lets the fault
-        injector's receivers (:mod:`repro.faults`) restore exact
-        fault-free delivery order by sorting and dedup duplicates
-        idempotently.  ``-1`` until committed.
+        deterministic commit order: at the barrier, in lane order.
+        Fault-free inbox order is always ascending in ``seq``, which is
+        what lets the fault injector's receivers (:mod:`repro.faults`)
+        restore exact fault-free delivery order by sorting and dedup
+        duplicates idempotently.  ``-1`` until committed.
     step:
         The profile step the bytes are accounted under: the sender's
         transfer step, or its local-copy step for a message to itself;
@@ -229,12 +230,6 @@ class TrafficLedger:
         """Human-readable byte breakdown keyed by message-class value."""
         return {c.value: float(self.by_class.get(c, 0.0)) for c in MessageClass}
 
-    def retransmit_breakdown(self) -> dict[str, float]:
-        """Recovery-overhead bytes keyed by message-class value."""
-        return {
-            c.value: float(self.retransmit_by_class.get(c, 0.0)) for c in MessageClass
-        }
-
     def merge(self, other: "TrafficLedger") -> "TrafficLedger":
         """Accumulate ``other`` into this ledger in place; returns ``self``.
 
@@ -315,11 +310,6 @@ class Network:
 
         self.faults = FaultInjector(plan)
 
-    def _assign_seq(self, msg: Message) -> None:
-        """Stamp the next global sequence number (commit order)."""
-        msg.seq = self._next_seq
-        self._next_seq += 1
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise NetworkError(
@@ -335,10 +325,7 @@ class Network:
 
         While the phase is open, sends from a thread bound to a lane
         (:meth:`bind_lane`) are staged in that lane, and so are the
-        thread's recordings into ``profile``; unbound sends (the
-        coordinating thread) keep immediate semantics, which is safe
-        because the coordinator is single-threaded and runs at fixed
-        points relative to the barrier.
+        thread's recordings into ``profile``.
         """
         if self._phase_lanes is not None:
             raise NetworkError("a network phase is already open (missing barrier?)")
@@ -386,7 +373,8 @@ class Network:
         for lane in lanes:
             self.ledger.merge(lane.ledger)
             for msg in lane.messages:
-                self._assign_seq(msg)
+                msg.seq = self._next_seq
+                self._next_seq += 1
                 if self.faults is None:
                     self._inboxes[msg.dst].append(msg)
                 else:
@@ -418,15 +406,18 @@ class Network:
         step: str | None = None,
         local_step: str | None = None,
     ) -> None:
-        """Send one message from ``src`` to ``dst`` and account its size.
+        """Stage one message from ``src`` to ``dst`` and account its size.
 
-        The bytes go to the ledger and, when ``profile`` is given, to the
-        profile step the message is attributed to: ``step`` (a NET step)
-        between two nodes, ``local_step`` (a LOCAL copy) for a message to
-        itself; a missing name records no step.  The payload is handed
-        over zero-copy (see the module notes for the copy-on-conflict
-        rule).  Inside an open phase with a bound lane, the message is
-        staged and becomes visible at the barrier.
+        The message is staged in the lane bound to the calling thread
+        and becomes visible at the phase barrier; with no lane bound
+        (no open phase, or a thread outside its tasks) the send raises
+        :class:`~repro.errors.NetworkError` and records nothing.  The
+        bytes go to the lane's ledger and, when ``profile`` is given, to
+        the profile step the message is attributed to: ``step`` (a NET
+        step) between two nodes, ``local_step`` (a LOCAL copy) for a
+        message to itself; a missing name records no step.  The payload
+        is handed over zero-copy (see the module notes for the
+        copy-on-conflict rule).
         """
         self._check_node(src)
         self._check_node(dst)
@@ -434,24 +425,18 @@ class Network:
             raise NetworkError(
                 f"message size must be finite and non-negative, got {nbytes}"
             )
+        lane = self._bound_lane()
+        if lane is None:
+            raise NetworkError(
+                f"send {src}->{dst} outside a phase: every send runs in a "
+                "phase task (Cluster.run_phase) and stages in its lane"
+            )
         msg = Message(
             src, dst, category, float(nbytes), payload,
             step=step if src != dst else local_step,
         )
-        lane = self._bound_lane()
-        if lane is not None:
-            lane.ledger.record(msg)
-            lane.messages.append(msg)
-        else:
-            self.ledger.record(msg)
-            self._assign_seq(msg)
-            if self.faults is not None and src != dst:
-                # Immediate (coordinator) sends run the fault model at
-                # send time; the coordinator is single-threaded, so draw
-                # order stays deterministic.
-                self._inboxes[dst].extend(self.faults.transmit(msg, self.ledger))
-            else:
-                self._inboxes[dst].append(msg)
+        lane.ledger.record(msg)
+        lane.messages.append(msg)
         if profile is not None and msg.step is not None:
             profile.record_send(msg)
 

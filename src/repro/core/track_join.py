@@ -305,8 +305,8 @@ def _execute_schedules(
     # directions read only coordinator state (tracking/schedules) and
     # their side's consolidated fragments — never each other's sends —
     # so a pipelined window may overlap one direction's broadcast with
-    # the other's translation work.  Location messages are coordinator
-    # sends and keep immediate semantics either way.
+    # the other's translation work.  Each direction's location messages
+    # are a phase of their own, sent from the scheduling nodes' tasks.
     pairs = _broadcast_pairs(sched)
     with cluster.pipelined_phases():
         for b_side, t_side in (("R", "S"), ("S", "R")):

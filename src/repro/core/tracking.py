@@ -23,6 +23,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
+from ..exchange.gather import flush
 from ..parallel.chunks import kernel_chunk_rows, run_chunks
 from ..storage.table import DistributedTable
 from ..timing.profile import ExecutionProfile
@@ -232,8 +233,7 @@ def run_tracking_phase(
 
     # Drain the tracking inboxes (payloads carry no data; the union table
     # below is the logically-equivalent global state).
-    for _node, _messages in cluster.network.deliver_all():
-        pass
+    flush(cluster)
 
     if not streams:
         return TrackingTable.empty(num_nodes)

@@ -21,13 +21,12 @@ Operator               Pattern
 :class:`Gather`        barrier drains of per-node inboxes
 =====================  =====================================================
 
-All sends go through :meth:`Network.send`, so inside a cluster phase
+All sends go through :meth:`Network.send` from cluster phase tasks, so
 they stage in the calling task's ``SendLane`` and commit
 deterministically at the barrier — ledgers, profiles, and arrival
 orders are bit-identical for any worker count.
 """
 
-from .base import send_rows
 from .broadcast import Broadcast, replicate_size
 from .gather import Gather, absorb_received, drain_category, drain_payloads, flush
 from .locations import LocationExchange
@@ -44,7 +43,6 @@ __all__ = [
     "ShardedMigrate",
     "LocationExchange",
     "Gather",
-    "send_rows",
     "replicate_size",
     "drain_category",
     "drain_payloads",

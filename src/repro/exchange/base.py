@@ -6,8 +6,6 @@ handful of communication patterns — hash scatter, replication, directed
 in :mod:`repro.exchange` package those patterns as first-class
 *exchange operators*; this module holds what they share:
 
-- :func:`send_rows` — ship one tuple batch with wire-size accounting
-  (``rows × width``) under a :class:`~repro.cluster.network.MessageClass`;
 - :func:`group_by_link` / :func:`matched_batches` — the directed
   exchanges' translation of (holder, destination, key) instruction
   pairs into per-destination batches of each holder's matching tuples.
@@ -15,48 +13,24 @@ in :mod:`repro.exchange` package those patterns as first-class
 All sends go through :meth:`Network.send`, which writes each send's bytes
 once: to the ledger and to the profile, as a network-transfer step or,
 for a node sending to itself, a "Local copy ..." step (the paper
-separates the two in Tables 3-4).  Inside an open cluster phase they are
-staged in the calling task's :class:`~repro.cluster.network.SendLane`
-and committed deterministically at the barrier — exchange operators
-never bypass the staging contract.
+separates the two in Tables 3-4).  Every send runs in a cluster phase
+task: it is staged in the task's
+:class:`~repro.cluster.network.SendLane` and committed deterministically
+at the barrier, and a send outside a phase raises.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..cluster.cluster import Cluster
-from ..cluster.network import MessageClass
 from ..joins.local import join_indices
 from ..storage.table import LocalPartition
-from ..timing.profile import ExecutionProfile
 from ..util import group_bounded
 
 __all__ = [
-    "send_rows",
     "group_by_link",
     "matched_batches",
 ]
-
-
-def send_rows(
-    cluster: Cluster,
-    profile: ExecutionProfile,
-    category: MessageClass,
-    src: int,
-    dst: int,
-    rows: LocalPartition,
-    width: float,
-    transfer_step: str,
-    local_step: str,
-) -> float:
-    """Ship one batch of tuples; returns the accounted wire size."""
-    nbytes = rows.num_rows * width
-    cluster.network.send(
-        src, dst, category, nbytes, payload=rows,
-        profile=profile, step=transfer_step, local_step=local_step,
-    )
-    return nbytes
 
 
 def group_by_link(

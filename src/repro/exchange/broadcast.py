@@ -19,7 +19,6 @@ from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import send_rows
 
 __all__ = ["Broadcast", "replicate_size"]
 
@@ -51,7 +50,6 @@ class Broadcast:
     ) -> None:
         """One phase: each node sends its whole fragment to every peer."""
         transfer_step = f"Transfer {self.step}"
-        local_step = f"Local copy {self.step}"
 
         def scatter_node(src: int) -> None:
             fragment = partitions[src]
@@ -64,9 +62,9 @@ class Broadcast:
             for dst in range(cluster.num_nodes):
                 if dst == src:
                     continue
-                send_rows(
-                    cluster, profile, self.category, src, dst, fragment,
-                    self.width, transfer_step, local_step,
+                cluster.network.send(
+                    src, dst, self.category, fragment.num_rows * self.width,
+                    payload=fragment, profile=profile, step=transfer_step,
                 )
 
         cluster.run_phase(scatter_node, profile=profile)

@@ -6,7 +6,8 @@ this key's tuples there".  The pairs are accounted per (sender,
 receiver) link at their wire size (:func:`location_message_bytes`,
 including the Section 2.4 grouped-by-node and delta-key encodings), and
 pairs addressed to the scheduling node itself are free — the paper's
-``i != self`` exclusion.
+``i != self`` exclusion.  Each scheduling node sends its pairs from its
+own phase task.
 """
 
 from __future__ import annotations
@@ -56,9 +57,11 @@ class LocationExchange:
     ) -> None:
         """Send one sized message per active (sender, receiver) link.
 
-        ``senders``/``receivers``/``node_values`` are parallel pair
-        arrays: the scheduling node, the holder it instructs, and the
-        node id the pair carries.  Per link the message size depends on
+        One phase, one task per scheduling node: each task sends its
+        node's links in receiver order, so the barrier commits them in
+        (sender, receiver) order.  ``senders``/``receivers``/
+        ``node_values`` are parallel pair arrays: the scheduling node,
+        the holder it instructs, and the node id the pair carries.  Per link the message size depends on
         the pair count and (for grouped encodings) the distinct node
         values, so both are reduced here in one vectorized pass.
         """
@@ -118,22 +121,36 @@ class LocationExchange:
             distinct_counts = cumulative[ends - 1] - cumulative[starts] + 1
             group_src = link[starts] // n
             group_dst = link[starts] % n
-        for src, dst, group_count, distinct in zip(
-            group_src, group_dst, counts, distinct_counts
-        ):
-            src = int(src)
-            dst = int(dst)
-            nbytes = location_message_bytes(
-                int(group_count),
-                int(distinct),
-                self.key_width,
-                self.location_width,
-                group_by_node=self.group_by_node,
-            )
-            cluster.network.send(
-                src, dst, MessageClass.KEYS_NODES, nbytes,
-                profile=profile, step=self.step, local_step="Local copy keys, nodes",
-            )
-            # Receivers merge the incoming pair lists before acting on
-            # them.
-            profile.add_cpu_at("Merge rec. keys, nodes", "merge", dst, nbytes)
+        # Links are in (sender, receiver) order: each scheduling node's
+        # links are one run, sent from that node's phase task.
+        first = np.flatnonzero(np.diff(group_src, prepend=-1))
+        task_senders = group_src[first].tolist()
+        bounds = np.append(first, len(group_src)).tolist()
+        link_dst = group_dst.tolist()
+        link_count = counts.tolist()
+        link_distinct = distinct_counts.tolist()
+
+        def send_links(task: int) -> None:
+            src = task_senders[task]
+            for link in range(bounds[task], bounds[task + 1]):
+                dst = link_dst[link]
+                nbytes = location_message_bytes(
+                    link_count[link],
+                    link_distinct[link],
+                    self.key_width,
+                    self.location_width,
+                    group_by_node=self.group_by_node,
+                )
+                cluster.network.send(
+                    src, dst, MessageClass.KEYS_NODES, nbytes,
+                    profile=profile, step=self.step,
+                    local_step="Local copy keys, nodes",
+                )
+                # Receivers merge the incoming pair lists before acting
+                # on them.
+                profile.add_cpu_at("Merge rec. keys, nodes", "merge", dst, nbytes)
+
+        cluster.run_phase(
+            send_links, tasks=len(task_senders), profile=profile,
+            task_nodes=task_senders,
+        )

@@ -123,6 +123,9 @@ class FaultInjector:
     def transmit(self, msg: Message, ledger: TrafficLedger) -> list[Message]:
         """Deliver one remote message through the fault model.
 
+        Called by :meth:`commit_batch` only, once per remote message of
+        a barrier batch.
+
         Returns the inbox entries the message produces (the delivered
         copy plus any duplicate or late-arriving copies, all sharing its
         sequence number).  Raises
@@ -214,8 +217,8 @@ class FaultInjector:
         """Idempotent delivery: sort by sequence number, drop duplicates.
 
         Fault-free inbox order is always ascending in sequence number
-        (immediate sends and lane commits both assign in append order),
-        so the sort restores the exact fault-free arrival order after
+        (the barrier assigns numbers in the order it appends), so the
+        sort restores the exact fault-free arrival order after
         any mix of reordering, duplication, and retransmission.
         """
         ordered = sorted(messages, key=lambda msg: msg.seq)

@@ -68,16 +68,16 @@ class SemiJoinFilteredJoin(DistributedJoin):
         profile: ExecutionProfile,
         side: str,
     ) -> list[BloomFilter]:
-        """Build and broadcast per-node filters; receivers keep them
-        separate and probe all of them (a union of filters each sized
-        for one fragment would saturate)."""
-        filters = []
-        for node, partition in enumerate(table.partitions):
+        """Build and broadcast per-node filters, one phase task per node;
+        receivers keep them separate and probe all of them (a union of
+        filters each sized for one fragment would saturate)."""
+
+        def build_and_broadcast(node: int) -> BloomFilter:
+            partition = table.partitions[node]
             bloom = BloomFilter.for_capacity(
                 max(1, partition.num_rows), self.false_positive_rate
             )
             bloom.add(partition.keys)
-            filters.append(bloom)
             profile.add_cpu_at(
                 f"Build {side} filter", "aggregate", node, partition.num_rows * 8.0
             )
@@ -85,6 +85,9 @@ class SemiJoinFilteredJoin(DistributedJoin):
                 cluster, profile, MessageClass.FILTER, node, bloom.wire_bytes,
                 f"Broadcast {side} filters",
             )
+            return bloom
+
+        filters = cluster.run_phase(build_and_broadcast, profile=profile)
         flush(cluster)
         return filters
 

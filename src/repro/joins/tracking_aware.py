@@ -25,8 +25,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..exchange.base import send_rows
-from ..exchange.gather import flush
+from ..exchange.gather import drain_payloads, flush
 from ..exchange.shuffle import KeyShuffle
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -237,42 +236,28 @@ class TrackingAwareHashJoin(DistributedJoin):
                 wide_rows.setdefault(dst, []).append(positions)
         flush(cluster)
 
-        # Narrow nodes ship (key + narrow payload) to each destination.
-        # Each job's destination split is computed once (a single fused
-        # gather) and reused by the send pass and the arrivals pass.
+        # Narrow nodes ship (key + narrow payload) to each destination,
+        # one task per narrow node, each job's batches in destination
+        # order.
         job_sources = list(send_jobs.items())
 
-        def split_jobs(index: int) -> list[tuple[int, int, LocalPartition]]:
+        def ship_jobs(index: int) -> None:
             src, jobs = job_sources[index]
             partition = narrow_table.partitions[src]
-            batches_here: list[tuple[int, int, LocalPartition]] = []
             for _t_node, positions, destinations in jobs:
-                batches = partition.split_by(
-                    destinations, cluster.num_nodes, rows=positions
+                cluster.network.send_batches(
+                    src, narrow_category,
+                    partition.split_by(destinations, cluster.num_nodes, rows=positions),
+                    narrow_width, profile=profile,
+                    step="Transfer narrow tuples", local_step="Local copy narrow tuples",
                 )
-                for dst, batch in enumerate(batches):
-                    if batch is None:
-                        continue
-                    batches_here.append((src, dst, batch))
-            return batches_here
 
-        job_batches: list[tuple[int, int, LocalPartition]] = []
-        for batches_here in cluster.run_phase(
-            split_jobs,
+        cluster.run_phase(
+            ship_jobs,
             tasks=len(job_sources),
             profile=profile,
             task_nodes=[src for src, _ in job_sources],
-        ):
-            job_batches.extend(batches_here)
-        for src, dst, batch in job_batches:
-            send_rows(
-                cluster, profile, narrow_category, src, dst, batch, narrow_width,
-                "Transfer narrow tuples", "Local copy narrow tuples",
-            )
-        flush(cluster)
-        arrivals: dict[int, list[LocalPartition]] = {}
-        for _src, dst, batch in job_batches:
-            arrivals.setdefault(dst, []).append(batch)
+        )
 
         # Rejoin at the wide nodes: selected local tuples vs arrivals.
         empty_names = tuple("r." + n for n in table_r.payload_names) + tuple(
@@ -280,7 +265,7 @@ class TrackingAwareHashJoin(DistributedJoin):
         )
 
         def rejoin_node(node: int) -> LocalPartition:
-            received = arrivals.get(node, [])
+            received = drain_payloads(cluster, node)
             if not received or node not in wide_rows:
                 return LocalPartition.empty(empty_names)
             narrow_part = LocalPartition.concat(received)

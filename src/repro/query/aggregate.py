@@ -128,13 +128,15 @@ def run_aggregation(
     specs = tuple(specs)
     if not specs:
         raise ReproError("aggregation needs at least one AggregateSpec")
+    cluster.check_table(table)
     cluster.reset()
     profile = ExecutionProfile(cluster.num_nodes)
     key_width = table.schema.key_width(spec.encoding)
     value_width = 8.0  # partial aggregates travel as 64-bit values
     partial_width = key_width + value_width * len(specs)
 
-    for node, partition in enumerate(table.partitions):
+    def pre_aggregate(node: int) -> None:
+        partition = table.partitions[node]
         partials = _local_partials(partition, specs)
         profile.add_cpu_at(
             "Pre-aggregate local groups",
@@ -143,7 +145,7 @@ def run_aggregation(
             partition.num_rows * (key_width + value_width),
         )
         if partials.num_rows == 0:
-            continue
+            return
         destinations = hash_partition(partials.keys, cluster.num_nodes, spec.hash_seed)
         cluster.network.send_batches(
             node, MessageClass.AGGREGATES,
@@ -152,8 +154,7 @@ def run_aggregation(
             local_step="Local copy partial aggregates",
         )
 
-    partitions = []
-    for node in range(cluster.num_nodes):
+    def merge(node: int) -> LocalPartition:
         received = [m.payload for m in cluster.network.deliver(node)]
         merged = _merge_partials(received, specs) if received else LocalPartition(
             keys=np.empty(0, dtype=np.int64),
@@ -162,7 +163,10 @@ def run_aggregation(
         profile.add_cpu_at(
             "Merge partial aggregates", "merge", node, merged.num_rows * partial_width
         )
-        partitions.append(merged)
+        return merged
+
+    cluster.run_phase(pre_aggregate, profile=profile)
+    partitions = cluster.run_phase(merge, profile=profile)
 
     out_schema = Schema(
         key_columns=table.schema.key_columns,

@@ -24,7 +24,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..analysis.sanitizer import shared_key, track_shared
+from ..cluster.sanitizer import shared_key, track_shared
 from ..costmodel.stats import register_epoch_listener
 from ..errors import ValidationError
 from ..query.executor import PhysicalPlan, RunContext, compile_plan

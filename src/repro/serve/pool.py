@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Iterable
 
-from ..analysis.sanitizer import shared_key, track_shared
+from ..cluster.sanitizer import shared_key, track_shared
 from ..errors import ParallelError
 from ..parallel.config import current
 from ..parallel.executor import PhaseExecutor, resolve_executor

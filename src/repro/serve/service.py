@@ -39,7 +39,7 @@ import queue
 import threading
 from dataclasses import dataclass, field
 
-from ..analysis.sanitizer import shared_key, track_shared
+from ..cluster.sanitizer import shared_key, track_shared
 from ..cluster.cluster import Cluster
 from ..errors import AdmissionError, QueryTimeoutError, ValidationError
 from ..joins.base import JoinSpec

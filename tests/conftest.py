@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import os
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import Cluster, GraceHashJoin, JoinSpec
-from repro.analysis import sanitizer_disable, sanitizer_enable
+from repro.cluster.sanitizer import sanitizer_disable, sanitizer_enable
 from repro.core.tracking import TrackingTable
 from repro.parallel import current, use
 from repro.testing import assert_same_output, canonical_output, scatter_tables
@@ -26,6 +27,7 @@ __all__ = [
     "exec_scope",
     "make_tables",
     "one_key_hash_join",
+    "one_lane",
     "tracking_from_dicts",
     "transient_peak",
 ]
@@ -76,6 +78,24 @@ def exec_scope(**fields):
     Clusters built inside the block, and kernels run outside any join,
     take this config."""
     return use(replace(current(), **{k: v for k, v in fields.items() if v is not None}))
+
+
+@contextmanager
+def one_lane(network, profile=None):
+    """Run the block as the only task of one network phase.
+
+    The block's sends (and its steps in ``profile``) stage in the
+    phase's one lane and commit at the barrier on exit, as a
+    ``Cluster.run_phase`` task's would; an exception discards them.
+    """
+    lanes = network.begin_phase(1, profile)
+    try:
+        with network.bind_lane(lanes[0]):
+            yield
+    except BaseException:
+        network.abort_phase()
+        raise
+    network.end_phase()
 
 
 def one_key_hash_join(workers: int = 1):

@@ -16,15 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.analysis import (
+from repro.analysis import all_dataflow_rules, lint_paths, lint_source
+from repro.cluster.sanitizer import (
     RaceTracker,
-    all_dataflow_rules,
-    lint_paths,
-    lint_source,
     race_tracker,
     sanitized,
+    shared_key,
+    track_shared,
 )
-from repro.analysis.sanitizer import shared_key, track_shared
 from repro.errors import RaceError
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -469,7 +468,7 @@ class TestRaceTracker:
     def test_noop_when_tracker_absent(self, monkeypatch):
         # The tier-1 suite runs session-sanitized (conftest), so simulate
         # the disabled state directly: track_shared must be a pure no-op.
-        from repro.analysis import sanitizer as sanitizer_module
+        from repro.cluster import sanitizer as sanitizer_module
 
         monkeypatch.setattr(sanitizer_module, "_race_tracker", None)
         track_shared("test.counter", write=True)  # must not record or raise

@@ -228,7 +228,7 @@ class TestProcessState:
     environment, and no module rebinds globals outside two known owners."""
 
     CONFIG_MODULE = "parallel/config.py"
-    GLOBAL_OWNERS = {"analysis/sanitizer.py", "costmodel/stats.py"}
+    GLOBAL_OWNERS = {"cluster/sanitizer.py", "costmodel/stats.py"}
 
     @staticmethod
     def _sources():
@@ -267,3 +267,28 @@ class TestProcessState:
             if any(isinstance(node, ast.Global) for node in ast.walk(tree))
         }
         assert rebinders <= self.GLOBAL_OWNERS, sorted(rebinders - self.GLOBAL_OWNERS)
+
+
+class TestImportFootprint:
+    """``import repro`` loads the runtime, not the static analyzer: the
+    runtime sanitizer lives next to the network it patches."""
+
+    def test_import_repro_loads_no_analysis_module(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

@@ -14,15 +14,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import Cluster
+from repro import Cluster, Schema, TrackJoin
 from repro.cluster.network import MessageClass
 from repro.errors import FaultExhaustedError, ReproError, ValidationError
+from repro.exchange import LocationExchange
 from repro.faults import CrashEvent, FaultPlan, FaultRates, StragglerEvent
 from repro.faults.chaos import default_plan, run_chaos
 from repro.joins.base import JoinSpec
 from repro.joins.registry import create
+from repro.joins.semijoin import SemiJoinFilteredJoin
+from repro.joins.tracking_aware import TrackingAwareHashJoin
 from repro.parallel import current
-from repro.query import Join, Scan, compile_plan
+from repro.query import AggregateSpec, Join, Scan, compile_plan, run_aggregation
 from repro.testing import canonical_output, scatter_tables
 
 
@@ -211,6 +214,83 @@ class TestRetransmitAccounting:
         assert clean.traffic.retransmit_bytes == 0.0
         # Goodput is unchanged: same message count, same per-class bytes.
         assert _goodput(faulty.traffic) == _goodput(clean.traffic)
+
+
+# -- sends that run in phases --------------------------------------------
+
+
+def _aggregate(plan=None):
+    """Sum and count 400 rows over 50 groups on four nodes."""
+    cluster = Cluster(4, fault_plan=plan)
+    rng = np.random.default_rng(3)
+    table = cluster.table_from_assignment(
+        "T",
+        Schema.with_widths(32, 64, payload_name="v"),
+        rng.integers(0, 50, 400),
+        rng.integers(0, 4, 400),
+        columns={"v": rng.integers(0, 1000, 400)},
+    )
+    specs = [AggregateSpec("total", "sum", "v"), AggregateSpec("n", "count", "v")]
+    return cluster, run_aggregation(cluster, table, specs, JoinSpec())
+
+
+class TestPhasedSends:
+    """Every send runs in a phase, so crash supervision and the barrier's
+    fault model reach the location messages, the Bloom filters, the
+    partial aggregates and TAHJ's narrow tuples too."""
+
+    def test_aggregation_send_phase_crash_recovers(self):
+        _, clean = _aggregate()
+        # Phase 1 of an aggregation pre-aggregates and sends the partials.
+        cluster, faulty = _aggregate(FaultPlan(crashes=(CrashEvent(node=1, phase=1),)))
+        assert cluster.network.faults.stats.crashes >= 1
+        assert np.array_equal(_canonical_table(faulty.table), _canonical_table(clean.table))
+        assert _goodput(faulty.traffic) == _goodput(clean.traffic)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_location_exchange_phase_crash_recovers(self, workers, monkeypatch):
+        clean_cluster, table_r, table_s = _make_cluster()
+        clean = create("4TJ").run(clean_cluster, table_r, table_s)
+
+        # A probe run finds the first location exchange's barrier number.
+        barriers = []
+        run = LocationExchange.run
+
+        def probe(self, cluster, *args):
+            before = cluster.network.faults.phase
+            run(self, cluster, *args)
+            barriers.append((before, cluster.network.faults.phase))
+
+        monkeypatch.setattr(LocationExchange, "run", probe)
+        probe_plan = FaultPlan(stragglers=(StragglerEvent(node=0, phase=99, delay=0.1),))
+        cluster, table_r, table_s = _make_cluster(probe_plan)
+        create("4TJ").run(cluster, table_r, table_s)
+        before, after = barriers[0]
+        assert after == before + 1  # the exchange is one phase of its own
+
+        crashes = tuple(CrashEvent(node=node, phase=after) for node in range(4))
+        cluster, table_r, table_s = _make_cluster(FaultPlan(crashes=crashes), workers=workers)
+        with cluster:
+            faulty = create("4TJ").run(cluster, table_r, table_s)
+        assert cluster.network.faults.stats.crashes >= 1
+        assert np.array_equal(canonical_output(faulty), canonical_output(clean))
+        assert _goodput(faulty.traffic) == _goodput(clean.traffic)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: SemiJoinFilteredJoin(TrackJoin("4TJ")), TrackingAwareHashJoin],
+        ids=["BF+4TJ", "TAHJ"],
+    )
+    def test_default_plan_recovers(self, make, workers):
+        clean_cluster, table_r, table_s = _make_cluster()
+        clean = make().run(clean_cluster, table_r, table_s)
+        cluster, table_r, table_s = _make_cluster(default_plan(0, 4), workers=workers)
+        with cluster:
+            faulty = make().run(cluster, table_r, table_s)
+        assert np.array_equal(canonical_output(faulty), canonical_output(clean))
+        assert _goodput(faulty.traffic) == _goodput(clean.traffic)
+        assert cluster.network.faults.stats.faults_injected > 0
 
 
 # -- query-layer degradation ---------------------------------------------

@@ -9,6 +9,8 @@ from repro import Cluster, Schema
 from repro.cluster import MessageClass
 from repro.errors import JoinConfigError, NetworkError
 
+from conftest import one_lane
+
 
 class TestCluster:
     def test_construction(self):
@@ -24,7 +26,8 @@ class TestCluster:
     def test_reset_clears_state_and_ledger(self):
         cluster = Cluster(2)
         cluster.nodes[0].state["x"] = 1
-        cluster.network.send(0, 1, MessageClass.R_TUPLES, 10.0)
+        with one_lane(cluster.network):
+            cluster.network.send(0, 1, MessageClass.R_TUPLES, 10.0)
         cluster.network.deliver(1)
         cluster.reset()
         assert cluster.nodes[0].state == {}

@@ -27,13 +27,12 @@ from repro.exchange import (
     drain_payloads,
     flush,
     replicate_size,
-    send_rows,
 )
 from repro.exchange.base import group_by_link
 from repro.storage import LocalPartition
 from repro.timing.profile import ExecutionProfile
 
-from conftest import exec_scope
+from conftest import exec_scope, one_lane
 
 
 def _part(*keys):
@@ -46,10 +45,11 @@ class TestDrainCategory:
         """Non-matching messages survive a selective drain via requeue."""
         cluster = Cluster(2)
         net = cluster.network
-        net.send(0, 1, MessageClass.R_TUPLES, 8.0, payload=_part(1))
-        net.send(0, 1, MessageClass.S_TUPLES, 8.0, payload=_part(2))
-        net.send(1, 1, MessageClass.R_TUPLES, 8.0, payload=_part(3))
-        net.send(0, 1, MessageClass.FILTER, 4.0, payload=_part(4))
+        with one_lane(net):
+            net.send(0, 1, MessageClass.R_TUPLES, 8.0, payload=_part(1))
+            net.send(0, 1, MessageClass.S_TUPLES, 8.0, payload=_part(2))
+            net.send(1, 1, MessageClass.R_TUPLES, 8.0, payload=_part(3))
+            net.send(0, 1, MessageClass.FILTER, 4.0, payload=_part(4))
 
         kept = drain_category(cluster, 1, MessageClass.R_TUPLES)
         assert [p.keys.tolist() for p in kept] == [[1], [3]]
@@ -67,8 +67,9 @@ class TestDrainCategory:
         """The pattern the join phase relies on: drain R, then drain S."""
         cluster = Cluster(2)
         net = cluster.network
-        net.send(0, 0, MessageClass.S_TUPLES, 8.0, payload=_part(7))
-        net.send(1, 0, MessageClass.R_TUPLES, 8.0, payload=_part(8))
+        with one_lane(net):
+            net.send(0, 0, MessageClass.S_TUPLES, 8.0, payload=_part(7))
+            net.send(1, 0, MessageClass.R_TUPLES, 8.0, payload=_part(8))
 
         assert [p.keys.tolist() for p in drain_category(cluster, 0, MessageClass.R_TUPLES)] == [[8]]
         assert [p.keys.tolist() for p in drain_category(cluster, 0, MessageClass.S_TUPLES)] == [[7]]
@@ -78,8 +79,9 @@ class TestDrainCategory:
         """Messages were accounted at send time; drains change nothing."""
         cluster = Cluster(2)
         net = cluster.network
-        net.send(0, 1, MessageClass.R_TUPLES, 16.0, payload=_part(1))
-        net.send(0, 1, MessageClass.S_TUPLES, 24.0, payload=_part(2))
+        with one_lane(net):
+            net.send(0, 1, MessageClass.R_TUPLES, 16.0, payload=_part(1))
+            net.send(0, 1, MessageClass.S_TUPLES, 24.0, payload=_part(2))
         before = (net.ledger.total_bytes, net.ledger.message_count)
 
         drain_category(cluster, 1, MessageClass.R_TUPLES)
@@ -108,7 +110,8 @@ class TestRequeueEdgeCases:
         barrier commits them."""
         cluster = Cluster(2)
         net = cluster.network
-        net.send(0, 1, MessageClass.FILTER, 4.0, payload=_part(1))
+        with one_lane(net):
+            net.send(0, 1, MessageClass.FILTER, 4.0, payload=_part(1))
         drained = net.deliver(1)
 
         lanes = net.begin_phase(1)
@@ -124,9 +127,10 @@ class TestRequeueEdgeCases:
         original relative order within the inbox."""
         cluster = Cluster(2)
         net = cluster.network
-        for key in (1, 2, 3):
-            net.send(0, 1, MessageClass.S_TUPLES, 8.0, payload=_part(key))
-        net.send(0, 1, MessageClass.FILTER, 4.0, payload=_part(9))
+        with one_lane(net):
+            for key in (1, 2, 3):
+                net.send(0, 1, MessageClass.S_TUPLES, 8.0, payload=_part(key))
+            net.send(0, 1, MessageClass.FILTER, 4.0, payload=_part(9))
 
         for _ in range(3):  # each drain requeues all four survivors
             assert drain_category(cluster, 1, MessageClass.R_TUPLES) == []
@@ -141,8 +145,9 @@ class TestRequeueEdgeCases:
 
         cluster = Cluster(2, fault_plan=FaultPlan(seed=0, duplicate=1.0))
         net = cluster.network
-        net.send(0, 1, MessageClass.R_TUPLES, 8.0, payload=_part(1))
-        net.send(0, 1, MessageClass.S_TUPLES, 8.0, payload=_part(2))
+        with one_lane(net):
+            net.send(0, 1, MessageClass.R_TUPLES, 8.0, payload=_part(1))
+            net.send(0, 1, MessageClass.S_TUPLES, 8.0, payload=_part(2))
 
         kept = drain_category(cluster, 1, MessageClass.R_TUPLES)
         assert [p.keys.tolist() for p in kept] == [[1]]
@@ -154,7 +159,8 @@ class TestRequeueEdgeCases:
 class TestGather:
     def test_empty_nodes_get_schema_shaped_partitions(self):
         cluster = Cluster(3)
-        cluster.network.send(0, 1, MessageClass.R_TUPLES, 8.0, payload=_part(5))
+        with one_lane(cluster.network):
+            cluster.network.send(0, 1, MessageClass.R_TUPLES, 8.0, payload=_part(5))
         gathered = Gather(MessageClass.R_TUPLES, empty_names=("v",)).run(cluster)
         assert [p.num_rows for p in gathered] == [0, 1, 0]
         for partition in gathered:
@@ -162,26 +168,25 @@ class TestGather:
 
     def test_concatenates_arrivals_in_order(self):
         cluster = Cluster(2)
-        cluster.network.send(0, 0, MessageClass.R_TUPLES, 8.0, payload=_part(1, 2))
-        cluster.network.send(1, 0, MessageClass.R_TUPLES, 8.0, payload=_part(3))
+        with one_lane(cluster.network):
+            cluster.network.send(0, 0, MessageClass.R_TUPLES, 8.0, payload=_part(1, 2))
+            cluster.network.send(1, 0, MessageClass.R_TUPLES, 8.0, payload=_part(3))
         gathered = Gather(MessageClass.R_TUPLES).run(cluster)
         assert gathered[0].keys.tolist() == [1, 2, 3]
         assert gathered[0].columns["v"].tolist() == [10, 20, 30]
 
 
 class TestAccountingPrimitives:
-    def test_send_rows_local_vs_remote(self):
+    def test_send_local_vs_remote(self):
         cluster = Cluster(2)
         profile = ExecutionProfile(cluster.num_nodes)
-        remote = send_rows(
-            cluster, profile, MessageClass.R_TUPLES, 0, 1, _part(1, 2), 8.0,
-            "Transfer x", "Local copy x",
-        )
-        local = send_rows(
-            cluster, profile, MessageClass.R_TUPLES, 0, 0, _part(3), 8.0,
-            "Transfer x", "Local copy x",
-        )
-        assert (remote, local) == (16.0, 8.0)
+        with one_lane(cluster.network, profile):
+            for dst, rows in ((1, _part(1, 2)), (0, _part(3))):
+                cluster.network.send(
+                    0, dst, MessageClass.R_TUPLES, rows.num_rows * 8.0,
+                    payload=rows, profile=profile,
+                    step="Transfer x", local_step="Local copy x",
+                )
         assert cluster.network.ledger.total_bytes == 16.0
         assert cluster.network.ledger.local_bytes == 8.0
         by_step = {(s.name, s.kind) for s in profile.steps}
@@ -192,9 +197,10 @@ class TestAccountingPrimitives:
     def test_replicate_size_reaches_every_other_node(self):
         cluster = Cluster(4)
         profile = ExecutionProfile(cluster.num_nodes)
-        replicate_size(
-            cluster, profile, MessageClass.FILTER, 1, 32.0, "Broadcast filters"
-        )
+        with one_lane(cluster.network, profile):
+            replicate_size(
+                cluster, profile, MessageClass.FILTER, 1, 32.0, "Broadcast filters"
+            )
         ledger = cluster.network.ledger
         assert ledger.total_bytes == 3 * 32.0
         assert all(src == 1 and dst != 1 for (src, dst) in ledger.by_link)
@@ -208,7 +214,11 @@ class TestAccountingPrimitives:
         network = SimpleNamespace(
             send=lambda src, dst, category, nbytes, **steps: sends.append((src, dst, nbytes))
         )
-        cluster = SimpleNamespace(num_nodes=num_nodes, network=network)
+        cluster = SimpleNamespace(
+            num_nodes=num_nodes,
+            network=network,
+            run_phase=lambda fn, tasks, **phase: [fn(task) for task in range(tasks)],
+        )
         profile = SimpleNamespace(add_cpu_at=lambda *args: None)
         last = num_nodes - 1
         args = (np.array([last, 0]), np.array([0, last]), np.array([last, last]))

@@ -8,6 +8,9 @@ import pytest
 
 from repro.cluster.network import Message, MessageClass, Network, TrafficLedger
 from repro.errors import NetworkError
+from repro.timing.profile import ExecutionProfile
+
+from conftest import one_lane
 
 
 def _random_ledger(rng: random.Random, num_nodes: int = 6) -> TrafficLedger:
@@ -113,7 +116,8 @@ class TestTrafficLedger:
 class TestNetwork:
     def test_send_and_deliver(self):
         net = Network(3)
-        net.send(0, 2, MessageClass.R_TUPLES, 42.0, payload="hello")
+        with one_lane(net):
+            net.send(0, 2, MessageClass.R_TUPLES, 42.0, payload="hello")
         assert net.pending_messages() == 1
         messages = net.deliver(2)
         assert len(messages) == 1
@@ -122,31 +126,35 @@ class TestNetwork:
 
     def test_deliver_all(self):
         net = Network(3)
-        net.send(0, 1, MessageClass.R_TUPLES, 1.0)
-        net.send(0, 2, MessageClass.R_TUPLES, 1.0)
+        with one_lane(net):
+            net.send(0, 1, MessageClass.R_TUPLES, 1.0)
+            net.send(0, 2, MessageClass.R_TUPLES, 1.0)
         delivered = dict(net.deliver_all())
         assert set(delivered) == {1, 2}
 
     def test_invalid_node_rejected(self):
         net = Network(2)
-        with pytest.raises(NetworkError):
-            net.send(0, 5, MessageClass.R_TUPLES, 1.0)
-        with pytest.raises(NetworkError):
-            net.send(-1, 0, MessageClass.R_TUPLES, 1.0)
+        with one_lane(net):
+            with pytest.raises(NetworkError):
+                net.send(0, 5, MessageClass.R_TUPLES, 1.0)
+            with pytest.raises(NetworkError):
+                net.send(-1, 0, MessageClass.R_TUPLES, 1.0)
         with pytest.raises(NetworkError):
             net.deliver(3)
 
     def test_negative_bytes_rejected(self):
         net = Network(2)
-        with pytest.raises(NetworkError):
-            net.send(0, 1, MessageClass.R_TUPLES, -1.0)
+        with one_lane(net):
+            with pytest.raises(NetworkError):
+                net.send(0, 1, MessageClass.R_TUPLES, -1.0)
 
     def test_non_finite_bytes_rejected(self):
         """Regression: NaN sizes silently poisoned every downstream sum."""
         net = Network(2)
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(NetworkError):
-                net.send(0, 1, MessageClass.R_TUPLES, bad)
+        with one_lane(net):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(NetworkError):
+                    net.send(0, 1, MessageClass.R_TUPLES, bad)
         # Nothing was accounted or enqueued by the rejected sends.
         assert net.ledger.message_count == 0
         assert net.pending_messages() == 0
@@ -157,7 +165,8 @@ class TestNetwork:
 
     def test_reset_ledger(self):
         net = Network(2)
-        net.send(0, 1, MessageClass.R_TUPLES, 9.0)
+        with one_lane(net):
+            net.send(0, 1, MessageClass.R_TUPLES, 9.0)
         old = net.reset_ledger()
         assert old.total_bytes == 9.0
         assert net.ledger.total_bytes == 0.0
@@ -165,8 +174,9 @@ class TestNetwork:
     def test_fractional_bytes(self):
         """Dictionary encodings produce sub-byte widths; they must add up."""
         net = Network(2)
-        for _ in range(8):
-            net.send(0, 1, MessageClass.KEYS_COUNTS, 30 / 8)
+        with one_lane(net):
+            for _ in range(8):
+                net.send(0, 1, MessageClass.KEYS_COUNTS, 30 / 8)
         assert net.ledger.total_bytes == pytest.approx(30.0)
 
 
@@ -196,13 +206,21 @@ class TestNetworkPhases:
         assert net.ledger.total_bytes == 8.0
         assert len(net.deliver(1)) == 1
 
-    def test_unbound_sends_keep_immediate_semantics(self):
+    def test_unbound_send_raises_and_records_nothing(self):
+        """One send path: a send from a thread with no bound lane raises,
+        with or without an open phase, and leaves no trace."""
         net = Network(2)
-        net.begin_phase(2)
-        net.send(0, 1, MessageClass.RIDS, 2.0)
-        assert net.ledger.total_bytes == 2.0
-        assert len(net.deliver(1)) == 1
+        profile = ExecutionProfile(2)
+        with pytest.raises(NetworkError, match="outside a phase"):
+            net.send(0, 1, MessageClass.RIDS, 2.0, profile=profile, step="x")
+        net.begin_phase(2, profile)
+        with pytest.raises(NetworkError, match="outside a phase"):
+            net.send(0, 1, MessageClass.RIDS, 2.0, profile=profile, step="x")
+        assert net.pending_messages() == 0
         net.end_phase()
+        assert net.ledger.message_count == 0
+        assert net.pending_messages() == 0
+        assert profile.steps == []
 
     def test_abort_discards_staged_lanes(self):
         net = Network(2)
