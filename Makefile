@@ -6,7 +6,8 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Exchange-layer gate: lint the communication primitives, then run
+# Exchange-layer gate: lint the communication primitives and the join
+# kernels (which own per-thread scratch tables), then run
 # their unit tests, the network and profile tests of the one path that
 # accounts every send, the placement/scatter tests, the
 # golden-equivalence suite that pins every operator's traffic ledger
@@ -22,6 +23,7 @@ EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test
 	tests/test_semijoin.py tests/test_tracking_aware.py
 test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
+	$(PYTHON) -m repro lint src/repro/joins
 	$(PYTHON) -m pytest $(EXCHANGE_TESTS) -q
 	REPRO_WORKERS=2 REPRO_KERNEL_CHUNK_ROWS=64 $(PYTHON) -m pytest $(EXCHANGE_TESTS) -q
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..parallel import chunks
 from ..storage.table import KeyIndex, LocalPartition, dense_key_counts
-from ..util import segment_boundaries, segment_count
+from ..util import count_dtype, segment_boundaries, segment_count
 
 __all__ = [
     "JoinCount",
@@ -45,7 +45,12 @@ __all__ = [
 #: Direct addressing is attempted when the right key range is at most
 #: this many times the right row count (plus slack for tiny inputs).
 _DENSE_SPAN_FACTOR = 32
-#: Hard cap on the scratch lookup tables (entries).
+#: Hard cap on each scratch table, in entries.  Every (name, dtype)
+#: table is capped separately: a thread keeps at most the ``int32``
+#: positional table, the two ``int64`` run tables and one count table
+#: per width in use (``uint8`` / ``uint16`` / ``uint32`` for any side
+#: under 2**32 rows), 27 B per entry, so 27 × 2**27 B ≈ 3.4 GiB at
+#: worst.  Each table also stays within twice the widest span it served.
 _DENSE_SPAN_CAP = 1 << 27
 
 #: Reusable lookup scratch, one set per thread: phase workers run local
@@ -70,7 +75,9 @@ def _scratch(name: str, span: int, fill, dtype) -> np.ndarray:
 
     Every entry holds ``fill`` between calls, so a call only pays to
     scatter its own entries in and back out instead of clearing the
-    whole table.
+    whole table.  ``name`` fixes ``dtype``: a table of another width
+    takes another name, and each grows up to ``_DENSE_SPAN_CAP`` on its
+    own.
     """
     table = getattr(_dense_tls, name, None)
     if table is None or len(table) < span:
@@ -136,7 +143,7 @@ def _dense_lookup(
 
 
 def _dense_unique_join(
-    keys_left: np.ndarray, keys_right: np.ndarray
+    keys_left: np.ndarray, keys_right: np.ndarray, distinct: bool = False
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Direct-address probe for dense, duplicate-free right keys.
 
@@ -144,9 +151,10 @@ def _dense_unique_join(
     scatter into a positional lookup table plus one gather replaces
     both the sort and the binary search.  Returns the exact arrays the
     sorted unique-right path would produce, or ``None`` when the keys
-    are too sparse or contain duplicates.
+    are too sparse or contain duplicates.  A caller that knows the
+    right keys are ``distinct`` skips the duplicate read-back.
     """
-    built = _dense_lookup(keys_right, len(keys_right))
+    built = _dense_lookup(keys_right, len(keys_right), distinct)
     if built is None:
         return None
     lookup, shifted_right, base = built
@@ -313,8 +321,10 @@ def join_indices(
     if right_index is None:
         # Repeating keys would only be scattered into the duplicate-free
         # table and read back to find the duplicate: skip that attempt.
-        if runs is None or len(runs[0]) == len(keys_right):
-            dense = _dense_unique_join(keys_left, keys_right)
+        # Keys known to be duplicate-free skip the read-back instead.
+        distinct = runs is not None and len(runs[0]) == len(keys_right)
+        if runs is None or distinct:
+            dense = _dense_unique_join(keys_left, keys_right, distinct)
             if dense is not None:
                 return dense
         if right_partition is not None:
@@ -385,22 +395,62 @@ def join_cardinality(keys_left: np.ndarray, keys_right: np.ndarray) -> int:
     return _count_matches(LocalPartition(keys=keys_left), LocalPartition(keys=keys_right))
 
 
+def _count_table(
+    keys: np.ndarray, rows: int, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Scatter a build side's multiplicities into its thread-local count table.
+
+    Returns ``(table, slots, base)``: ``table[k - base]`` is the
+    multiplicity of ``k``, zero for absent keys, in the narrowest
+    unsigned dtype holding the largest of ``counts`` (the multiplicities
+    of the distinct ``keys``).  Without ``counts`` the ``keys`` are a
+    side's raw keys and each sets a byte cell to 1; if fewer cells are
+    set than there are keys, a key repeats and the cells are cleared
+    again.  ``None`` (table left clean) for that, or when the keys span
+    too wide a range for a side of ``rows`` rows.  The caller probes and
+    then restores ``table[slots] = 0``.
+    """
+    base = int(keys.min())
+    span = _dense_span(base, int(keys.max()), rows)
+    if span is None:
+        return None
+    dtype = count_dtype(1 if counts is None else int(counts.max()))
+    table = _scratch(f"count_{dtype}", span, 0, dtype)
+    slots = keys - base
+    if counts is not None:
+        table[slots] = counts
+    else:
+        table[slots] = 1
+        if np.count_nonzero(table.view(np.bool_)) < len(keys):
+            table[slots] = 0
+            return None
+    return table, slots, base
+
+
 def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
     """``sum_k count_left(k) * count_right(k)``: the counting kernel.
 
     The sum is symmetric, so the *build* side is whichever partition
     already caches its key index or distinct keys (the right one when
-    both or neither do) and the other side's keys probe it.  An uncached
-    build side over a dense key domain (:func:`dense_key_counts`) is
-    counted by one ``bincount`` and probed once: each in-range probe key
-    adds its key's count.  Otherwise path choice mirrors
-    :func:`join_indices`: an uncached build side tries the positional
-    table over its raw keys, which costs a duplicate-free input no
-    distinct pass at all; failing that the table holds the build side's
-    distinct keys and every hit weighs that key's repeat count, with a
-    binary search over the sorted distinct keys when their span fails
-    :func:`_dense_span`.  Pairs are never enumerated, so pair order does
-    not apply.
+    both or neither do) and the other side's keys probe it.  Paths, in
+    order:
+
+    1. an uncached build side over a dense key domain
+       (:func:`dense_key_counts`) is counted by one ``bincount`` and
+       probed once: each in-range probe key adds its key's count;
+    2. an uncached build side within :func:`_dense_span` sets one byte
+       cell per raw key (:func:`_count_table`), which costs a
+       duplicate-free side no distinct pass; a repeated key clears the
+       cells and falls through;
+    3. the build side's distinct keys and counts (cached, or computed
+       once) fill the count table, in the narrowest unsigned dtype that
+       holds the largest multiplicity;
+    4. when their span fails :func:`_dense_span`, a binary search over
+       the sorted distinct keys.
+
+    A table probe adds ``table[k - base]`` per in-range probe key, or
+    counts the non-zero cells hit when every multiplicity is 1.  Pairs
+    are never enumerated, so pair order does not apply.
 
     The probe is chunk-parallel like the pair-building probes; partial
     counts are Python ints summed in chunk order, so the result does
@@ -421,10 +471,10 @@ def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
 
         return sum(_probe_chunks(probe, len(keys_probe)))
     counts = None
-    built = None if cached else _dense_lookup(build.keys, build.num_rows)
+    built = None if cached else _count_table(build.keys, build.num_rows)
     if built is None:
         distinct, counts = build.distinct_with_counts()
-        built = _dense_lookup(distinct, build.num_rows, distinct=True)
+        built = _count_table(distinct, build.num_rows, counts)
     if built is None:
 
         def probe(start: int, stop: int) -> int:
@@ -435,20 +485,18 @@ def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
             return int(counts[nearest][distinct[nearest] == chunk].sum())
 
         return sum(_probe_chunks(probe, len(keys_probe)))
-    lookup, slots, base = built
-    span = len(lookup)
-    # On a duplicate-free build side (the raw-key table, or as many
-    # distinct keys as rows) every hit is exactly one output row.
-    hit_is_row = counts is None or len(counts) == build.num_rows
+    table, slots, base = built
+    span = len(table)
+    # Raw keys that set a cell each, or as many distinct keys as rows:
+    # every multiplicity is 1.
+    ones = counts is None or len(counts) == build.num_rows
 
     def probe(start: int, stop: int) -> int:
         shifted = keys_probe[start:stop] - base
-        in_range = (shifted >= 0) & (shifted < span)
-        found = lookup[shifted[in_range]]
-        found = found[found >= 0]
-        return len(found) if hit_is_row else int(counts[found].sum())
+        hits = table[shifted[(shifted >= 0) & (shifted < span)]]
+        return int(np.count_nonzero(hits) if ones else hits.sum(dtype=np.int64))
 
     try:
         return sum(_probe_chunks(probe, len(keys_probe)))
     finally:
-        lookup[slots] = -1
+        table[slots] = 0

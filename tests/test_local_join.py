@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,7 +20,11 @@ from repro.joins.local import (
 from repro.joins.registry import create
 from repro.storage import LocalPartition
 from repro.storage.table import dense_key_counts
-from repro.workloads import PATTERN_PARTIAL, both_sides_pattern_workload
+from repro.workloads import (
+    PATTERN_PARTIAL,
+    both_sides_pattern_workload,
+    unique_keys_workload,
+)
 
 from conftest import exec_scope
 
@@ -179,6 +186,34 @@ class TestProbeReusesCachedRuns:
             keys_left, keys_right
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(key_sides(), st.sampled_from([None, 2]))
+    def test_cached_duplicate_free_keys_skip_the_read_back(self, sides, chunk_rows):
+        """A partition whose cached distinct keys are as many as its rows
+        vouches for them: ``_dense_lookup`` skips the read-back, and the
+        pairs, in order, equal an uncached copy's that makes it."""
+        keys_left, keys_right = sides
+        keys_right = keys_right[np.sort(np.unique(keys_right, return_index=True)[1])]
+        assume(len(keys_left) > 0 and len(keys_right) > 0)
+        cached = LocalPartition(keys=keys_right)
+        cached.distinct_with_counts()
+        vouched = []
+        dense_lookup = local._dense_lookup
+
+        def counted(keys, rows, distinct=False):
+            vouched.append(distinct)
+            return dense_lookup(keys, rows, distinct)
+
+        with pytest.MonkeyPatch.context() as patch, exec_scope(workers=2, chunk_rows=chunk_rows):
+            patch.setattr(local, "_dense_lookup", counted)
+            got = join_indices(keys_left, keys_right, right_partition=cached)
+            want = join_indices(
+                keys_left, keys_right, right_partition=LocalPartition(keys=keys_right.copy())
+            )
+        assert vouched == [True, False]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
 
 class TestLocalJoin:
     def test_prefixes_and_payloads(self):
@@ -196,6 +231,82 @@ class TestLocalJoin:
         assert local_join(left, right).num_rows == 6
 
 
+@contextmanager
+def _recorded_paths():
+    """Record the tables a count builds, in call order: each
+    ``_count_table`` result's dtype (``None`` when it built none), each
+    ``_distinct_uncached`` pass, and each ``_dense_lookup`` with the
+    function that called it and whether it built its table."""
+    calls = []
+    count_table = local._count_table
+    dense_lookup = local._dense_lookup
+    distinct_uncached = LocalPartition._distinct_uncached
+
+    def counted_table(*args, **kwargs):
+        built = count_table(*args, **kwargs)
+        calls.append(("_count_table", None if built is None else built[0].dtype.name))
+        return built
+
+    def counted_lookup(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        built = dense_lookup(*args, **kwargs)
+        calls.append(("_dense_lookup", caller, built is not None))
+        return built
+
+    def counted_distinct(self):
+        calls.append(("_distinct_uncached",))
+        return distinct_uncached(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(local, "_count_table", counted_table)
+        patch.setattr(local, "_dense_lookup", counted_lookup)
+        patch.setattr(LocalPartition, "_distinct_uncached", counted_distinct)
+        yield calls
+
+
+def _assert_scratch_clean():
+    """Every scratch table of this thread holds its fill value again
+    (the run-start table is never read where its run count is zero)."""
+    for name, table in vars(local._dense_tls).items():
+        if name == "scratch":
+            assert (table == -1).all(), name
+        elif name != "run_starts":
+            assert not table.any(), name
+
+
+def _count_paths(keys_left, keys_right, cache_right=False):
+    """The paths a count of ``keys_left`` against a ``keys_right`` build
+    side takes, checked against ``numpy_cardinality`` (as a Python int)
+    serially and with 2 workers over 2-row chunks (the same paths both
+    times)."""
+    runs = []
+    for scope in ({}, {"workers": 2, "chunk_rows": 2}):
+        build = LocalPartition(keys=keys_right)
+        if cache_right:
+            build.distinct_with_counts()
+        with exec_scope(**scope), _recorded_paths() as calls:
+            got = local_join(LocalPartition(keys=keys_left), build, materialize=False)
+        assert got.num_rows == numpy_cardinality(keys_left, keys_right), scope
+        assert type(got.num_rows) is int
+        _assert_scratch_clean()
+        runs.append(calls)
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+#: A duplicate-free build side of 100 rows spanning 2 971 keys: past the
+#: bincount bound (4 × rows + 1024), within ``_dense_span``.
+_SPARSE_UNIQUE = np.arange(100, dtype=np.int64)[::-1] * 30
+_SPARSE_PROBE = np.concatenate([np.arange(-40, 3_100, 7), [60, 60, 2_970, -1]])
+
+
+def _at_span_bound(past: int) -> np.ndarray:
+    """Four distinct keys whose span is ``_dense_span``'s bound plus ``past``."""
+    rows = 4
+    bound = local._DENSE_SPAN_FACTOR * rows + 1024
+    return np.array([0, 5, 9, bound - 1 + past], dtype=np.int64)
+
+
 class TestCountingPaths:
     """Which tables the counting kernel builds, observed through
     monkeypatched counters."""
@@ -203,46 +314,85 @@ class TestCountingPaths:
     @pytest.mark.parametrize("past", [0, 1])
     def test_uncached_dense_build_side_is_one_bincount(self, past):
         """Up to the dense bound an uncached build side with repeating
-        keys never reaches the positional table or a distinct pass;
-        one past it, it does."""
-        calls = []
-        dense_lookup = local._dense_lookup
-        distinct_uncached = LocalPartition._distinct_uncached
-
-        def counted_lookup(*args, **kwargs):
-            calls.append("_dense_lookup")
-            return dense_lookup(*args, **kwargs)
-
-        def counted_distinct(self):
-            calls.append("_distinct_uncached")
-            return distinct_uncached(self)
-
-        keys_right = _at_dense_bound(past)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(local, "_dense_lookup", counted_lookup)
-            patch.setattr(LocalPartition, "_distinct_uncached", counted_distinct)
-            got = join_cardinality(_BOUND_PROBE, keys_right)
-        assert got == numpy_cardinality(_BOUND_PROBE, keys_right)
+        keys never reaches a count table or a distinct pass; one past
+        it, it does."""
+        calls = _count_paths(_BOUND_PROBE, _at_dense_bound(past))
         assert (calls == []) == (past == 0), calls
+
+    @pytest.mark.parametrize("offset", [0, -5_000])
+    def test_raw_duplicate_free_keys_take_the_byte_table(self, offset):
+        """Raw sparse keys that never repeat fill one byte table: no
+        distinct pass, no positional table."""
+        calls = _count_paths(_SPARSE_PROBE + offset, _SPARSE_UNIQUE + offset)
+        assert calls == [("_count_table", "uint8")]
+
+    @pytest.mark.parametrize("offset", [0, -5_000])
+    def test_raw_repeated_key_falls_through_to_the_multiplicity_table(self, offset):
+        """One repeated raw key clears the byte cells again; the distinct
+        keys and their counts fill the table instead."""
+        keys_right = np.append(_SPARSE_UNIQUE, 60) + offset
+        calls = _count_paths(_SPARSE_PROBE + offset, keys_right)
+        assert calls == [
+            ("_count_table", None),
+            ("_distinct_uncached",),
+            ("_count_table", "uint8"),
+        ]
+
+    @pytest.mark.parametrize(
+        "repeats, dtype",
+        [(1, "uint8"), (255, "uint8"), (256, "uint16"), (65_535, "uint16"), (65_536, "uint32")],
+    )
+    def test_table_width_holds_the_largest_multiplicity(self, repeats, dtype):
+        """A cached build side fills the narrowest unsigned table that
+        holds its largest multiplicity; counts all 1 take the byte table."""
+        keys_right = np.concatenate([np.full(repeats, -3), [4, 9]])
+        probe = np.array([-3, -3, 4, 5, 9, 9, 100, -100])
+        assert _count_paths(probe, keys_right, cache_right=True) == [("_count_table", dtype)]
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_span_bound_of_the_count_table(self, past):
+        """At ``_dense_span``'s bound the raw keys fill the byte table;
+        one past it no table is built and the probe is a binary search."""
+        keys_right = _at_span_bound(past)
+        probe = np.concatenate([keys_right, keys_right + 1, [-1]])
+        calls = _count_paths(probe, keys_right)
+        if past == 0:
+            assert calls == [("_count_table", "uint8")]
+        else:
+            assert calls == [
+                ("_count_table", None),
+                ("_distinct_uncached",),
+                ("_count_table", None),
+            ]
+
+    @pytest.mark.parametrize("algorithm", ["HJ", "4TJ"])
+    def test_counts_never_build_the_positional_table(self, algorithm):
+        """HJ's sparse arrivals and 4TJ's cached Phase C build sides are
+        counted from count tables; ``_dense_lookup`` serves only the
+        pair-building probes."""
+        workload = unique_keys_workload(16, scaled_tuples=20_000)
+        with _recorded_paths() as calls:
+            result = create(algorithm).run(
+                workload.cluster,
+                workload.table_r,
+                workload.table_s,
+                JoinSpec(materialize=False),
+            )
+        assert result.output_rows == 20_000
+        assert [call for call in calls if call[:2] == ("_dense_lookup", "_count_matches")] == []
+        assert {call for call in calls if call[0] == "_count_table"} == {
+            ("_count_table", "uint8")
+        }
+        _assert_scratch_clean()
 
     def test_track_join_count_makes_no_failed_dense_lookup(self):
         """Phase C's post-migration fragments repeat keys and carry no
-        key caches; counting them never scatters keys into the
+        key caches; counting them never scatters keys into a
         duplicate-free table only to unwind."""
-        failed = []
-        dense_lookup = local._dense_lookup
-
-        def counted(*args, **kwargs):
-            built = dense_lookup(*args, **kwargs)
-            if built is None:
-                failed.append(len(args[0]))
-            return built
-
         workload = both_sides_pattern_workload(
             PATTERN_PARTIAL, True, num_nodes=4, scaled_keys=2_000
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(local, "_dense_lookup", counted)
+        with _recorded_paths() as calls:
             result = create("4TJ").run(
                 workload.cluster,
                 workload.table_r,
@@ -250,16 +400,25 @@ class TestCountingPaths:
                 JoinSpec(materialize=False),
             )
         assert result.output_rows == workload.expected_output_rows
-        assert failed == []
+        assert ("_count_table", None) not in calls
+        assert [call for call in calls if call[0] == "_dense_lookup" and not call[2]] == []
 
     def test_scratch_growth_stops_at_the_cap(self):
-        """Doubling a scratch table never allocates past the span cap."""
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(local, "_DENSE_SPAN_CAP", 64)
-            assert len(local._scratch("cap_probe", 40, 0, np.int64)) == 40
-            assert len(local._scratch("cap_probe", 50, 0, np.int64)) == 50
-            assert len(local._dense_tls.cap_probe) == 64
-            del local._dense_tls.cap_probe
+        """Doubling a scratch table never allocates past the span cap,
+        and each (name, dtype) table is capped on its own."""
+        for name, dtype in (("cap_probe", np.int64), ("count_uint8", np.uint8)):
+            saved = vars(local._dense_tls).pop(name, None)
+            try:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(local, "_DENSE_SPAN_CAP", 64)
+                    assert len(local._scratch(name, 40, 0, dtype)) == 40
+                    assert len(local._scratch(name, 50, 0, dtype)) == 50
+                    table = getattr(local._dense_tls, name)
+                    assert len(table) == 64 and table.dtype == dtype
+            finally:
+                vars(local._dense_tls).pop(name, None)
+                if saved is not None:
+                    setattr(local._dense_tls, name, saved)
 
 
 class TestDistinctWithCounts:
