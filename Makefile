@@ -13,14 +13,15 @@ test:
 # golden-equivalence suite that pins every operator's traffic ledger
 # byte-for-byte, the sort-merge oracle every operator's rows must
 # match, the local join and counting kernels with the hash join
-# that drains into them, and the aggregation, semi-join and
-# tracking-aware operators whose sends run in their own phase tasks —
+# that drains into them, the aggregation, semi-join and
+# tracking-aware operators whose sends run in their own phase tasks, and
+# the phase barrier's worker-count determinism tests —
 # once as is, once with 2 workers over 64-row kernel chunks, so the
 # chunk-merged grouping and the chunked probes run on inputs this small.
 EXCHANGE_TESTS = tests/test_exchange.py tests/test_exchange_golden.py tests/test_storage.py \
 	tests/test_oracle.py tests/test_network.py tests/test_timing.py \
 	tests/test_local_join.py tests/test_grace_hash.py tests/test_query.py \
-	tests/test_semijoin.py tests/test_tracking_aware.py
+	tests/test_semijoin.py tests/test_tracking_aware.py tests/test_parallel.py
 test-exchange:
 	$(PYTHON) -m repro lint src/repro/exchange
 	$(PYTHON) -m repro lint src/repro/joins

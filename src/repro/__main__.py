@@ -21,8 +21,7 @@ argument, and any option the experiment does not take, is an error
 cluster the command builds: it binds ``replace(current(), workers=N)``
 (see :class:`repro.parallel.ExecConfig`) for the command's duration
 only.  Without it, clusters take the process default, resolved once
-from ``REPRO_WORKERS``, ``REPRO_KERNEL_CHUNK_ROWS`` and
-``REPRO_PIPELINE``.
+from ``REPRO_WORKERS`` and ``REPRO_KERNEL_CHUNK_ROWS``.
 
 ``lint`` instead treats bare arguments as files/directories to scan
 (default ``src/repro``) and accepts ``--dataflow`` and ``--format

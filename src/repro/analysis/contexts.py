@@ -6,10 +6,10 @@ on top of :mod:`repro.analysis.dataflow`'s package index:
 Task contexts
     A function runs in *task context* when it can execute off the
     coordinator thread.  Seeds are discovered syntactically at dispatch
-    sites — callables handed to ``run_phase`` / ``run_fused_phases``
-    (phase tasks), to ``run_chunks`` / ``.map()`` / ``.submit()``
-    (kernel subtasks), and to ``threading.Thread(target=...)`` (service
-    driver threads) — then closed over the call graph with
+    sites — callables handed to ``run_phase`` (phase tasks), to
+    ``run_chunks`` / ``.map()`` / ``.submit()`` (kernel subtasks), and
+    to ``threading.Thread(target=...)`` (service driver threads) — then
+    closed over the call graph with
     :meth:`PackageIndex.reachable_from`.  Callable expressions resolve
     through local bindings (``tasks = [...]`` then ``run_phase(tasks)``),
     lambdas (their internal calls become seeds), ``functools.partial``,
@@ -64,7 +64,6 @@ __all__ = [
 #: Dispatcher name -> context kind for bare-name calls.
 _NAME_DISPATCH = {
     "run_phase": "phase",
-    "run_fused_phases": "phase",
     "run_chunks": "kernel",
     "Thread": "driver",
 }
@@ -72,7 +71,6 @@ _NAME_DISPATCH = {
 #: Dispatcher name -> context kind for ``obj.method(...)`` calls.
 _ATTR_DISPATCH = {
     "run_phase": "phase",
-    "run_fused_phases": "phase",
     "run_chunks": "kernel",
     "map": "kernel",
     "submit": "kernel",
@@ -80,7 +78,7 @@ _ATTR_DISPATCH = {
 }
 
 #: Keyword arguments of dispatchers that may carry task callables.
-_CALLABLE_KEYWORDS = {"tasks", "stages", "fn", "fns", "task", "target"}
+_CALLABLE_KEYWORDS = {"tasks", "fn", "fns", "task", "target"}
 
 #: Container/set method names that mutate their receiver in place.
 _MUTATOR_METHODS = {

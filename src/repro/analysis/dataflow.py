@@ -35,11 +35,10 @@ Call graph
 Task contexts
     :meth:`PackageIndex.task_contexts` (computed by
     :mod:`repro.analysis.contexts`) infers which functions can run off
-    the coordinator thread: callables handed to ``run_phase`` /
-    ``run_fused_phases`` / ``pipelined_phases`` (phase tasks), to
-    ``run_chunks`` / ``.map()`` / ``.submit()`` (kernel subtasks), and
-    to ``threading.Thread(target=...)`` (service driver threads), plus
-    everything reachable from them.
+    the coordinator thread: callables handed to ``run_phase`` (phase
+    tasks), to ``run_chunks`` / ``.map()`` / ``.submit()`` (kernel
+    subtasks), and to ``threading.Thread(target=...)`` (service driver
+    threads), plus everything reachable from them.
 """
 
 from __future__ import annotations

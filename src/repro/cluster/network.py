@@ -14,11 +14,13 @@ steps (Tables 3 and 4).
 
 One byte record
 ---------------
-A send is written once.  :meth:`Network.send` records the message in the
-ledger (per class and per link) and, when the caller names a step and a
-profile, in that :class:`~repro.timing.profile.ExecutionProfile` (sent
-bytes per source node, received bytes per destination node, or a local
-copy).  Nothing else accounts a send's bytes.
+A send is written once in each book.  :meth:`Network.send` records it,
+when the caller names a step and a profile, in that
+:class:`~repro.timing.profile.ExecutionProfile` (sent bytes per source
+node, received bytes per destination node, or a local copy); the phase
+barrier (:meth:`Network.end_phase`) records it in the ledger (per class
+and per link) as it gives the message its sequence number.  Nothing
+else accounts a send's bytes.
 
 One send path
 -------------
@@ -26,15 +28,14 @@ The paper's joins run in barrier-synchronised phases (Section 4.2), and
 so does every send here.  A phase (:meth:`Network.begin_phase`, opened
 by ``Cluster.run_phase``) gives each task its own :class:`SendLane`:
 sends from a thread bound to a lane are staged into the lane's private
-message list and ledger, and the task's profile steps into the lane's
-private step list, instead of touching shared state.  A send from a
-thread with no bound lane raises :class:`~repro.errors.NetworkError`.
-The phase barrier (:meth:`Network.end_phase`) commits lanes in task
-order — merging lane ledgers via :meth:`TrafficLedger.merge`, appending
-staged messages to the destination inboxes, and merging lane step lists
-into the profile — so byte totals, ``by_link`` entries, inbox ordering
-and profile steps are bit-identical for every worker count and
-interleaving.  Staged messages become visible to :meth:`deliver` only
+message list, and the task's profile steps into the lane's private step
+list, instead of touching shared state.  A send from a thread with no
+bound lane raises :class:`~repro.errors.NetworkError`.  The phase
+barrier (:meth:`Network.end_phase`) commits lanes in task order —
+recording staged messages in the ledger, appending them to the
+destination inboxes, and merging lane step lists into the profile — so
+byte totals, ``by_link`` entries, inbox ordering and profile steps are
+bit-identical for every worker count and interleaving.  Staged messages become visible to :meth:`deliver` only
 after the barrier, which is exactly the paper's non-pipelined phase
 semantics.
 
@@ -257,19 +258,18 @@ class TrafficLedger:
 class SendLane:
     """One phase task's private state while a network phase is open.
 
-    A lane holds the task's staged messages, their ledger, and — when
-    the phase commits into a profile — the task's ordered step list, so
-    concurrent tasks never contend on shared state; the phase barrier
-    commits lanes in task order.
+    A lane holds the task's staged messages and — when the phase
+    commits into a profile — the task's ordered step list, so concurrent
+    tasks never contend on shared state; the phase barrier commits
+    lanes in task order.
     """
 
-    __slots__ = ("network", "profile", "messages", "ledger", "steps")
+    __slots__ = ("network", "profile", "messages", "steps")
 
     def __init__(self, network: "Network", profile: ExecutionProfile | None):
         self.network = network
         self.profile = profile
         self.messages: list[Message] = []
-        self.ledger = TrafficLedger()
         self.steps = ExecutionProfile(profile.num_nodes) if profile is not None else None
 
 
@@ -352,9 +352,9 @@ class Network:
     def end_phase(self) -> None:
         """Barrier: commit all lanes in task order and close the phase.
 
-        Lane ledgers merge into the master ledger, staged messages
-        append to the destination inboxes and lane step lists merge into
-        the phase's profile, all in lane (= task) order, making the
+        Staged messages are recorded in the ledger, numbered and
+        appended to the destination inboxes, and lane step lists merge
+        into the phase's profile, all in lane (= task) order, making the
         committed state independent of execution order.
         """
         lanes = self._phase_lanes
@@ -365,14 +365,14 @@ class Network:
         # through the injector on this (coordinator) thread in
         # deterministic lane order, so drops, retransmissions,
         # duplicates, and reorders are bit-identical across worker
-        # counts; goodput accounting is identical (lane ledgers merge
-        # unchanged).  A retry budget exhaustion raises
-        # FaultExhaustedError with the phase already closed; callers
-        # unwind via abort_phase.
+        # counts; goodput accounting is identical (every staged message
+        # is recorded once, before the injector sees it).  A retry
+        # budget exhaustion raises FaultExhaustedError with the phase
+        # already closed; callers unwind via abort_phase.
         staged: dict[int, list[Message]] = {}
         for lane in lanes:
-            self.ledger.merge(lane.ledger)
             for msg in lane.messages:
+                self.ledger.record(msg)
                 msg.seq = self._next_seq
                 self._next_seq += 1
                 if self.faults is None:
@@ -412,12 +412,12 @@ class Network:
         and becomes visible at the phase barrier; with no lane bound
         (no open phase, or a thread outside its tasks) the send raises
         :class:`~repro.errors.NetworkError` and records nothing.  The
-        bytes go to the lane's ledger and, when ``profile`` is given, to
-        the profile step the message is attributed to: ``step`` (a NET
-        step) between two nodes, ``local_step`` (a LOCAL copy) for a
-        message to itself; a missing name records no step.  The payload
-        is handed over zero-copy (see the module notes for the
-        copy-on-conflict rule).
+        phase barrier records the bytes in the ledger; when ``profile``
+        is given, the send records them in the profile step the message
+        is attributed to: ``step`` (a NET step) between two nodes,
+        ``local_step`` (a LOCAL copy) for a message to itself; a missing
+        name records no step.  The payload is handed over zero-copy (see
+        the module notes for the copy-on-conflict rule).
         """
         self._check_node(src)
         self._check_node(dst)
@@ -435,7 +435,6 @@ class Network:
             src, dst, category, float(nbytes), payload,
             step=step if src != dst else local_step,
         )
-        lane.ledger.record(msg)
         lane.messages.append(msg)
         if profile is not None and msg.step is not None:
             profile.record_send(msg)

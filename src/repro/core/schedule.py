@@ -224,12 +224,6 @@ class ScheduleSet:
         """True when at least one key is sharded across destinations."""
         return self.sharded is not None and bool(self.sharded.any())
 
-    def shard_dests_of(self, key: int) -> np.ndarray:
-        """Shard destination nodes of one key (empty when unsharded)."""
-        if self.shard_offsets is None or self.shard_dests is None:
-            return np.empty(0, dtype=np.int64)
-        return self.shard_dests[self.shard_offsets[key] : self.shard_offsets[key + 1]]
-
 
 #: Most keys per schedule block.  A block's working set is a few dozen
 #: per-key temporaries per holder column, so blocks of 2^15 keys stay

@@ -267,33 +267,30 @@ def _execute_schedules(
 
     # ---- Phase A: migrations (4-phase only; sched.migrate is all-False
     # otherwise).  For RS keys the S side consolidates, for SR keys R.
-    # The two directions touch disjoint holder lists (work["S"] vs
-    # work["R"]) and neither reads the other's sends, so a pipelined
-    # window may fuse them under one barrier.  Sharded keys consolidate
-    # separately: every target-side holder deals its rows across the
-    # key's shard destinations (their ``sched.migrate`` bits are clear,
-    # so the plain migration pass never touches them).
+    # Sharded keys consolidate separately: every target-side holder
+    # deals its rows across the key's shard destinations (their
+    # ``sched.migrate`` bits are clear, so the plain migration pass
+    # never touches them).
     mig_idx = np.flatnonzero(sched.migrate)
     if len(mig_idx) or sched.has_shards:
         seg = tracking.seg
         mig_rs = sched.direction_rs[seg[mig_idx]]
-        with cluster.pipelined_phases():
-            for side, idx in (("S", mig_idx[mig_rs]), ("R", mig_idx[~mig_rs])):
-                _run_migrations(
-                    cluster, spec, profile, tracking, sched, side, idx,
-                    work, widths, key_width,
+        for side, idx in (("S", mig_idx[mig_rs]), ("R", mig_idx[~mig_rs])):
+            _run_migrations(
+                cluster, spec, profile, tracking, sched, side, idx,
+                work, widths, key_width,
+            )
+        if sched.has_shards:
+            sh_entry = sched.sharded[seg]
+            entry_dir_rs = sched.direction_rs[seg]
+            for side, entry_mask in (
+                ("S", sh_entry & entry_dir_rs & (tracking.count_s > 0)),
+                ("R", sh_entry & ~entry_dir_rs & (tracking.count_r > 0)),
+            ):
+                _run_shard_migrations(
+                    cluster, spec, profile, tracking, sched, side,
+                    np.flatnonzero(entry_mask), work, widths, key_width,
                 )
-            if sched.has_shards:
-                sh_entry = sched.sharded[seg]
-                entry_dir_rs = sched.direction_rs[seg]
-                for side, entry_mask in (
-                    ("S", sh_entry & entry_dir_rs & (tracking.count_s > 0)),
-                    ("R", sh_entry & ~entry_dir_rs & (tracking.count_r > 0)),
-                ):
-                    _run_shard_migrations(
-                        cluster, spec, profile, tracking, sched, side,
-                        np.flatnonzero(entry_mask), work, widths, key_width,
-                    )
     # Consolidation barrier: moved tuples join their destination's local
     # fragment before the selective broadcasts run against it.
     absorb_received(
@@ -301,57 +298,53 @@ def _execute_schedules(
         {MessageClass.R_TUPLES: work["R"], MessageClass.S_TUPLES: work["S"]},
     )
 
-    # ---- Phase B: location messages + selective broadcasts.  The two
-    # directions read only coordinator state (tracking/schedules) and
-    # their side's consolidated fragments — never each other's sends —
-    # so a pipelined window may overlap one direction's broadcast with
-    # the other's translation work.  Each direction's location messages
-    # are a phase of their own, sent from the scheduling nodes' tasks.
+    # ---- Phase B: location messages + selective broadcasts.  Each
+    # direction's location messages are a phase of their own, sent from
+    # the scheduling nodes' tasks.
     pairs = _broadcast_pairs(sched)
-    with cluster.pipelined_phases():
-        for b_side, t_side in (("R", "S"), ("S", "R")):
-            pair_src, pair_dst, pair_key, pair_t = pairs.pop(0)
-            if sched.has_shards:
-                # Each broadcast-side holder of a sharded key replicates
-                # its tuples to *every* shard, so each of the dealt
-                # target rows meets each matching broadcast row exactly
-                # once.
-                count_b = tracking.count_r if b_side == "R" else tracking.count_s
-                key_mask = sched.sharded & (sched.direction_rs == (b_side == "R"))
-                sb_idx = np.flatnonzero(key_mask[tracking.seg] & (count_b > 0))
-                if len(sb_idx):
-                    sb_seg = tracking.seg[sb_idx]
-                    off = sched.shard_offsets
-                    counts = (off[sb_seg + 1] - off[sb_seg]).astype(np.int64)
-                    rep = np.repeat(np.arange(len(sb_idx)), counts)
-                    within = np.arange(int(counts.sum())) - np.repeat(
-                        np.cumsum(counts) - counts, counts
-                    )
-                    dests = sched.shard_dests[np.repeat(off[sb_seg], counts) + within]
-                    pair_src = np.concatenate([pair_src, tracking.nodes[sb_idx][rep]])
-                    pair_dst = np.concatenate([pair_dst, dests])
-                    pair_key = np.concatenate([pair_key, tracking.keys[sb_idx][rep]])
-                    pair_t = np.concatenate([pair_t, tracking.t_nodes[sb_seg][rep]])
-            if len(pair_src) == 0:
-                continue
-            _locations(spec, key_width, f"Tran. {b_side} → {t_side} keys, nodes").run(
-                cluster, profile, pair_t, pair_src, pair_dst
-            )
-            link_keys, edges = group_by_link(pair_src, pair_dst, pair_key, num_nodes)
-            # The broadcast reads only the grouped keys: drop the pairs.
-            del pair_src, pair_dst, pair_key, pair_t
-            SelectiveBroadcast(
-                category=categories[b_side],
-                width=widths[b_side],
-                match_width=key_width + spec.location_width,
-                transfer_step=f"Transfer {b_side} → {t_side} tuples",
-                copy_step=f"Local copy {b_side} → {t_side} tuples",
-                translate_step=(
-                    f"Merge-join {b_side} → {t_side} keys, nodes ⇒ payloads "
-                    "and partition by node"
-                ),
-            ).run(cluster, profile, work[b_side], link_keys, edges)
-            del link_keys
+    for b_side, t_side in (("R", "S"), ("S", "R")):
+        pair_src, pair_dst, pair_key, pair_t = pairs.pop(0)
+        if sched.has_shards:
+            # Each broadcast-side holder of a sharded key replicates
+            # its tuples to *every* shard, so each of the dealt
+            # target rows meets each matching broadcast row exactly
+            # once.
+            count_b = tracking.count_r if b_side == "R" else tracking.count_s
+            key_mask = sched.sharded & (sched.direction_rs == (b_side == "R"))
+            sb_idx = np.flatnonzero(key_mask[tracking.seg] & (count_b > 0))
+            if len(sb_idx):
+                sb_seg = tracking.seg[sb_idx]
+                off = sched.shard_offsets
+                counts = (off[sb_seg + 1] - off[sb_seg]).astype(np.int64)
+                rep = np.repeat(np.arange(len(sb_idx)), counts)
+                within = np.arange(int(counts.sum())) - np.repeat(
+                    np.cumsum(counts) - counts, counts
+                )
+                dests = sched.shard_dests[np.repeat(off[sb_seg], counts) + within]
+                pair_src = np.concatenate([pair_src, tracking.nodes[sb_idx][rep]])
+                pair_dst = np.concatenate([pair_dst, dests])
+                pair_key = np.concatenate([pair_key, tracking.keys[sb_idx][rep]])
+                pair_t = np.concatenate([pair_t, tracking.t_nodes[sb_seg][rep]])
+        if len(pair_src) == 0:
+            continue
+        _locations(spec, key_width, f"Tran. {b_side} → {t_side} keys, nodes").run(
+            cluster, profile, pair_t, pair_src, pair_dst
+        )
+        link_keys, edges = group_by_link(pair_src, pair_dst, pair_key, num_nodes)
+        # The broadcast reads only the grouped keys: drop the pairs.
+        del pair_src, pair_dst, pair_key, pair_t
+        SelectiveBroadcast(
+            category=categories[b_side],
+            width=widths[b_side],
+            match_width=key_width + spec.location_width,
+            transfer_step=f"Transfer {b_side} → {t_side} tuples",
+            copy_step=f"Local copy {b_side} → {t_side} tuples",
+            translate_step=(
+                f"Merge-join {b_side} → {t_side} keys, nodes ⇒ payloads "
+                "and partition by node"
+            ),
+        ).run(cluster, profile, work[b_side], link_keys, edges)
+        del link_keys
 
     # ---- Phase C: final local joins at every destination.  Each
     # direction joins the tuples received from the broadcast side with

@@ -93,10 +93,6 @@ class JoinResult:
         """Traffic by message class, keyed by class value."""
         return self.traffic.breakdown()
 
-    def network_gb(self, scale: float = 1.0) -> float:
-        """Traffic in GB, optionally scaled up to paper-size cardinality."""
-        return self.network_bytes * scale / 1e9
-
     def gathered_output(self) -> LocalPartition:
         """All output rows as one partition (verification aid)."""
         if self.output is None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..exchange.gather import Gather
 from ..exchange.shuffle import Shuffle
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -41,34 +40,12 @@ class GraceHashJoin(DistributedJoin):
         spec: JoinSpec,
         profile: ExecutionProfile,
     ) -> list[LocalPartition] | list[JoinCount]:
-        keys_only = not spec.materialize  # a count drains keys alone
-        if cluster.pipeline_active():
-            # Pipelined mode fuses the two scatters under one barrier —
-            # R's sends overlap S's hash-partitioning — then gathers
-            # each category strictly (gathers drain shared inboxes and
-            # must not run concurrently).  Each gather pulls only its
-            # own message class, so arrivals are identical to the
-            # strict scatter/gather interleaving.
-            with cluster.pipelined_phases():
-                self._shuffle(table_r, spec, MessageClass.R_TUPLES, "R tuples").scatter(
-                    cluster, profile, table_r.partitions
-                )
-                self._shuffle(table_s, spec, MessageClass.S_TUPLES, "S tuples").scatter(
-                    cluster, profile, table_s.partitions
-                )
-            received_r = Gather(
-                MessageClass.R_TUPLES, table_r.payload_names, keys_only
-            ).run(cluster, profile)
-            received_s = Gather(
-                MessageClass.S_TUPLES, table_s.payload_names, keys_only
-            ).run(cluster, profile)
-        else:
-            received_r = self._repartition(
-                cluster, table_r, spec, profile, MessageClass.R_TUPLES, "R tuples"
-            )
-            received_s = self._repartition(
-                cluster, table_s, spec, profile, MessageClass.S_TUPLES, "S tuples"
-            )
+        received_r = self._repartition(
+            cluster, table_r, spec, profile, MessageClass.R_TUPLES, "R tuples"
+        )
+        received_s = self._repartition(
+            cluster, table_s, spec, profile, MessageClass.S_TUPLES, "S tuples"
+        )
 
         width_r = table_r.schema.tuple_width(spec.encoding)
         width_s = table_s.schema.tuple_width(spec.encoding)
@@ -96,16 +73,6 @@ class GraceHashJoin(DistributedJoin):
 
         return cluster.run_phase(join_node, profile=profile)
 
-    def _shuffle(
-        self,
-        table: DistributedTable,
-        spec: JoinSpec,
-        category: MessageClass,
-        step: str,
-    ) -> Shuffle:
-        width = table.schema.tuple_width(spec.encoding)
-        return Shuffle(category, width, step, hash_seed=spec.hash_seed)
-
     def _repartition(
         self,
         cluster: Cluster,
@@ -117,6 +84,7 @@ class GraceHashJoin(DistributedJoin):
     ) -> list[LocalPartition]:
         """Hash-partition one table; returns the received fragments per node
         (their keys alone when the join only counts)."""
-        return self._shuffle(table, spec, category, step).run(
+        width = table.schema.tuple_width(spec.encoding)
+        return Shuffle(category, width, step, hash_seed=spec.hash_seed).run(
             cluster, profile, table.partitions, table.payload_names, not spec.materialize
         )

@@ -396,7 +396,10 @@ def join_cardinality(keys_left: np.ndarray, keys_right: np.ndarray) -> int:
 
 
 def _count_table(
-    keys: np.ndarray, rows: int, counts: np.ndarray | None = None
+    keys: np.ndarray,
+    bounds: tuple[int, int],
+    rows: int,
+    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Scatter a build side's multiplicities into its thread-local count table.
 
@@ -406,12 +409,13 @@ def _count_table(
     of the distinct ``keys``).  Without ``counts`` the ``keys`` are a
     side's raw keys and each sets a byte cell to 1; if fewer cells are
     set than there are keys, a key repeats and the cells are cleared
-    again.  ``None`` (table left clean) for that, or when the keys span
-    too wide a range for a side of ``rows`` rows.  The caller probes and
-    then restores ``table[slots] = 0``.
+    again.  ``None`` (table left clean) for that, or when the keys'
+    ``bounds`` (their min and max) span too wide a range for a side of
+    ``rows`` rows.  The caller probes and then restores
+    ``table[slots] = 0``.
     """
-    base = int(keys.min())
-    span = _dense_span(base, int(keys.max()), rows)
+    base, top = bounds
+    span = _dense_span(base, top, rows)
     if span is None:
         return None
     dtype = count_dtype(1 if counts is None else int(counts.max()))
@@ -461,7 +465,11 @@ def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
     build, keys_probe, cached = right, left.keys, right.has_key_cache()
     if not cached and left.has_key_cache():
         build, keys_probe, cached = left, right.keys, True
-    dense = None if cached else dense_key_counts(build.keys)
+    dense = None
+    if not cached:
+        # One min and one max of the raw keys serve paths 1 and 2.
+        bounds = int(build.keys.min()), int(build.keys.max())
+        dense = dense_key_counts(build.keys, bounds)
     if dense is not None:
         table, base = dense
 
@@ -471,10 +479,13 @@ def _count_matches(left: LocalPartition, right: LocalPartition) -> int:
 
         return sum(_probe_chunks(probe, len(keys_probe)))
     counts = None
-    built = None if cached else _count_table(build.keys, build.num_rows)
+    built = None if cached else _count_table(build.keys, bounds, build.num_rows)
     if built is None:
+        # Distinct keys come sorted: their ends are their bounds.
         distinct, counts = build.distinct_with_counts()
-        built = _count_table(distinct, build.num_rows, counts)
+        built = _count_table(
+            distinct, (int(distinct[0]), int(distinct[-1])), build.num_rows, counts
+        )
     if built is None:
 
         def probe(start: int, stop: int) -> int:

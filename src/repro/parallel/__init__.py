@@ -7,7 +7,6 @@ from .executor import (
     SerialExecutor,
     ThreadExecutor,
     resolve_executor,
-    run_fused_phases,
     run_phase,
 )
 
@@ -20,7 +19,6 @@ __all__ = [
     "ThreadExecutor",
     "resolve_executor",
     "run_phase",
-    "run_fused_phases",
     "kernel_workers",
     "kernel_chunk_rows",
 ]

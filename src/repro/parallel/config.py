@@ -8,20 +8,15 @@
 ``chunk_rows``
     Rows per kernel chunk.  It changes how kernels decompose their
     input, never a result.
-``pipeline_depth``
-    How many consecutive exchange phases one pipelined window may fuse
-    under a shared barrier; 1 is strict barriers, the byte-exact
-    reference.
 
 A :class:`~repro.cluster.cluster.Cluster` fixes its config when it is
 built: the ``config`` argument, else the config bound on the building
 thread by :func:`use`, else the process default, which
-:meth:`ExecConfig.from_env` resolves once from ``REPRO_WORKERS``,
-``REPRO_KERNEL_CHUNK_ROWS`` and ``REPRO_PIPELINE``.  A join binds its
-cluster's config on the calling thread and every phase task binds it on
-the thread that runs the task, so each kernel reads (:func:`current`)
-the config of the cluster it works for, and no query's settings reach
-another's.
+:meth:`ExecConfig.from_env` resolves once from ``REPRO_WORKERS`` and
+``REPRO_KERNEL_CHUNK_ROWS``.  A join binds its cluster's config on the
+calling thread and every phase task binds it on the thread that runs
+the task, so each kernel reads (:func:`current`) the config of the
+cluster it works for, and no query's settings reach another's.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ __all__ = ["ExecConfig", "check_count", "current", "use"]
 ENV_VARS = {
     "workers": "REPRO_WORKERS",
     "chunk_rows": "REPRO_KERNEL_CHUNK_ROWS",
-    "pipeline_depth": "REPRO_PIPELINE",
 }
 
 
@@ -64,14 +58,13 @@ def check_count(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """Phase workers (= kernel width), kernel chunk rows, pipeline depth."""
+    """Phase workers (= kernel width) and kernel chunk rows."""
 
     workers: int = 1
     #: Large enough that per-chunk numpy calls amortize dispatch, small
     #: enough that typical bench partitions split into several chunks per
     #: worker for load balancing.
     chunk_rows: int = 1 << 16
-    pipeline_depth: int = 1
 
     def __post_init__(self):
         for field in fields(self):

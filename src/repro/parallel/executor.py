@@ -40,7 +40,6 @@ __all__ = [
     "ThreadExecutor",
     "resolve_executor",
     "run_phase",
-    "run_fused_phases",
 ]
 
 
@@ -124,15 +123,6 @@ class _CrashedTask:
         self.error = error
 
 
-def _stage_indices(cluster, tasks) -> Sequence[int]:
-    """Resolve one stage's ``tasks`` argument to an index sequence."""
-    if tasks is None:
-        return range(cluster.num_nodes)
-    if isinstance(tasks, int):
-        return range(tasks)
-    return list(tasks)
-
-
 def run_phase(
     cluster,
     fn: Callable[[int], object],
@@ -171,107 +161,34 @@ def run_phase(
 
     Returns the task results in task order.
     """
-    return _run_phase_group(
-        cluster, [(fn, tasks, task_nodes)], profile=profile, executor=executor
-    )[0]
-
-
-def run_fused_phases(
-    cluster,
-    stages: Sequence[tuple],
-    profile=None,
-    executor: PhaseExecutor | None = None,
-) -> list[list]:
-    """Run several phases' stages under one shared barrier.
-
-    ``stages`` is a sequence of ``(fn, tasks, task_nodes)`` triples, each
-    exactly the arguments one :func:`run_phase` call would have taken.
-    All stages' tasks are dispatched to the executor together and commit
-    at a single barrier, so a later stage's local work overlaps an
-    earlier stage's sends — the pipelined-exchange mode
-    (:meth:`repro.cluster.cluster.Cluster.pipelined_phases`).
-
-    Deterministic state is preserved exactly as in :func:`run_phase`:
-    lanes are committed in stage-major task order, so each category's
-    inbox arrival order and the ledger sums match the strict
-    phase-per-stage execution.  (Message sequence numbers and profile
-    *step order* may differ from strict mode, which is why pipelining is
-    an explicit opt-in.)  Tasks of a fused group must not depend on an
-    earlier stage's sends — those are only delivered at the shared
-    barrier — nor on its results.
-
-    Fault injection requires strict phase sequencing, so fusing more
-    than one stage while a fault plan is installed raises
-    :class:`~repro.errors.ParallelError`; callers gate on
-    ``cluster.pipeline_active()``.
-
-    Returns one result list per stage, in stage order.
-    """
-    return _run_phase_group(cluster, stages, profile=profile, executor=executor)
-
-
-def _run_phase_group(
-    cluster,
-    stages: Sequence[tuple],
-    profile=None,
-    executor: PhaseExecutor | None = None,
-) -> list[list]:
     executor = executor or cluster.executor
     config = cluster.config
     network = cluster.network
     injector = getattr(network, "faults", None)
-    if injector is not None and len(stages) > 1:
-        raise ParallelError(
-            "cannot fuse phases while a fault plan is installed; "
-            "pipelining must fall back to strict barriers under faults"
-        )
-
-    # Flatten stage tasks into global lane positions, stage-major: the
-    # barrier commits lanes in this order, which equals the order the
-    # strict per-stage execution would have committed them in.
-    stage_indices: list[Sequence[int]] = []
-    stage_offsets: list[int] = []
-    flat_fns: list[Callable[[int], object]] = []
-    nodes: list[int | None] = []
-    count = 0
-    for fn, tasks, task_nodes in stages:
-        indices = _stage_indices(cluster, tasks)
-        if task_nodes is not None:
-            task_nodes = list(task_nodes)
-            if len(task_nodes) != len(indices):
-                raise ParallelError(
-                    f"task_nodes has {len(task_nodes)} entries "
-                    f"for {len(indices)} tasks"
-                )
-            nodes.extend(task_nodes)
-        elif tasks is None:
-            nodes.extend(indices)
-        else:
-            nodes.extend([None] * len(indices))
-        stage_indices.append(indices)
-        stage_offsets.append(count)
-        flat_fns.append(fn)
-        count += len(indices)
+    if tasks is None:
+        indices: Sequence[int] = range(cluster.num_nodes)
+        nodes: Sequence[int | None] = indices
+    else:
+        indices = range(tasks) if isinstance(tasks, int) else list(tasks)
+        nodes = [None] * len(indices)
+    if task_nodes is not None:
+        nodes = list(task_nodes)
+        if len(nodes) != len(indices):
+            raise ParallelError(
+                f"task_nodes has {len(nodes)} entries for {len(indices)} tasks"
+            )
+    count = len(indices)
 
     entry_time = wall_clock()
     starts = [0.0] * count
     ends = [0.0] * count
     lanes = network.begin_phase(count, profile)
 
-    def position_stage(position: int) -> int:
-        stage = len(stage_offsets) - 1
-        while stage_offsets[stage] > position:
-            stage -= 1
-        return stage
-
     def task(position: int):
-        stage = position_stage(position)
-        fn = flat_fns[stage]
-        index = stage_indices[stage][position - stage_offsets[stage]]
         starts[position] = wall_clock()
         try:
             with use(config), network.bind_lane(lanes[position]):
-                return fn(index)
+                return fn(indices[position])
         finally:
             ends[position] = wall_clock()
 
@@ -329,7 +246,6 @@ def _run_phase_group(
         profile.record_phase_timing(
             {
                 "tasks": count,
-                "stages": len(stages),
                 "workers": executor.workers,
                 "dispatch_seconds": max(0.0, min(starts) - entry_time)
                 if count
@@ -344,7 +260,4 @@ def _run_phase_group(
                 "phase_seconds": exit_time - entry_time,
             }
         )
-    return [
-        results[offset : offset + len(indices)]
-        for offset, indices in zip(stage_offsets, stage_indices)
-    ]
+    return results

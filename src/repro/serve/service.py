@@ -204,11 +204,7 @@ class QueryService:
         for driver in self._drivers:
             driver.start()
 
-    # -- registration ----------------------------------------------------
-
-    def register_table(self, table: DistributedTable) -> None:
-        """Make a resident table addressable via :meth:`table`."""
-        self.tables[table.name] = table
+    # -- resident tables -------------------------------------------------
 
     def table(self, name: str) -> DistributedTable:
         """A registered resident table by name."""

@@ -37,16 +37,20 @@ __all__ = ["KeyIndex", "ScatterPlan", "LocalPartition", "DistributedTable", "den
 _DISTINCT_DENSE_FACTOR = 4
 
 
-def dense_key_counts(keys: np.ndarray) -> tuple[np.ndarray, int] | None:
+def dense_key_counts(
+    keys: np.ndarray, bounds: tuple[int, int] | None = None
+) -> tuple[np.ndarray, int] | None:
     """Occurrences of every key of a dense domain, from one ``bincount``.
 
     Returns ``(table, base)`` with ``table[k - base]`` the number of
     times ``k`` occurs in the non-empty ``keys``, or ``None`` when their
     span exceeds ``_DISTINCT_DENSE_FACTOR`` × rows + 1024.  This is the
-    one definition of a "dense" key domain for counting.
+    one definition of a "dense" key domain for counting.  ``bounds``
+    is the keys' ``(min, max)`` when the caller has already reduced
+    them.
     """
-    base = int(keys.min())
-    span = int(keys.max()) - base + 1
+    base, top = (int(keys.min()), int(keys.max())) if bounds is None else bounds
+    span = top - base + 1
     if span > _DISTINCT_DENSE_FACTOR * len(keys) + 1024:
         return None
     return np.bincount(keys - base, minlength=span), base

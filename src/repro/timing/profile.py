@@ -252,10 +252,10 @@ class ExecutionProfile:
         return self._accumulate_at(name, LOCAL, "copy", node, nbytes)
 
     def record_phase_timing(self, timing: dict) -> None:
-        """Append one phase group's wall-clock breakdown.
+        """Append one phase's wall-clock breakdown.
 
         Always recorded on the shared profile (never routed through a
-        lane): the phase runner calls this once per group, after the
+        lane): the phase runner calls this once per phase, after the
         barrier, from the coordinating thread.
         """
         self.phase_timings.append(timing)

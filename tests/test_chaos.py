@@ -215,6 +215,19 @@ class TestRetransmitAccounting:
         # Goodput is unchanged: same message count, same per-class bytes.
         assert _goodput(faulty.traffic) == _goodput(clean.traffic)
 
+    def test_two_worker_track_join_goodput_matches_faultless(self):
+        """4TJ at 2 workers under drops: the serial fault-free output and
+        goodput, with the recovery cost kept apart."""
+        plan = FaultPlan(seed=5, drop=0.05, max_retries=8)
+        cluster, table_r, table_s = _make_cluster(plan, workers=2)
+        with cluster:
+            faulty = create("4TJ").run(cluster, table_r, table_s)
+        clean_cluster, table_r, table_s = _make_cluster()
+        clean = create("4TJ").run(clean_cluster, table_r, table_s)
+        assert faulty.traffic.retransmit_bytes > 0.0
+        assert _goodput(faulty.traffic) == _goodput(clean.traffic)
+        assert np.array_equal(canonical_output(faulty), canonical_output(clean))
+
 
 # -- sends that run in phases --------------------------------------------
 

@@ -169,8 +169,8 @@ CASES = {
 
 
 def _run_case(name: str, workers: int) -> dict:
-    # The golden pins strict-barrier profiles; chunk rows stay ambient.
-    config = replace(current(), workers=workers, pipeline_depth=1)
+    # Chunk rows stay ambient.
+    config = replace(current(), workers=workers)
     with Cluster(NUM_NODES, config=config) as cluster:
         return CASES[name](cluster)
 

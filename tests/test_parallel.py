@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -77,10 +77,10 @@ class TestExecutors:
         threaded.close()
 
     def test_default_workers_env(self):
-        assert ExecConfig.from_env({}) == ExecConfig(1, 1 << 16, 1)
+        assert ExecConfig.from_env({}) == ExecConfig(1, 1 << 16)
         assert ExecConfig.from_env({"REPRO_WORKERS": " 6 "}).workers == 6
-        environ = {"REPRO_WORKERS": "3", "REPRO_KERNEL_CHUNK_ROWS": "128", "REPRO_PIPELINE": "2"}
-        assert ExecConfig.from_env(environ) == ExecConfig(3, 128, 2)
+        environ = {"REPRO_WORKERS": "3", "REPRO_KERNEL_CHUNK_ROWS": "128"}
+        assert ExecConfig.from_env(environ) == ExecConfig(3, 128)
         # Kernel width is the phase width; no variable sets it apart.
         assert ExecConfig.from_env({"REPRO_KERNEL_WORKERS": "3"}) == ExecConfig()
 
@@ -167,6 +167,32 @@ class TestClusterPhases:
             assert pooled and all(thread.is_alive() for thread in pooled)
         assert not any(thread.is_alive() for thread in pooled)
 
+    def test_phase_timing_fields_recorded(self):
+        """Every phase of a 2-worker join records its time breakdown, and
+        the profile's totals sum it."""
+        with Cluster(4, config=ExecConfig(workers=2)) as cluster:
+            table_r, table_s = make_tables(cluster, np.arange(64), np.arange(32, 96))
+            result = TrackJoin("4TJ").run(cluster, table_r, table_s)
+        timings = result.profile.phase_timings
+        assert timings
+        for timing in timings:
+            assert set(timing) == {
+                "tasks",
+                "workers",
+                "dispatch_seconds",
+                "kernel_seconds",
+                "barrier_wait_seconds",
+                "commit_seconds",
+                "phase_seconds",
+            }
+            assert all(value >= 0 for value in timing.values())
+            assert timing["workers"] == 2
+        totals = result.profile.timing_totals()
+        assert totals["phases"] == len(timings)
+        assert totals["kernel_seconds"] == pytest.approx(
+            sum(t["kernel_seconds"] for t in timings)
+        )
+
 
 # -- one config per cluster ----------------------------------------------
 
@@ -187,18 +213,42 @@ class _ConfigProbe(DistributedJoin):
 
 class TestExecConfig:
     def test_frozen_and_validated(self):
-        config = ExecConfig(workers=2, chunk_rows=7, pipeline_depth=3)
+        config = ExecConfig(workers=2, chunk_rows=7)
         with pytest.raises(FrozenInstanceError):
             config.workers = 4
-        for bad in ({"chunk_rows": 0}, {"pipeline_depth": "2"}, {"workers": 1.5}):
+        for bad in ({"chunk_rows": 0}, {"chunk_rows": "2"}, {"workers": 1.5}):
             with pytest.raises(ValidationError):
                 ExecConfig(**bad)
         with pytest.raises(ValidationError):
             Cluster(2, config={"workers": 2})
 
+    def test_exactly_two_settings(self):
+        """Workers and chunk rows are the only settings: every phase runs
+        under its own barrier."""
+        assert [field.name for field in fields(ExecConfig)] == ["workers", "chunk_rows"]
+        with pytest.raises(TypeError):
+            ExecConfig(pipeline_depth=2)
+
+    def test_pipeline_depth_setter_validates_and_changes_nothing(self):
+        cluster = Cluster(2, config=ExecConfig(workers=2))
+        config = cluster.config
+        cluster.set_pipeline_depth(4)
+        assert cluster.config is config
+        for bad in (0, "2", 1.5):
+            with pytest.raises(ValidationError):
+                cluster.set_pipeline_depth(bad)
+        assert cluster.config is config
+        assert cluster.run_phase(lambda node: node) == [0, 1]
+        cluster.close()
+
+    def test_pipeline_env_ignored(self, recwarn):
+        for raw in ("3", "bogus", "0"):
+            assert ExecConfig.from_env({"REPRO_PIPELINE": raw}) == ExecConfig()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_cluster_fixes_its_config_at_construction(self):
         explicit = ExecConfig(workers=2, chunk_rows=7)
-        scoped = ExecConfig(chunk_rows=5, pipeline_depth=2)
+        scoped = ExecConfig(chunk_rows=5)
         with use(scoped):
             assert Cluster(2).config is scoped
             assert Cluster(2, config=explicit).config is explicit

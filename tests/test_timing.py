@@ -72,6 +72,14 @@ class TestExecutionProfile:
         assert step.kind == LOCAL
         assert step.rate_class == "copy"
 
+    def test_timings_not_merged_across_profiles(self):
+        """Phase timings stay with the profile of the phase that ran."""
+        profile = ExecutionProfile(2)
+        other = ExecutionProfile(2)
+        other.record_phase_timing({"kernel_seconds": 1.0})
+        profile.merge(other)
+        assert profile.phase_timings == []
+
 
 class TestHardwareModel:
     def test_network_time_uses_total_bytes(self):
